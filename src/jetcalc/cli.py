@@ -163,8 +163,7 @@ def cmd_chi(args) -> int:
     doc = {"version": __version__, "target": args.target}
     if args.target == "E44":
         fams = enumerate_families()
-        contribs = {c.family: c
-                    for c in euler.family_contributions(fams, 4, jobs=args.jobs)}
+        contribs = {c.family: c for c in euler.family_contributions(fams, 4)}
         coeffs = {}
         for f in fams:
             for name, v in contribs[f.id].slots.items():
@@ -189,7 +188,7 @@ def cmd_chi(args) -> int:
         doc["approximate_roots"] = [round(r, 8) for r in euler.real_roots_approx(chi)]
         if args.with_h2:
             h2c = euler.h2_majorant_coefficient(fams)
-            h0 = euler.h0_minorant_e43(fams)
+            h0 = euler.h0_minorant(chi, h2c)
             doc["h2_majorant_coefficient"] = str(h2c)
             doc["h0_minorant"] = _poly_report(h0, den)
             doc["h0_positivity_threshold"] = euler.positivity_threshold(h0)
@@ -231,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallelism degree (wall time only, never results)")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; changes nothing "
+                             "(every command runs on one core)")
     common.add_argument("--budget-steps", type=int, default=10_000_000)
     common.add_argument("--budget-seconds", type=float, default=None)
 

@@ -1,20 +1,29 @@
-"""Exact iterated integration over weighted simplices, the per-family
-contributions to the leading Euler characteristic of the jet bundles in
-dimensions 3 and 4, the second-cohomology majorant, and integer positivity
-thresholds via exact root isolation.
+"""Exact integration over weighted simplices, the per-family contributions
+to the leading Euler characteristic of the jet bundles in dimensions 3 and 4,
+the second-cohomology majorant, and integer positivity thresholds via exact
+root isolation.
 
 All determinant integrals reduce to a single power of the weight m times an
 exact rational; five Chern slots assemble these into polynomials in the
-hypersurface degree d.  No floating point enters any decision path; float
-approximations of roots are provided for display only.
+hypersurface degree d.  Every integrand is a polynomial in linear forms
+ell_1..ell_n, so each chi path expands it once over abstract ell-symbols and
+takes the moments of prod ell_i^(a_i) from `simplex_moments`: the vertex
+generating function of Baldoni, Berline, De Loera, Koeppe and Vergne, "How to
+integrate a polynomial over a simplex" (Math. Comp. 80, 2011), evaluated by
+one integer recurrence.  The iterated antiderivative (`simplex_integral`,
+`top_coefficient`) stays as the independent oracle the tests check it by.
+No floating point enters any decision path; float approximations of roots
+are provided for display only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import permutations, product
+from math import factorial, lcm, prod
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .degpoly import DegreePolynomial
 from .polyring import Polynomial, Variable, tag
@@ -27,7 +36,7 @@ from .schur import (
 
 
 # ---------------------------------------------------------------------------
-# exact iterated simplex integration
+# exact simplex integration: the iterated oracle and the moment recurrence
 # ---------------------------------------------------------------------------
 
 
@@ -85,35 +94,68 @@ def top_coefficient(p: Polynomial, m_var: Variable, expected_degree: int) -> Fra
     return total
 
 
-def simplex_top_coefficient(integrand: Polynomial,
-                            nesting: Sequence[Tuple[Variable, int]],
-                            m_var: Variable) -> Fraction:
-    """Top-m coefficient of the simplex integral of a homogeneous integrand.
+def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
+                    needed: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Fraction]:
+    """Top-m coefficients of the simplex integrals of products of linear forms.
 
-    For a monomial m^e x^alpha the integral over {sum w_i x_i <= m} is the
-    Dirichlet value m^(e+|alpha|+k) prod(alpha_i!) / ((|alpha|+k)! prod
-    w_i^(alpha_i+1)), so every monomial of a homogeneous integrand feeds the
-    same top power; summing the closed forms avoids iterated antiderivatives.
+    Form i is the list of integer coefficients (of m, then of x_1..x_k) of
+    ell_i = c_0 m + sum c_j x_j, and the simplex is {sum w_j x_j <= m, x >= 0}.
+    For each exponent vector a in `needed` the integral of prod ell_i^(a_i)
+    is m^(|a|+k) times the returned rational.  By Baldoni, Berline, De Loera,
+    Koeppe and Vergne, "How to integrate a polynomial over a simplex" (Math.
+    Comp. 80, 2011), that rational is
+
+        a! / ((|a|+k)! prod w_j) * [t^a] prod_v 1 / (1 - sum_i t_i ell_i(v))
+
+    over the vertices v = 0, e_j / w_j of the m = 1 simplex.  The vertex
+    values are scaled to integers by W = lcm(w_j), and each factor of the
+    generating function is applied by the recurrence
+    h[a] = h[a] + sum_i W ell_i(v) h[a - e_i] over the box prod [0, max a_i].
     """
-    from math import factorial
+    k = len(weights)
+    for w in weights:
+        if not isinstance(w, int) or w <= 0:
+            raise ValueError(f"simplex weight {w!r} is not a positive integer")
+    for form in forms:
+        if len(form) != k + 1:
+            raise ValueError("each form needs a coefficient of m and one per variable")
+        for c in form:
+            if not isinstance(c, int):
+                raise ValueError(f"form coefficient {c!r} is not an integer")
+    needed = list(needed)
+    if any(len(a) != len(forms) for a in needed):
+        raise ValueError("each exponent vector needs one exponent per form")
+    if not needed:
+        return {}
+    scale = lcm(*weights)
+    vertices = [[scale * f[0] for f in forms]]
+    for j, w in enumerate(weights, start=1):
+        vertices.append([scale * f[0] + scale // w * f[j] for f in forms])
 
-    weights = {v: w for v, w in nesting}
-    k = len(nesting)
-    total = Fraction(0)
-    for mono, c in integrand.terms.items():
-        asum = 0
-        numer = 1
-        wprod = 1
-        for v, e in mono:
-            if v is m_var:
-                continue
-            asum += e
-            numer *= factorial(e)
-            wprod *= weights[v] ** e
-        for v, w in nesting:
-            wprod *= w
-        total += c * Fraction(numer, factorial(asum + k) * wprod)
-    return total
+    # the box prod [0, top_i], flattened with the last exponent fastest
+    top = [max(a[i] for a in needed) for i in range(len(forms))]
+    strides = [1] * len(top)
+    for i in range(len(top) - 2, -1, -1):
+        strides[i] = strides[i + 1] * (top[i + 1] + 1)
+    box = list(product(*(range(t + 1) for t in top)))
+    h = [0] * len(box)
+    h[0] = 1
+    for values in vertices:
+        steps = [(i, strides[i], v) for i, v in enumerate(values) if v]
+        for idx in range(1, len(box)):
+            a = box[idx]
+            acc = h[idx]
+            for i, stride, v in steps:
+                if a[i]:
+                    acc += v * h[idx - stride]
+            h[idx] = acc
+
+    out = {}
+    for a in needed:
+        size = sum(a)
+        numer = h[sum(e * s for e, s in zip(a, strides))] * prod(map(factorial, a))
+        out[a] = Fraction(numer, factorial(size + k) * prod(weights) * scale ** size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,47 +163,7 @@ def simplex_top_coefficient(integrand: Polynomial,
 # ---------------------------------------------------------------------------
 
 
-def _ell_polynomials(family: FamilySpec, m_var: Variable,
-                     letter_vars: Dict[str, Variable], n: int) -> List[Polynomial]:
-    """ell_1..ell_n over the free exponents, with o eliminated by the weight."""
-    ells = []
-    for i in range(n):
-        acc = Polynomial.zero()
-        for x in family.free:
-            if x == "o":
-                continue
-            if n == 3 and x == "p":
-                continue
-            cnt = family.counts[x][i]
-            if cnt:
-                acc = acc + cnt * Polynomial.variable(letter_vars[x])
-        ells.append(acc)
-    if "o" in family.free:
-        # o = m - sum of the weighted free exponents; its only index count
-        # is one on the first component
-        acc = Polynomial.variable(m_var)
-        for x in family.free:
-            if x == "o":
-                continue
-            if n == 3 and x == "p":
-                continue
-            acc = acc - family.weights[x] * Polynomial.variable(letter_vars[x])
-        ells[0] = ells[0] + acc
-    return ells
-
-
-def _power_tables(ells: Sequence[Polynomial], top: int) -> List[Dict[int, Polynomial]]:
-    tables = []
-    for ell in ells:
-        cache = {0: Polynomial.constant(1)}
-        for e in range(1, top + 1):
-            cache[e] = cache[e - 1] * ell
-        tables.append(cache)
-    return tables
-
-
-def _slot_determinant(ells: Sequence[Polynomial], exponents: Sequence[int],
-                      tables: Optional[List[Dict[int, Polynomial]]] = None) -> Polynomial:
+def _slot_determinant(ells: Sequence[Polynomial], exponents: Sequence[int]) -> Polynomial:
     """det(ell_j ^ e_i) with the exponent rows in ascending order.
 
     The ascending convention matches the printed golden integrals; in even
@@ -169,18 +171,14 @@ def _slot_determinant(ells: Sequence[Polynomial], exponents: Sequence[int],
     theorem, and in odd dimensions the assembly multiplies by the reversal
     sign (-1)^(n(n-1)/2).
     """
-    from itertools import permutations
-
     exps = sorted(exponents)
     k = len(ells)
-    if tables is None:
-        tables = _power_tables(ells, max(exps))
     acc = Polynomial.zero()
     for perm in permutations(range(k)):
         inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
         term = Polynomial.constant(-1 if inv % 2 else 1)
         for r in range(k):
-            term = term * tables[perm[r]][exps[r]]
+            term = term * ells[perm[r]] ** exps[r]
         acc = acc + term
     return acc
 
@@ -197,172 +195,79 @@ class FamilyContribution:
     slots: Dict[str, Fraction]  # slot name -> coefficient of m^top
 
 
-def family_contribution(family: FamilySpec, n: int = 4,
-                        integrand_factory=None) -> FamilyContribution:
+Expansion = Dict[Tuple[int, ...], Fraction]
+
+
+def _ell_symbols(n: int) -> List[Variable]:
+    return [_var(f"l{i}", 100 + i) for i in range(1, n + 1)]
+
+
+def _expansion(p: Polynomial, n: int) -> Expansion:
+    """{exponent vector of (ell_1..ell_n): coefficient} of a polynomial in the
+    abstract ell-symbols."""
+    index = {v: i for i, v in enumerate(_ell_symbols(n))}
+    out: Expansion = {}
+    for mono, c in p.terms.items():
+        row = [0] * n
+        for v, e in mono:
+            row[index[v]] = e
+        out[tuple(row)] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _abstract_slot_determinants(n: int) -> Dict[str, Expansion]:
+    """Each slot determinant expanded over abstract ell-symbols (cached)."""
+    ells = [Polynomial.variable(v) for v in _ell_symbols(n)]
+    return {slot.name: _expansion(_slot_determinant(ells, slot.exponents), n)
+            for slot in chi_slots(n)}
+
+
+def _integrate(expansions: Dict[str, Expansion], forms: Sequence[Sequence[int]],
+               weights: Sequence[int]) -> Dict[str, Fraction]:
+    """Top-m coefficient of the simplex integral of each expansion in the forms."""
+    needed = sorted({a for coeffs in expansions.values() for a in coeffs})
+    moments = simplex_moments(forms, weights, needed)
+    return {name: sum((c * moments[a] for a, c in coeffs.items()), Fraction(0))
+            for name, coeffs in expansions.items()}
+
+
+def _family_forms(family: FamilySpec, n: int) -> Tuple[List[List[int]], List[int]]:
+    """ell_1..ell_n as integer forms over m and the free letters, and the weights.
+
+    o is eliminated by the weight, o = m - sum w_x x; for n = 3, p = 0 and the
+    fourth index is dropped.
+    """
+    letters = [x for x in family.free if x != "o" and not (n == 3 and x == "p")]
+    o = family.counts["o"] if "o" in family.free else (0,) * n
+    forms = [[o[i]] + [family.counts[x][i] - o[i] * family.weights[x] for x in letters]
+             for i in range(n)]
+    return forms, [family.weights[x] for x in letters]
+
+
+def family_contribution(family: FamilySpec, n: int = 4) -> FamilyContribution:
     """The m^top coefficients of the slot determinant integrals for a family.
 
     For n = 4 the five 4x4 determinant slots integrate over the six free
     exponents to m^16 times a rational; for n = 3 (p = 0, fourth index
-    dropped) the three 3x3 slots give m^11.  A custom `integrand_factory`
-    (ells -> polynomial) computes other summands, e.g. the h^2 majorant.
+    dropped) the three 3x3 slots give m^11.
     """
-    m_var = _var("m", 0)
-    letters = [x for x in family.free if x != "o" and not (n == 3 and x == "p")]
-    letter_vars = {x: _var(x, k + 1) for k, x in enumerate(letters)}
-    ells = _ell_polynomials(family, m_var, letter_vars, n)
-    nesting = [(letter_vars[x], family.weights[x]) for x in letters]
-    slots: Dict[str, Fraction] = {}
-    if integrand_factory is None:
-        abstract = _abstract_slot_determinants(n)
-        needed = sorted({a for coeffs in abstract.values() for a in coeffs})
-        moments = _ell_moments(ells, needed, nesting, m_var)
-        for name, coeffs in abstract.items():
-            slots[name] = sum((c * moments[a] for a, c in coeffs.items()),
-                              Fraction(0))
-    else:
-        integrand = integrand_factory(ells)
-        slots["value"] = simplex_top_coefficient(integrand, nesting, m_var)
+    slots = _integrate(_abstract_slot_determinants(n), *_family_forms(family, n))
     return FamilyContribution(family.id, family.multiplicity, slots)
 
 
-def _abstract_slot_determinants(n: int) -> Dict[str, Dict[Tuple[int, ...], Fraction]]:
-    """Each slot determinant expanded over abstract ell-symbols (cached).
-
-    Returns {slot name: {exponent vector of (ell_1..ell_n): coefficient}}.
-    """
-    got = _ABSTRACT_DETS.get(n)
-    if got is not None:
-        return got
-    symbols = [_var(f"l{i}", 100 + i) for i in range(1, n + 1)]
-    polys = [Polynomial.variable(s) for s in symbols]
-    out: Dict[str, Dict[Tuple[int, ...], Fraction]] = {}
-    for slot in chi_slots(n):
-        det = _slot_determinant(polys, slot.exponents)
-        coeffs: Dict[Tuple[int, ...], Fraction] = {}
-        for mono, c in det.terms.items():
-            row = [0] * n
-            for v, e in mono:
-                row[symbols.index(v)] = e
-            coeffs[tuple(row)] = c
-        out[slot.name] = coeffs
-    _ABSTRACT_DETS[n] = out
-    return out
-
-
-_ABSTRACT_DETS: Dict[int, Dict[str, Dict[Tuple[int, ...], Fraction]]] = {}
-
-
-def _ell_moments(ells: Sequence[Polynomial], needed: Sequence[Tuple[int, ...]],
-                 nesting: Sequence[Tuple[Variable, int]],
-                 m_var: Variable) -> Dict[Tuple[int, ...], Fraction]:
-    """Top-m simplex integrals of the products prod ell_i^(a_i).
-
-    Products are built over a dense local exponent encoding with prefix
-    caching, so the exponent vectors needed by the slots share expansions.
-    """
-    from math import factorial
-
-    symbols = [m_var] + [v for v, _ in nesting]
-    index = {v: k for k, v in enumerate(symbols)}
-    k = len(nesting)
-    zero_exp = (0,) * len(symbols)
-
-    def densify(p: Polynomial) -> Dict[Tuple[int, ...], int]:
-        out = {}
-        for mono, c in p.terms.items():
-            row = [0] * len(symbols)
-            for v, e in mono:
-                row[index[v]] = e
-            if c.denominator != 1:
-                raise ValueError("moment pipeline expects integer linear forms")
-            out[tuple(row)] = c.numerator
-        return out
-
-    def dmul(a: Dict, b: Dict) -> Dict:
-        if len(a) < len(b):
-            a, b = b, a
-        out: Dict[Tuple[int, ...], int] = {}
-        get = out.get
-        items = list(a.items())
-        for eb, cb in b.items():
-            for ea, ca in items:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = get(key)
-                if s is None:
-                    out[key] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return out
-
-    top = max(max(a) for a in needed) if needed else 0
-    powers = []
-    for ell in ells:
-        dell = densify(ell)
-        cache = {0: {zero_exp: 1}, 1: dell}
-        for e in range(2, top + 1):
-            cache[e] = dmul(cache[e - 1], dell)
-        powers.append(cache)
-    prefix_cache: Dict[Tuple[int, ...], Dict] = {(): {zero_exp: 1}}
-
-    def product(prefix: Tuple[int, ...]) -> Dict:
-        got = prefix_cache.get(prefix)
-        if got is None:
-            head, last = prefix[:-1], prefix[-1]
-            got = dmul(product(head), powers[len(prefix) - 1][last])
-            prefix_cache[prefix] = got
-        return got
-
-    wvec = [w for _, w in nesting]
-    wbase = 1
-    for w in wvec:
-        wbase *= w
-    fact = [factorial(i) for i in range(top * len(ells) + k + 1)]
-
-    def dirichlet(dense: Dict) -> Fraction:
-        total = Fraction(0)
-        for exps, c in dense.items():
-            asum = 0
-            numer = 1
-            wprod = wbase
-            for i in range(1, len(exps)):
-                e = exps[i]
-                if e:
-                    asum += e
-                    numer *= fact[e]
-                    wprod *= wvec[i - 1] ** e
-            total += c * Fraction(numer, fact[asum + k] * wprod)
-        return total
-
-    return {a: dirichlet(product(a)) for a in needed}
-
-
-def family_contributions(families: Sequence[FamilySpec], n: int = 4,
-                         jobs: int = 1) -> List[FamilyContribution]:
-    """Per-family contributions, optionally as a parallel map.
-
-    Parallelism affects wall time only: results are collected in family
-    order regardless of completion order.
-    """
-    if jobs <= 1 or len(families) <= 1:
-        return [family_contribution(f, n) for f in families]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(family_contribution, f, n) for f in families]
-        return [f.result() for f in futures]
+def family_contributions(families: Sequence[FamilySpec],
+                         n: int = 4) -> List[FamilyContribution]:
+    """Per-family contributions, in family order."""
+    return [family_contribution(f, n) for f in families]
 
 
 def coefficient_slots(n: int = 4,
-                      families: Optional[List[FamilySpec]] = None,
-                      jobs: int = 1) -> Dict[str, Fraction]:
+                      families: Optional[List[FamilySpec]] = None) -> Dict[str, Fraction]:
     """Multiplicity-weighted totals of the per-family slot coefficients."""
     families = families if families is not None else enumerate_families()
     totals: Dict[str, Fraction] = {}
-    for fam, contrib in zip(families, family_contributions(families, n, jobs)):
+    for fam, contrib in zip(families, family_contributions(families, n)):
         for name, val in contrib.slots.items():
             totals[name] = totals.get(name, Fraction(0)) + fam.multiplicity * val
     return totals
@@ -406,27 +311,31 @@ def h2_majorant_coefficient(families: Optional[List[FamilySpec]] = None) -> Frac
     coefficient multiplying d(d+13).
     """
     families = families if families is not None else enumerate_families()
-
-    def kernel(ells: Sequence[Polynomial]) -> Polynomial:
-        l1, l2, l3 = ells[0], ells[1], ells[2]
-        s = l1 + l2 + l3
-        return H2_FACTOR * s * s * s * (l1 - l2) * (l1 - l3) * (l2 - l3)
-
+    kernel = _abstract_h2_kernel()
     total = Fraction(0)
     for fam in families:
-        contrib = family_contribution(fam, 3, integrand_factory=kernel)
-        total += fam.multiplicity * contrib.slots["value"]
+        value = _integrate(kernel, *_family_forms(fam, 3))["value"]
+        total += fam.multiplicity * value
     return total
 
 
-def h2_majorant_e43(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
+@lru_cache(maxsize=None)
+def _abstract_h2_kernel() -> Dict[str, Expansion]:
+    l1, l2, l3 = (Polynomial.variable(v) for v in _ell_symbols(3))
+    s = l1 + l2 + l3
+    kernel = H2_FACTOR * s * s * s * (l1 - l2) * (l1 - l3) * (l2 - l3)
+    return {"value": _expansion(kernel, 3)}
+
+
+def h0_minorant(chi43: DegreePolynomial, h2_coefficient: Fraction) -> DegreePolynomial:
+    """The section minorant chi - h^2 majorant, from the two ingredients."""
     d = DegreePolynomial.d()
-    return h2_majorant_coefficient(families) * d * (d + 13)
+    return chi43 - h2_coefficient * d * (d + 13)
 
 
 def h0_minorant_e43(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
     families = families if families is not None else enumerate_families()
-    return chi_e43_leading(families) - h2_majorant_e43(families)
+    return h0_minorant(chi_e43_leading(families), h2_majorant_coefficient(families))
 
 
 def chi_rousseau_e33() -> DegreePolynomial:
@@ -435,22 +344,11 @@ def chi_rousseau_e33() -> DegreePolynomial:
     Sums the Schur slots over the classical decomposition indexed by
     a + 3b + 5c + 6e = m with indices (a+b+2c+e, b+c+e, e).
     """
-    m_var = _var("m", 0)
-    b, c, e = _var("b", 1), _var("c", 2), _var("e", 3)
-    B, C, E = (Polynomial.variable(v) for v in (b, c, e))
-    M = Polynomial.variable(m_var)
-    # a = m - 3b - 5c - 6e
-    l1 = M - 2 * B - 3 * C - 5 * E
-    l2 = B + C + E
-    l3 = E
-    nesting = [(b, 3), (c, 5), (e, 6)]
-    cs = chern_hypersurface(3)
-    acc = DegreePolynomial()
-    for slot in chi_slots(3):
-        integrand = _slot_determinant([l1, l2, l3], slot.exponents)
-        coeff = simplex_top_coefficient(integrand, nesting, m_var)
-        acc = acc + cs.integrate_combo(slot.combo, dual=True) * (coeff / slot.denominator)
-    return acc * reversal_sign(3)
+    # over (m, b, c, e) with a = m - 3b - 5c - 6e eliminated
+    forms = [[1, -2, -3, -5],  # a + b + 2c + e
+             [0, 1, 1, 1],     # b + c + e
+             [0, 0, 0, 1]]     # e
+    return assemble_chi(_integrate(_abstract_slot_determinants(3), forms, [3, 5, 6]), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
     Budget,
+    BudgetExceeded,
     DegRevLex,
     MembershipResult,
     MonomialOrder,
@@ -198,7 +199,7 @@ def run_generation(ctx: JetContext, mode: str = "full",
         try:
             rid = relations_ideal(named, tag_order=tag_order, budget=budget,
                                   engine=engine, horizon=horizon)
-        except Exception as exc:  # budget problems inside engines
+        except BudgetExceeded as exc:
             state.transcript.append(f"loop {state.loop_count}: relation ideal failed: {exc}")
             state.budget_exceeded = True
             return state

@@ -397,3 +397,11 @@ def test_criterion_14_stretch_runs():
     assert ok2
     record_criterion(14, "stretch: order-5 loops (non-gating)", True,
                      f"{clock.done():.1f}s; {outcome}")
+
+
+def test_acceptance_summary_sorts_criteria_naturally():
+    from conftest import criterion_key
+
+    labels = [14, "12c", 2, 10, "12a", 1, 13, 11, "12b"]
+    assert sorted(labels, key=criterion_key) == \
+        [1, 2, 10, 11, "12a", "12b", "12c", 13, 14]

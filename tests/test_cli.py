@@ -98,3 +98,12 @@ def test_text_format_and_output_file(tmp_path, capsys):
     assert code == EX_OK and out == ""
     text = out_path.read_text()
     assert "positivity_threshold: 43" in text
+
+
+def test_chi_e44_ignores_jobs(capsys):
+    code, out1, _ = run_cli(capsys, "chi", "--target", "E44", "--jobs", "1")
+    assert code == EX_OK
+    code, out3, _ = run_cli(capsys, "chi", "--target", "E44", "--jobs", "3")
+    assert code == EX_OK
+    assert out1 == out3
+    assert json.loads(out1)["positivity_threshold"] == 96

@@ -18,7 +18,7 @@ from jetcalc.euler import (
     reversal_sign,
     scaled_numerator,
     simplex_integral,
-    simplex_top_coefficient,
+    simplex_moments,
     top_coefficient,
 )
 from jetcalc.polyring import Polynomial, tag
@@ -81,7 +81,66 @@ def test_closed_form_matches_iterated_integral(seed):
     nest = [(X, 3), (Y, 4), (Z, 7)]
     full = simplex_integral(integrand, nest, M)
     top = top_coefficient(full, M, deg * 3 + 3)
-    assert top == simplex_top_coefficient(integrand, nest, M)
+    # each monomial m^e x^a y^b z^c is a product of the coordinate forms
+    coordinates = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    order = (M, X, Y, Z)
+    exps = {}
+    for mono, c in integrand.terms.items():
+        row = [0] * 4
+        for v, e in mono:
+            row[order.index(v)] = e
+        exps[tuple(row)] = c
+    moments = simplex_moments(coordinates, [3, 4, 7], exps)
+    assert top == sum(c * moments[a] for a, c in exps.items())
+
+
+def _form_polynomial(form, variables):
+    acc = form[0] * V(M)
+    for c, v in zip(form[1:], variables):
+        acc = acc + c * V(v)
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_simplex_moments_match_iterated_integral(seed):
+    """The vertex generating function against the iterated antiderivative."""
+    rng = random.Random(700 + seed)
+    k = 1 + seed % 4
+    variables = [tag(f"w{i}", 0, 20 + i) for i in range(k)]
+    # unequal weights, with a repeated one whenever there are two or more
+    weights = [rng.randint(1, 7) for _ in range(k)]
+    if k >= 2:
+        weights[-1] = weights[0]
+    forms = [[rng.randint(-3, 3) for _ in range(k + 1)] for _ in range(rng.randint(1, 3))]
+    # an o-elimination form: o = m - sum w_j x_j
+    forms.append([1] + [rng.randint(0, 2) - w for w in weights])
+    needed = set()
+    while len(needed) < 4:
+        needed.add(tuple(rng.randint(0, 2) for _ in forms))
+    needed = sorted(needed)
+    moments = simplex_moments(forms, weights, needed)
+    assert sorted(moments) == needed
+    nest = list(zip(variables, weights))
+    polys = [_form_polynomial(f, variables) for f in forms]
+    for a in needed:
+        integrand = Polynomial.constant(1)
+        for p, e in zip(polys, a):
+            integrand = integrand * p ** e
+        full = simplex_integral(integrand, nest, M)
+        assert moments[a] == top_coefficient(full, M, sum(a) + k)
+
+
+def test_simplex_moments_rejects_non_integer_forms():
+    with pytest.raises(ValueError):
+        simplex_moments([[1, Fraction(1, 2)]], [2], [(1,)])
+    with pytest.raises(ValueError):
+        simplex_moments([[1, 0.5]], [2], [(1,)])
+    with pytest.raises(ValueError):
+        simplex_moments([[1, 1]], [0], [(1,)])
+    with pytest.raises(ValueError):
+        simplex_moments([[1, 1, 1]], [2], [(1,)])
+    with pytest.raises(ValueError):
+        simplex_moments([[1, 1]], [2], [(1, 1)])
 
 
 def test_antiderivative_power_rule():
@@ -91,9 +150,8 @@ def test_antiderivative_power_rule():
 
 def test_lattice_sum_approaches_integral():
     """Discrete-vs-continuous: exact lattice sums converge at rate O(1/m)."""
-    weights = [(X, 2), (Y, 3)]
-    integrand = V(X) * V(Y)  # degree 2, two variables: top power m^4
-    top = simplex_top_coefficient(integrand, weights, M)
+    # integrand x * y over {2x + 3y <= m}: degree 2, two variables, top power m^4
+    top = simplex_moments([[0, 1, 0], [0, 0, 1]], [2, 3], [(1, 1)])[(1, 1)]
     for m in (120, 240):
         total = Fraction(0)
         for x in range(0, m // 2 + 1):

@@ -145,3 +145,27 @@ def test_state_normal_form_monomials_weight0():
     got3 = state_normal_form_monomials(state, 3)
     # weight 3: (f1')^3, (f1')^2 f2', f1' (f2')^2, (f2')^3, Lam^3
     assert len(got3) == 5
+
+
+def test_run_generation_propagates_engine_errors(monkeypatch):
+    """Only budget exhaustion is recorded as such; a genuine fault propagates."""
+    import jetcalc.invgen as invgen
+
+    def broken(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(invgen, "relations_ideal", broken)
+    with pytest.raises(ValueError, match="engine fault"):
+        run_generation(JetContext(2, 3), "full")
+
+
+def test_run_generation_records_budget_exhaustion(monkeypatch):
+    import jetcalc.invgen as invgen
+    from jetcalc.groebner import BudgetExceeded
+
+    def exhausted(*args, **kwargs):
+        raise BudgetExceeded("reduction budget of 1 steps exhausted")
+
+    monkeypatch.setattr(invgen, "relations_ideal", exhausted)
+    state = run_generation(JetContext(2, 3), "full")
+    assert state.budget_exceeded and not state.terminated
