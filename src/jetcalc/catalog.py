@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .invgen import Syzygy
 from .jets import (
-    Invariant,
     JetContext,
     bracket,
     delta_minor,
@@ -27,7 +26,6 @@ from .jets import (
     check_unipotent_invariance,
     component_degrees,
     divide_f1_power,
-    maximal_f1_power,
     poly_jet,
     wronskian,
 )
@@ -52,9 +50,6 @@ class CatalogEntry:
     provenance: str
     recipe: str
     counts: Tuple[int, ...] = ()
-
-    def as_invariant(self) -> Invariant:
-        return Invariant(self.name, self.weight, self.poly, self.provenance)
 
 
 @dataclass
@@ -154,10 +149,6 @@ def _chain_1i(i: int, kappa: int) -> List[Polynomial]:
         out.append(bracket(out[-1], f1, weights=(w, 1)))
         w += 2
     return out
-
-
-def _reduce_mod_f1(p: Polynomial) -> Polynomial:
-    return divide_f1_power(p, maximal_f1_power(p))
 
 
 def _entries_2k5() -> Dict[str, Polynomial]:
@@ -683,7 +674,7 @@ class IntegrityIssue:
     problem: str
 
 
-def integrity_check(data: CatalogData, deep: bool = True) -> List[IntegrityIssue]:
+def integrity_check(data: CatalogData) -> List[IntegrityIssue]:
     """Weights, reparametrization invariance, and (bi mode) unipotent checks."""
     issues = []
     for e in data.entries:
@@ -693,8 +684,6 @@ def integrity_check(data: CatalogData, deep: bool = True) -> List[IntegrityIssue
         w = e.poly.weighted_degree()
         if w != e.weight:
             issues.append(IntegrityIssue(e.name, f"weight {w} != declared {e.weight}"))
-        if not deep:
-            continue
         rep = check_reparam_invariance(e.poly)
         if not rep:
             issues.append(IntegrityIssue(e.name, "fails reparametrization invariance"))
@@ -729,17 +718,12 @@ def normalizer_for(ctx: JetContext, mode: str):
     return normalize
 
 
-def load_catalog(catalog_id: str, check: bool = False) -> CatalogData:
-    """Cached catalog access; `check` runs the full integrity sweep."""
+def load_catalog(catalog_id: str) -> CatalogData:
+    """Cached catalog access."""
     data = _cache.get(catalog_id)
     if data is None:
         data = build_catalog(catalog_id)
         _cache[catalog_id] = data
-    if check:
-        issues = integrity_check(data)
-        if issues:
-            msgs = "; ".join(f"{i.entry}: {i.problem}" for i in issues)
-            raise ValueError(f"catalog {catalog_id} integrity failure: {msgs}")
     return data
 
 

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
@@ -162,18 +161,14 @@ def cmd_chi(args) -> int:
     t0 = time.monotonic()
     doc = {"version": __version__, "target": args.target}
     if args.target == "E44":
-        fams = enumerate_families()
-        contribs = {c.family: c for c in euler.family_contributions(fams, 4)}
-        coeffs = {}
-        for f in fams:
-            for name, v in contribs[f.id].slots.items():
-                coeffs[name] = coeffs.get(name, Fraction(0)) + f.multiplicity * v
+        contribs = euler.family_contributions(enumerate_families(), 4)
+        coeffs = euler.slot_totals(contribs)
         chi = euler.assemble_chi(coeffs, 4)
         den = 1313317832303894333210335641600000000000000
         doc["families"] = {
-            f.id: {"multiplicity": f.multiplicity,
-                   "slots": {k: str(v) for k, v in contribs[f.id].slots.items()}}
-            for f in fams
+            c.family: {"multiplicity": c.multiplicity,
+                       "slots": {k: str(v) for k, v in c.slots.items()}}
+            for c in contribs
         }
         doc["coefficient_slots"] = {k: str(v) for k, v in sorted(coeffs.items())}
         doc["chi_m16_coefficient"] = _poly_report(chi, den)

@@ -95,15 +95,6 @@ class DegreePolynomial:
     def derivative(self) -> "DegreePolynomial":
         return DegreePolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def scale_to_integer(self) -> "tuple[List[int], int]":
-        """(integer coefficient list, common denominator)."""
-        from math import lcm
-
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        return [int(c * den) for c in self.coeffs], den
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

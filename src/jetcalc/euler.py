@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import factorial, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .degpoly import DegreePolynomial
-from .polyring import Polynomial, Variable, tag
+from .polyring import Polynomial, Variable, determinant, tag
 from .schur import (
     FamilySpec,
     chern_hypersurface,
@@ -171,16 +171,7 @@ def _slot_determinant(ells: Sequence[Polynomial], exponents: Sequence[int]) -> P
     theorem, and in odd dimensions the assembly multiplies by the reversal
     sign (-1)^(n(n-1)/2).
     """
-    exps = sorted(exponents)
-    k = len(ells)
-    acc = Polynomial.zero()
-    for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        term = Polynomial.constant(-1 if inv % 2 else 1)
-        for r in range(k):
-            term = term * ells[perm[r]] ** exps[r]
-        acc = acc + term
-    return acc
+    return determinant([[ell ** e for ell in ells] for e in sorted(exponents)])
 
 
 def reversal_sign(n: int) -> int:
@@ -262,15 +253,20 @@ def family_contributions(families: Sequence[FamilySpec],
     return [family_contribution(f, n) for f in families]
 
 
+def slot_totals(contributions: Iterable[FamilyContribution]) -> Dict[str, Fraction]:
+    """Multiplicity-weighted totals of per-family slot coefficients."""
+    totals: Dict[str, Fraction] = {}
+    for contrib in contributions:
+        for name, val in contrib.slots.items():
+            totals[name] = totals.get(name, Fraction(0)) + contrib.multiplicity * val
+    return totals
+
+
 def coefficient_slots(n: int = 4,
                       families: Optional[List[FamilySpec]] = None) -> Dict[str, Fraction]:
     """Multiplicity-weighted totals of the per-family slot coefficients."""
     families = families if families is not None else enumerate_families()
-    totals: Dict[str, Fraction] = {}
-    for fam, contrib in zip(families, family_contributions(families, n)):
-        for name, val in contrib.slots.items():
-            totals[name] = totals.get(name, Fraction(0)) + fam.multiplicity * val
-    return totals
+    return slot_totals(family_contributions(families, n))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +284,6 @@ def assemble_chi(coeffs: Dict[str, Fraction], n: int,
         if c:
             acc = acc + cs.integrate_combo(slot.combo, dual=dual) * (c / slot.denominator)
     return acc * reversal_sign(n)
-
-
-def chi_e44_leading(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
-    """Coefficient of m^16 in chi of the dimension-4 order-4 jet bundle."""
-    return assemble_chi(coefficient_slots(4, families), 4)
 
 
 def chi_e43_leading(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
@@ -360,24 +351,37 @@ class NonPositiveLeading(Exception):
     pass
 
 
-def _sturm_chain(p: DegreePolynomial) -> List[DegreePolynomial]:
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        rem = _poly_mod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(-rem)
-    return [q for q in chain if q]
-
-
-def _poly_mod(a: DegreePolynomial, b: DegreePolynomial) -> DegreePolynomial:
+def _poly_divmod(a: DegreePolynomial,
+                 b: DegreePolynomial) -> Tuple[DegreePolynomial, DegreePolynomial]:
+    """Quotient and remainder of a by a nonzero b."""
+    quot = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
     r = a
     while r and r.degree >= b.degree:
         shift = r.degree - b.degree
         factor = r.coeffs[-1] / b.coeffs[-1]
-        sub = DegreePolynomial([0] * shift + list(b.coeffs)) * factor
-        r = r - sub
-    return r
+        quot[shift] = factor
+        r = r - DegreePolynomial([0] * shift + list(b.coeffs)) * factor
+    return DegreePolynomial(quot), r
+
+
+def _poly_gcd(a: DegreePolynomial, b: DegreePolynomial) -> DegreePolynomial:
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return a
+
+
+def _sturm_chain(p: DegreePolynomial) -> List[DegreePolynomial]:
+    """Sturm chain of the square-free part of p, which heads the chain."""
+    g = _poly_gcd(p, p.derivative())
+    if g.degree > 0:
+        p = _poly_divmod(p, g)[0]
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(-rem)
+    return [q for q in chain if q]
 
 
 def _sign_changes(chain: List[DegreePolynomial], x: Fraction) -> int:
@@ -389,30 +393,13 @@ def _sign_changes(chain: List[DegreePolynomial], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _poly_gcd(a: DegreePolynomial, b: DegreePolynomial) -> DegreePolynomial:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
+def _root_count(chain: List[DegreePolynomial], lo: Fraction, hi: Fraction) -> int:
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
 def real_root_count(p: DegreePolynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    g = _poly_gcd(p, p.derivative())
-    if g.degree > 0:
-        p = _poly_quot(p, g)
-    chain = _sturm_chain(p)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def _poly_quot(a: DegreePolynomial, b: DegreePolynomial) -> DegreePolynomial:
-    out = [Fraction(0)] * (a.degree - b.degree + 1)
-    r = a
-    while r and r.degree >= b.degree:
-        shift = r.degree - b.degree
-        factor = r.coeffs[-1] / b.coeffs[-1]
-        out[shift] = factor
-        r = r - DegreePolynomial([0] * shift + list(b.coeffs)) * factor
-    return DegreePolynomial(out)
+    return _root_count(_sturm_chain(p), lo, hi)
 
 
 def cauchy_bound(p: DegreePolynomial) -> int:
@@ -433,15 +420,16 @@ def positivity_threshold(p: DegreePolynomial) -> int:
         raise NonPositiveLeading("positivity threshold needs a positive leading coefficient")
     if p.degree == 0:
         return 0
+    chain = _sturm_chain(p)
     bound = cauchy_bound(p)
     lo, hi = Fraction(-bound - 1), Fraction(bound)
-    if real_root_count(p, lo, hi) == 0:
+    if _root_count(chain, lo, hi) == 0:
         return -bound
     # bisect for the integer ceiling of the largest real root
     a, b = lo, hi
     while b - a > 1:
         mid = Fraction(int((a + b) // 2))
-        if real_root_count(p, mid, hi) >= 1:
+        if _root_count(chain, mid, hi) >= 1:
             a = mid
         else:
             b = mid
@@ -451,7 +439,7 @@ def positivity_threshold(p: DegreePolynomial) -> int:
         if p(x) <= 0:
             cand = x
             break
-        if real_root_count(p, lo, Fraction(x)) == 0:
+        if _root_count(chain, lo, Fraction(x)) == 0:
             break
     if cand is None:
         return -bound
@@ -460,23 +448,21 @@ def positivity_threshold(p: DegreePolynomial) -> int:
     return D
 
 
-def real_roots_approx(p: DegreePolynomial, digits: int = 6) -> List[float]:
-    """Float approximations of the distinct real roots (display only)."""
-    g = _poly_gcd(p, p.derivative())
-    if g.degree > 0:
-        p = _poly_quot(p, g)
-    bound = cauchy_bound(p)
-    roots = []
-    chain = _sturm_chain(p)
+# isolating interval width at which real_roots_approx reports a root
+_ROOT_WIDTH = Fraction(1, 10 ** 6)
 
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
+
+def real_roots_approx(p: DegreePolynomial) -> List[float]:
+    """Float approximations of the distinct real roots (display only)."""
+    chain = _sturm_chain(p)
+    bound = cauchy_bound(chain[0])
+    roots = []
 
     def isolate(a: Fraction, b: Fraction):
-        k = count(a, b)
+        k = _root_count(chain, a, b)
         if k == 0:
             return
-        if k == 1 and b - a < Fraction(1, 10 ** digits):
+        if k == 1 and b - a < _ROOT_WIDTH:
             roots.append(float((a + b) / 2))
             return
         mid = (a + b) / 2

@@ -184,7 +184,6 @@ def _spoly(ring: DenseRing, f: Dict[Exps, Fraction], g: Dict[Exps, Fraction],
 class GroebnerBasis:
     generators: List[Polynomial]
     order: MonomialOrder
-    reduced: bool = True
     complete: bool = True
     steps_used: int = 0
     ring: Optional[DenseRing] = None
@@ -314,7 +313,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     if complete:
         basis = _interreduce(dring, basis, budget)
     polys = [dring.from_dense(g) for g in basis]
-    return GroebnerBasis(polys, order, reduced=complete, complete=complete,
+    return GroebnerBasis(polys, order, complete=complete,
                          steps_used=budget.used, ring=dring)
 
 
@@ -349,7 +348,6 @@ class RelationIdeal:
     basis: GroebnerBasis
     method: str = "elimination"
     complete: bool = True
-    horizon: Optional[int] = None
 
     @property
     def relations(self) -> List[Polynomial]:
@@ -362,24 +360,17 @@ class RelationIdeal:
                 return False
         return True
 
-    def to_json(self) -> dict:
-        from .polyring import format_polynomial
-
-        return {
-            "tags": [{"name": t.name[2:], "weight": t.weight} for t in self.tags],
-            "relations": [format_polynomial(r) for r in self.relations],
-            "method": self.method,
-            "complete": self.complete,
-            "horizon": self.horizon,
-        }
-
 
 def make_tags(named: Sequence[Tuple[str, int]]) -> List[Variable]:
     """Tag variables in listing order; earlier = more senior."""
     return [tag(name, weight=w, index=k) for k, (name, w) in enumerate(named)]
 
 
-def jacobian_rank_certificate(polys: Sequence[Polynomial], trials: int = 4) -> bool:
+# random evaluation points tried by jacobian_rank_certificate
+_JACOBIAN_TRIALS = 4
+
+
+def jacobian_rank_certificate(polys: Sequence[Polynomial]) -> bool:
     """True when the polynomials are certified algebraically independent.
 
     Evaluates the Jacobian at random integer points; full rank at any point
@@ -399,7 +390,7 @@ def jacobian_rank_certificate(polys: Sequence[Polynomial], trials: int = 4) -> b
             row.append(derive_wrt(p, v))
         rows.append(row)
     rng = random.Random(17)
-    for _ in range(trials):
+    for _ in range(_JACOBIAN_TRIALS):
         point = {v: Polynomial.constant(rng.randint(-40, 40)) for v in variables}
         mat = [[entry.substitute(point).constant_term() for entry in row] for row in rows]
         if _rank(mat) == k:
@@ -438,23 +429,30 @@ def _rank(mat: List[List[Fraction]]) -> int:
     return rank
 
 
+_ENGINES = ("auto", "elimination", "graded")
+
+
 def relations_ideal(named: Sequence[Tuple[str, int, Polynomial]],
                     tag_order: Optional[MonomialOrder] = None,
                     budget: Optional[Budget] = None,
-                    engine: str = "auto",
-                    horizon: Optional[int] = None) -> RelationIdeal:
+                    engine: str = "auto") -> RelationIdeal:
     """Groebner basis of the kernel of tags -> polynomials.
 
     Inputs must be weighted homogeneous of the stated weights.  Engines:
 
-    - "jacobian": only certify independence (empty ideal) or fall through;
     - "elimination": the textbook tag-elimination construction (complete);
-    - "graded": weight-by-weight linear algebra up to `horizon`, returned
-      with complete=False unless the ideal is empty (fast, horizon-limited);
-    - "auto": jacobian shortcut, then elimination within budget, then graded.
+    - "graded": weight-by-weight linear algebra up to weight 2 max(w) + 2,
+      returned with complete=False unless the ideal is empty (fast, but
+      blind to relations above that weight);
+    - "auto": a Jacobian independence certificate (empty ideal), then
+      elimination on a bounded slice of the budget, then graded.
 
+    Both the step count and the deadline of `budget` hold in every engine.
     Every returned relation is weighted homogeneous in the tag weights.
     """
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown relation engine {engine!r} "
+                         f"(engines: {', '.join(_ENGINES)})")
     budget = budget or Budget()
     tags = make_tags([(n, w) for n, w, _ in named])
     defining = {}
@@ -467,18 +465,15 @@ def relations_ideal(named: Sequence[Tuple[str, int, Polynomial]],
         defining[t] = p
     tag_order = tag_order or DegRevLex()
 
-    if engine in ("auto", "jacobian"):
-        if jacobian_rank_certificate([p for _, _, p in named]):
-            empty = GroebnerBasis([], tag_order)
-            return RelationIdeal(tags, defining, empty, method="jacobian-independence")
-        if engine == "jacobian":
-            raise ValueError("no independence certificate; choose another engine")
+    if engine == "auto" and jacobian_rank_certificate([p for _, _, p in named]):
+        empty = GroebnerBasis([], tag_order)
+        return RelationIdeal(tags, defining, empty, method="jacobian-independence")
 
     if engine in ("auto", "elimination"):
         # elimination orders blow up quickly; under "auto" only a bounded
         # slice of the main budget is risked before falling back
         trial = budget if engine == "elimination" else Budget(
-            min(budget.steps, 400_000))
+            min(budget.steps, 400_000), budget.deadline)
         result = _relations_by_elimination(tags, defining, tag_order, trial)
         budget.spend(min(trial.used, trial.steps))
         if result is not None:
@@ -489,7 +484,7 @@ def relations_ideal(named: Sequence[Tuple[str, int, Polynomial]],
             return RelationIdeal(tags, defining, empty, method="elimination",
                                  complete=False)
 
-    return _relations_by_graded_kernel(tags, defining, tag_order, budget, horizon)
+    return _relations_by_graded_kernel(tags, defining, tag_order, budget)
 
 
 def _relations_by_elimination(tags, defining, tag_order, budget) -> Optional[RelationIdeal]:
@@ -509,7 +504,7 @@ def _relations_by_elimination(tags, defining, tag_order, budget) -> Optional[Rel
     return rid
 
 
-def _weight_tuples(weights: Sequence[int], total: int):
+def weight_tuples(weights: Sequence[int], total: int) -> List[Exps]:
     """Exponent tuples a with sum a_i * weights_i == total."""
     out = []
 
@@ -551,11 +546,10 @@ class _PowerCache:
         return got
 
 
-def _relations_by_graded_kernel(tags, defining, tag_order, budget, horizon) -> RelationIdeal:
+def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationIdeal:
     weights = [t.weight for t in tags]
     gens = [defining[t] for t in tags]
-    if horizon is None:
-        horizon = 2 * max(weights) + 2
+    top_weight = 2 * max(weights) + 2
     powers = _PowerCache(gens)
     relations: List[Polynomial] = []
     current = GroebnerBasis([], tag_order)
@@ -572,8 +566,8 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget, horizon) -> R
             row[pos[v]] = e
         return tuple(row)
 
-    for mu in range(min(weights), horizon + 1):
-        tuples = [a for a in _weight_tuples(weights, mu) if standard(a)]
+    for mu in range(min(weights), top_weight + 1):
+        tuples = [a for a in weight_tuples(weights, mu) if standard(a)]
         if len(tuples) < 2:
             continue
         elim = _IncrementalKernel()
@@ -594,7 +588,7 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget, horizon) -> R
             current = buchberger(relations, tag_order, budget)
             lead_vertices = [vertex_of(r) for r in current.generators]
     rid = RelationIdeal(list(tags), dict(defining), current,
-                        method="graded-kernel", complete=False, horizon=horizon)
+                        method="graded-kernel", complete=False)
     if not relations:
         rid.complete = jacobian_rank_certificate(gens)
         if rid.complete:
@@ -686,7 +680,7 @@ def subalgebra_membership(p: Polynomial,
         raise ValueError("membership test wants a weighted homogeneous input")
     tags = make_tags([(name, gw) for (name, _), gw in zip(named, weights)])
     gens = [g for _, g in named]
-    tuples = _weight_tuples(weights, w)
+    tuples = weight_tuples(weights, w)
     if not tuples:
         return MembershipResult(False)
     powers = _PowerCache(gens)

@@ -13,12 +13,10 @@ from .groebner import (
     Budget,
     BudgetExceeded,
     DegRevLex,
-    MembershipResult,
     MonomialOrder,
-    RelationIdeal,
-    make_tags,
     relations_ideal,
     subalgebra_membership,
+    weight_tuples,
 )
 from .jets import (
     Invariant,
@@ -58,10 +56,6 @@ class Syzygy:
     remainder: Polynomial
     leading_term: Optional[tuple] = None
 
-    @property
-    def identically_zero(self) -> bool:
-        return self.nu is None
-
 
 def homogeneous_split(s: Polynomial) -> List[Polynomial]:
     """Decompose a tag polynomial into weighted-homogeneous components."""
@@ -71,8 +65,8 @@ def homogeneous_split(s: Polynomial) -> List[Polynomial]:
     return [Polynomial(_raw=buckets[w]) for w in sorted(buckets)]
 
 
-def extract_remainder(s: Polynomial, generators: Dict[Variable, Polynomial],
-                      f1_poly: Polynomial) -> Tuple[Optional[int], Polynomial]:
+def extract_remainder(s: Polynomial,
+                      generators: Dict[Variable, Polynomial]) -> Tuple[Optional[int], Polynomial]:
     """Maximal nu and jet-polynomial remainder R with S(gens) + f_1'^nu R == 0.
 
     Precondition: S(gens) restricted to f_1' = 0 vanishes.  Returns
@@ -103,14 +97,8 @@ class GenerationState:
     transcript: List[str] = field(default_factory=list)
     relation_method: str = ""
 
-    def generator_polys(self) -> List[Polynomial]:
-        return [g.poly for g in self.generators]
-
-    def tag_weights(self) -> List[Tuple[str, int]]:
-        return [(g.name, g.weight) for g in self.generators]
-
     def to_json(self) -> dict:
-        from .polyring import format_polynomial, poly_to_json
+        from .polyring import format_polynomial
 
         return {
             "context": {"n": self.ctx.n, "kappa": self.ctx.kappa},
@@ -156,28 +144,24 @@ def _next_name(weight: int, taken: set) -> str:
     return f"R{weight}_{k}"
 
 
-def _membership_with_f1(p: Polynomial, gens: Sequence[Invariant],
-                        f1_name: str = "f1'") -> MembershipResult:
-    """Membership in C[f_1', generators]; f_1' always counts as a generator."""
-    named = [(g.name, g.poly) for g in gens]
-    return subalgebra_membership(p, named)
+# loops run before run_generation gives up without termination
+_MAX_LOOPS = 12
 
 
 def run_generation(ctx: JetContext, mode: str = "full",
                    tag_order: Optional[MonomialOrder] = None,
                    budget: Optional[Budget] = None,
-                   engine: str = "auto",
-                   max_loops: int = 12,
-                   horizon: Optional[int] = None,
                    normalizer=None) -> GenerationState:
     """Loop: relation ideal of restrictions, remainder extraction, membership.
 
     Starts from the initial invariants (full mode) or the Wronskian-minor
     bi-invariants (bi mode); terminates when a loop adds no generator and
-    every remainder lies in the algebra of the current ones.  Tags enter the
-    relation ideal sorted by weight (paper-style listing), which keeps the
-    reduced bases small; `normalizer` may rename/rescale a discovered
-    invariant (e.g. to its catalogued form).
+    every remainder lies in the algebra of the current ones, or gives up
+    after 12 loops.  Each loop takes the relation ideal from the "auto"
+    engine of `relations_ideal`, under `budget`.  Tags enter the relation
+    ideal sorted by weight (paper-style listing), which keeps the reduced
+    bases small; `normalizer` may rename/rescale a discovered invariant (e.g.
+    to its catalogued form).
     """
     if mode not in ("full", "bi"):
         raise ValueError(f"unknown mode: {mode}")
@@ -189,7 +173,7 @@ def run_generation(ctx: JetContext, mode: str = "full",
     state.transcript.append(
         f"start: {len(base)} initial {'invariants' if mode == 'full' else 'bi-invariants'}")
 
-    while state.loop_count < max_loops:
+    while state.loop_count < _MAX_LOOPS:
         state.loop_count += 1
         gens = state.generators
         # f_1' restricts to zero, so it never enters the relation ideal
@@ -197,8 +181,7 @@ def run_generation(ctx: JetContext, mode: str = "full",
         active.sort(key=lambda g: g.weight)
         named = [(g.name, g.weight, g.restriction) for g in active]
         try:
-            rid = relations_ideal(named, tag_order=tag_order, budget=budget,
-                                  engine=engine, horizon=horizon)
+            rid = relations_ideal(named, tag_order=tag_order, budget=budget)
         except BudgetExceeded as exc:
             state.transcript.append(f"loop {state.loop_count}: relation ideal failed: {exc}")
             state.budget_exceeded = True
@@ -210,7 +193,6 @@ def run_generation(ctx: JetContext, mode: str = "full",
             state.budget_exceeded = True
 
         defining_unrestricted = {t: g.poly for t, g in zip(rid.tags, active)}
-        f1_poly = next(g.poly for g in gens if g.name == "f1'")
 
         new_invariants: List[Invariant] = []
         syzygies: List[Syzygy] = []
@@ -222,13 +204,13 @@ def run_generation(ctx: JetContext, mode: str = "full",
         for k, rel in enumerate(ordered, start=1):
             rel = primitive_part(rel)
             w = rel.weighted_degree()
-            nu, rem = extract_remainder(rel, defining_unrestricted, f1_poly)
+            nu, rem = extract_remainder(rel, defining_unrestricted)
             if nu is None:
                 syzygies.append(Syzygy(f"L{state.loop_count}.{k}", rel, w, None,
                                        Polynomial.zero()))
                 continue
             pool = gens + new_invariants
-            membership = _membership_with_f1(rem, pool)
+            membership = subalgebra_membership(rem, [(g.name, g.poly) for g in pool])
             if membership.member:
                 syzygies.append(Syzygy(f"L{state.loop_count}.{k}", rel, w, nu,
                                        membership.expression))
@@ -262,16 +244,15 @@ def run_generation(ctx: JetContext, mode: str = "full",
                 f"terminated after {state.loop_count} loops: "
                 f"{len(gens)} generators, {len(syzygies)} syzygies")
             # attach remainder expressions and leading terms
-            _fill_remainders(state, rid, tag_order)
+            _fill_remainders(state, tag_order)
             return state
         state.generators = gens + new_invariants
 
-    state.transcript.append(f"loop limit {max_loops} reached without termination")
+    state.transcript.append(f"loop limit {_MAX_LOOPS} reached without termination")
     return state
 
 
-def _fill_remainders(state: GenerationState, rid: RelationIdeal,
-                     tag_order: MonomialOrder):
+def _fill_remainders(state: GenerationState, tag_order: MonomialOrder):
     """Record leading terms and verify each syzygy's invariance data."""
     for s in state.syzygies:
         if s.relation.is_zero():
@@ -292,47 +273,15 @@ def _fill_remainders(state: GenerationState, rid: RelationIdeal,
 # ---------------------------------------------------------------------------
 
 
-def quadrant_vertices(syzygies: Sequence[Syzygy],
-                      tags: Sequence[Variable]) -> List[Tuple[int, ...]]:
-    """Exponent vertices of the excluded quadrants (syzygy leading terms)."""
-    index = {t: k for k, t in enumerate(tags)}
-    out = []
-    for s in syzygies:
-        if s.leading_term is None:
-            continue
-        row = [0] * len(tags)
-        for v, e in s.leading_term:
-            row[index[v]] = e
-        out.append(tuple(row))
-    return out
-
-
 def normal_form_monomials(weights: Sequence[int],
                           vertices: Sequence[Tuple[int, ...]],
                           m: int) -> List[Tuple[int, ...]]:
     """All exponent tuples of weight m avoiding every excluded quadrant."""
-    out = []
-
-    def dominated(a: Tuple[int, ...]) -> bool:
-        return any(all(x >= v for x, v in zip(a, vert)) for vert in vertices)
-
-    def rec(i: int, left: int, acc: List[int]):
-        if i == len(weights):
-            if left == 0 and not dominated(tuple(acc)):
-                out.append(tuple(acc))
-            return
-        w = weights[i]
-        for e in range(left // w + 1):
-            acc.append(e)
-            rec(i + 1, left - e * w, acc)
-            acc.pop()
-
-    rec(0, m, [])
-    return out
+    return [a for a in weight_tuples(weights, m)
+            if not any(all(x >= v for x, v in zip(a, vert)) for vert in vertices)]
 
 
-def state_normal_form_monomials(state: GenerationState, m: int,
-                                tag_order: Optional[MonomialOrder] = None) -> List[dict]:
+def state_normal_form_monomials(state: GenerationState, m: int) -> List[dict]:
     """Admissible monomials of weight m for a terminated state.
 
     Each item maps generator names to exponents; generators absent from the
@@ -341,10 +290,7 @@ def state_normal_form_monomials(state: GenerationState, m: int,
     """
     if not state.terminated:
         raise ValueError("normal forms need a terminated state")
-    tag_order = tag_order or DegRevLex()
     gens = state.generators
-    tags = make_tags([(g.name, g.weight) for g in gens])
-    by_name = {g.name: t for g, t in zip(gens, tags)}
     # leading terms were recorded over the active tags; remap by name
     verts = []
     for s in state.syzygies:
@@ -454,21 +400,6 @@ class SyzygyCheck:
     ok: bool
     max_terms: int
     detail: str = ""
-
-
-def verify_syzygy_catalog(catalog_id: str,
-                          which: Optional[str] = None) -> List[SyzygyCheck]:
-    """Expand every filled syzygy of a catalog and assert exact zero.
-
-    Failures are report entries, never exceptions; `which` restricts to one
-    named syzygy set (e.g. a single loop).
-    """
-    from .catalog import load_catalog
-
-    data = load_catalog(catalog_id)
-    gens = data.generator_map()
-    f1_name = "f1" if "f1" in gens else "f1'"
-    return verify_syzygies(data.syzygies(which), gens, f1_name)
 
 
 def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial],

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polyring import (
     Polynomial,
     Variable,
+    determinant,
     is_jet,
     is_phi,
     jet,
@@ -34,9 +35,6 @@ class JetContext:
     def __post_init__(self):
         if self.n < 1 or self.kappa < 1:
             raise ValueError(f"invalid jet context: n={self.n}, kappa={self.kappa}")
-
-    def jet_variables(self) -> List[Variable]:
-        return [jet(i, lam) for i in range(1, self.n + 1) for lam in range(1, self.kappa + 1)]
 
 
 def poly_jet(i: int, lam: int) -> Polynomial:
@@ -115,14 +113,12 @@ def faa_di_bruno(kappa: int, normalized: bool = True) -> List[List[Polynomial]]:
     return rows
 
 
-def reparam_substitution(p: Polynomial, kappa: Optional[int] = None,
-                         normalized: bool = True) -> Polynomial:
-    """Image of p under f_i^(lam) -> sum_mu M[lam][mu] f_i^(mu)."""
+def reparam_substitution(p: Polynomial) -> Polynomial:
+    """Image of p under f_i^(lam) -> sum_mu M[lam][mu] f_i^(mu), phi' = 1."""
     jets = [v for v in p.variables() if is_jet(v)]
     if not jets:
         return p
-    k = kappa or max(v.j for v in jets)
-    matrix = faa_di_bruno(k, normalized=normalized)
+    matrix = faa_di_bruno(max(v.j for v in jets))
     sigma = {}
     for v in jets:
         lam = v.j
@@ -202,10 +198,6 @@ def check_unipotent_invariance(p: Polynomial, n: Optional[int] = None) -> Invari
     return InvarianceReport(False, witness=residual)
 
 
-def is_bi_invariant(p: Polynomial, n: Optional[int] = None) -> bool:
-    return bool(check_reparam_invariance(p)) and bool(check_unipotent_invariance(p, n))
-
-
 # ---------------------------------------------------------------------------
 # Wronskian-type determinants and brackets
 # ---------------------------------------------------------------------------
@@ -219,17 +211,7 @@ def delta_minor(components: Sequence[int], orders: Sequence[int]) -> Polynomial:
     """
     if len(components) != len(orders):
         raise ValueError("components and orders must have equal length")
-    k = len(components)
-    from itertools import permutations
-
-    acc = Polynomial.zero()
-    for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        term = Polynomial.constant(-1 if inv % 2 else 1)
-        for r in range(k):
-            term = term * poly_jet(components[perm[r]], orders[r])
-        acc = acc + term
-    return acc
+    return determinant([[poly_jet(i, alpha) for i in components] for alpha in orders])
 
 
 def wronskian(components: Sequence[int], orders: Optional[Sequence[int]] = None) -> Polynomial:
@@ -463,7 +445,7 @@ def initial_bi_invariants(ctx: JetContext) -> List[Invariant]:
         cols = list(range(2, 2 + size))
         for rows in combinations(range(2, ctx.kappa + 1), size):
             entries = [[chains[i][lam - 2].poly for i in cols] for lam in rows]
-            det = _poly_det(entries)
+            det = determinant(entries)
             if det.is_zero():
                 continue
             nu = maximal_f1_power(det)
@@ -472,20 +454,6 @@ def initial_bi_invariants(ctx: JetContext) -> List[Invariant]:
             label = "".join(str(r) for r in rows)
             out.append(Invariant(f"Pi[{label}]^{w}", w, reduced, "wronskian-minor"))
     return out
-
-
-def _poly_det(entries: List[List[Polynomial]]) -> Polynomial:
-    from itertools import permutations
-
-    k = len(entries)
-    acc = Polynomial.zero()
-    for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        term = Polynomial.constant(-1 if inv % 2 else 1)
-        for r in range(k):
-            term = term * entries[r][perm[r]]
-        acc = acc + term
-    return acc
 
 
 def bell_number_by_set_partitions(k: int) -> int:

@@ -12,6 +12,7 @@ operations return new objects, so they are safe to share between tasks.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
@@ -110,10 +111,6 @@ def is_phi(v: Variable) -> bool:
     return v.kind == _PHI
 
 
-def is_uni(v: Variable) -> bool:
-    return v.kind == _UNI
-
-
 def is_tag(v: Variable) -> bool:
     return v.kind == _TAG
 
@@ -176,14 +173,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(quot.items(), key=lambda p: p[0].key))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    acc = dict(a)
-    for v, e in b:
-        if acc.get(v, 0) < e:
-            acc[v] = e
-    return tuple(sorted(acc.items(), key=lambda p: p[0].key))
-
-
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -223,9 +212,6 @@ class Polynomial:
     def variable(v: Variable) -> "Polynomial":
         return Polynomial(_raw={((v, 1),): Fraction(1)})
 
-    def copy_terms(self) -> Dict[Monomial, Fraction]:
-        return dict(self.terms)
-
     # -- queries -------------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -243,11 +229,6 @@ class Polynomial:
             for v, _ in m:
                 seen.add(v)
         return seen
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mono_degree(m) for m in self.terms)
 
     def weighted_degree(self) -> Optional[int]:
         """The common weight of all terms, or None when mixed.
@@ -430,18 +411,11 @@ class Polynomial:
                     rem.pop(key, None)
         return Polynomial(_raw=quot)
 
-    def divides(self, other: "Polynomial") -> bool:
-        try:
-            other.divide_exact(self)
-            return True
-        except NotDivisible:
-            return False
-
     # -- presentation ----------------------------------------------------------
 
-    def sorted_terms(self, order: "MonomialOrder" = None) -> Iterator[Tuple[Monomial, Fraction]]:
-        order = order or grevlex
-        for m in sorted(self.terms, key=order.sort_key, reverse=True):
+    def sorted_terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
+        """Terms from the degrevlex-largest monomial down."""
+        for m in sorted(self.terms, key=grevlex.sort_key, reverse=True):
             yield m, self.terms[m]
 
     def __str__(self) -> str:
@@ -452,10 +426,6 @@ class Polynomial:
         if len(s) > 120:
             s = s[:117] + "..."
         return f"Polynomial({s})"
-
-
-ZERO = Polynomial.zero()
-ONE = Polynomial.constant(1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +449,6 @@ class MonomialOrder:
 
     def __repr__(self) -> str:
         return f"<{self.name}>"
-
-
-def _exponent_vector(m: Monomial, vars_index: Mapping[Variable, int], n: int) -> list:
-    row = [0] * n
-    for v, e in m:
-        row[vars_index[v]] = e
-    return row
 
 
 class Lex(MonomialOrder):
@@ -616,11 +579,11 @@ def format_monomial(m: Monomial) -> str:
     return " * ".join(parts)
 
 
-def format_polynomial(p: Polynomial, order: MonomialOrder = None) -> str:
+def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     chunks = []
-    for m, c in p.sorted_terms(order):
+    for m, c in p.sorted_terms():
         mono = format_monomial(m)
         if mono == "1":
             body = str(abs(c))
@@ -765,3 +728,17 @@ def proportional(p: Polynomial, q: Polynomial) -> bool:
         return False
     r = p.terms[m] / cq
     return all(q.terms.get(mm) is not None and p.terms[mm] == r * q.terms[mm] for mm in p.terms)
+
+
+def determinant(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Leibniz expansion of det(entries[r][c]): for each permutation, the
+    signed product of entries[r][perm[r]] taken in row order."""
+    k = len(entries)
+    acc = Polynomial.zero()
+    for perm in permutations(range(k)):
+        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+        term = Polynomial.constant(-1 if inv % 2 else 1)
+        for r in range(k):
+            term = term * entries[r][perm[r]]
+        acc = acc + term
+    return acc

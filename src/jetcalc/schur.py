@@ -297,15 +297,16 @@ class ConstraintWord:
                        for k, v in sorted(self.fixed.items()))
 
 
-def _union_product(a: List[ConstraintWord], b: List[ConstraintWord],
-                   max_letters: Optional[int] = None) -> List[ConstraintWord]:
+# longest constraint word kept by quadrant_complement_words
+_MAX_WORD_LETTERS = 9
+
+
+def _union_product(a: List[ConstraintWord], b: List[ConstraintWord]) -> List[ConstraintWord]:
     merged: Dict[tuple, ConstraintWord] = {}
     for wa in a:
         for wb in b:
             w = wa.merge(wb)
-            if w is None:
-                continue
-            if max_letters is not None and len(w.fixed) > max_letters:
+            if w is None or len(w.fixed) > _MAX_WORD_LETTERS:
                 continue
             merged[w.key()] = w
     # absorb: a word is redundant when a shorter kept word covers it
@@ -317,13 +318,12 @@ def _union_product(a: List[ConstraintWord], b: List[ConstraintWord],
     return keep
 
 
-def quadrant_complement_words(vertices: List[Dict[str, int]],
-                              max_letters: int = 9) -> List[ConstraintWord]:
+def quadrant_complement_words(vertices: List[Dict[str, int]]) -> List[ConstraintWord]:
     """Intersection over the quadrants of the complements {e < vertex_e}.
 
     Each quadrant {x >= v_x, ...} has complement the union over its letters
     of {x = 0}, ..., {x = v_x - 1}; the intersection is expanded as a union
-    of constraint words, dropping words longer than `max_letters` (they only
+    of constraint words, dropping words of more than nine letters (they only
     contribute below the leading order).
     """
     current = [ConstraintWord({})]
@@ -332,7 +332,7 @@ def quadrant_complement_words(vertices: List[Dict[str, int]],
         for letter, v in sorted(vert.items()):
             for value in range(v):
                 union.append(ConstraintWord({letter: value}))
-        current = _union_product(current, union, max_letters=max_letters)
+        current = _union_product(current, union)
     return sorted(current, key=lambda w: (w.letters(), w.key()))
 
 

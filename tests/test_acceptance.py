@@ -3,8 +3,10 @@
 Each criterion reports one pass/fail line in the pytest terminal summary.
 Criteria 12b and 12c assert printed threshold values that an exact
 re-derivation shows to be inconsistent with the source's own decomposition
-data; they are strict expected failures with the analysis recorded in
-/root/notes/decisions.md and in the README.
+data; they are strict expected failures.  The exact values, 26 and 71, are
+checked by the passing tests `test_dimension3_chi_threshold_is_26` and
+`test_dimension3_minorant_threshold_is_71` in tests/test_euler.py, and the
+README describes the defect.
 """
 
 import time
@@ -182,7 +184,7 @@ def test_criterion_04_e24_derivation():
         assert normal_form(r, gb_theirs).is_zero()
     # third loop adds three syzygies; their catalogued representatives carry
     # the "+0" remainder (one printed third-loop row in the source folds a
-    # nonzero f1' Lam^5_2 M^8 remainder; see the decisions ledger)
+    # nonzero f1' Lam^5_2 M^8 remainder)
     zero_remainders = [s for s in state.syzygies if s.nu is None]
     assert len(zero_remainders) >= 2
     assert sum(1 for s in catalog.syzygies() if s.nu is None) == 3
@@ -344,7 +346,8 @@ def test_criterion_12a_threshold_96_and_h2(dim4_data, families):
 @pytest.mark.xfail(strict=True,
                    reason="the source's boxed dimension-3 polynomial is "
                           "inconsistent with its own decomposition data; the "
-                          "exact assembly gives threshold 26 (see the ledger)")
+                          "exact assembly gives threshold 26 (see "
+                          "test_euler.test_dimension3_chi_threshold_is_26)")
 def test_criterion_12b_threshold_29(families):
     """Printed threshold 29 for the dimension-3 characteristic."""
     chi43 = euler.chi_e43_leading(families)
@@ -356,7 +359,8 @@ def test_criterion_12b_threshold_29(families):
 
 @pytest.mark.xfail(strict=True,
                    reason="follows the 12b defect: the exact minorant gives "
-                          "threshold 71 (see the ledger)")
+                          "threshold 71 (see "
+                          "test_euler.test_dimension3_minorant_threshold_is_71)")
 def test_criterion_12c_threshold_72(families):
     """Printed threshold 72 for the dimension-3 section minorant."""
     h0 = euler.h0_minorant_e43(families)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from jetcalc.catalog import (
+    CATALOG_IDS,
+    build_catalog,
     catalog_from_json,
     catalog_to_json,
     integrity_check,
@@ -199,6 +201,25 @@ def test_json_roundtrip_bit_exact():
             assert [(s.relation, s.nu, s.remainder) for s in back.syzygy_sets[key]] \
                 == [(s.relation, s.nu, s.remainder) for s in data.syzygy_sets[key]]
         assert catalog_to_json(back) == doc
+
+
+# checksums of the catalog documents as first published in JSON form
+CATALOG_CHECKSUMS = {
+    "E2k2": "93421ff4e278b72f8645cfcc15dff1932624b6655be8585387976e0b3a148956",
+    "E2k3": "92cf0225aee5610fa164895887b6bfb8819e24da281d81f0de76b2736e802289",
+    "E2k4": "fdb3e433a2ee62a93bacd64d3ccef9faf094fb3a8e65340bab7aa797fc11fe0e",
+    "E2k5": "c39b9b7833ec31342342ab49a0c692bf344338b8b5d5abb3d024fe666c081ceb",
+    "E3k3": "5423a286e755fb01e2fb7c65835fa9c81132fb81cbca24392199977cea886e9f",
+    "UE2k5": "16d1c0214efa1ef458d211029183eb2fe05a83a9815aa304868e75b0ca9c3df7",
+    "UE3k3": "b7869de1136737a9bc28cda76290c85812ff8b64de05612dfa873a3e7fc70d70",
+    "UE3k4": "f71813c0f0b2923e200c3dde0a9c019759dc7cd7f3517295e2e57379cef17847",
+    "UE4k4": "7df1d5810e5bdf37ff5e5099b76efd48d9ce2aff5121efb17526713a93ff21f2",
+}
+
+
+def test_built_documents_match_pinned_checksums():
+    got = {cid: catalog_to_json(build_catalog(cid))["checksum"] for cid in CATALOG_IDS}
+    assert got == CATALOG_CHECKSUMS
 
 
 def test_json_checksum_guards():

@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, determinism, catalog overrides."""
 
 import json
+import time
+
 from jetcalc.cli import EX_BUDGET, EX_INTEGRITY, EX_OK, EX_USAGE, main
 
 
@@ -44,6 +46,15 @@ def test_derive_budget_exhaustion(capsys):
     assert code == EX_BUDGET
     doc = json.loads(out)
     assert doc["terminated"] is False
+
+
+def test_derive_budget_seconds(capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "derive", "--n", "2", "--kappa", "4",
+                           "--budget-seconds", "0.001")
+    assert code == EX_BUDGET
+    assert time.monotonic() - start < 5
+    assert json.loads(out)["terminated"] is False
 
 
 def test_verify_pass(capsys):

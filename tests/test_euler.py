@@ -11,7 +11,9 @@ from jetcalc.euler import (
     NonPositiveLeading,
     antiderivative,
     cauchy_bound,
+    chi_e43_leading,
     chi_rousseau_e33,
+    h0_minorant_e43,
     positivity_threshold,
     real_root_count,
     real_roots_approx,
@@ -221,3 +223,19 @@ def test_rousseau_cross_check():
     assert scaled_numerator(chi, 81648000000) == \
         [0, -358873, 185559, -20739, 389]
     assert positivity_threshold(chi) == 43
+
+
+def test_dimension3_chi_threshold_is_26():
+    """The exact dimension-3 assembly gives 26; criterion 12b keeps the
+    printed 29 as a strict expected failure."""
+    chi43 = chi_e43_leading()
+    assert positivity_threshold(chi43) == 26
+    assert chi43(26) > 0 >= chi43(25)
+
+
+def test_dimension3_minorant_threshold_is_71():
+    """The exact section minorant gives 71; criterion 12c keeps the printed
+    72 as a strict expected failure."""
+    h0 = h0_minorant_e43()
+    assert positivity_threshold(h0) == 71
+    assert h0(71) > 0 >= h0(70)

@@ -100,6 +100,12 @@ def test_relations_ideal_first_loop(engine):
         assert r.weighted_degree() is not None
 
 
+@pytest.mark.parametrize("engine", ["gradded", "jacobian"])
+def test_relations_ideal_rejects_unknown_engine(engine):
+    with pytest.raises(ValueError, match="unknown relation engine"):
+        relations_ideal(_loop1_named(), engine=engine)
+
+
 def test_relations_ideal_kappa5_first_loop():
     # the three degrevlex relations of the order-5 first loop
     f1 = poly_jet(1, 1)

@@ -28,20 +28,20 @@ def test_extract_remainder_examples():
     defining = {T[n]: G[n] for n in G}
 
     s1 = 3 * V["L3"] ** 2 - V["f2"] * V["L5a"]
-    nu, rem = extract_remainder(s1, defining, G["f1"])
+    nu, rem = extract_remainder(s1, defining)
     assert nu == 1 and rem == G["L5b"]
 
     s2 = 5 * V["L5a"] ** 2 - 3 * V["L3"] * V["L7aa"]
-    nu, rem = extract_remainder(s2, defining, G["f1"])
+    nu, rem = extract_remainder(s2, defining)
     assert nu == 2 and rem == G["M8"]
 
     s3 = V["f2"] ** 2 * V["M8"] + 5 * V["L5b"] ** 2 - 3 * V["L3"] * V["L7bb"]
-    nu, rem = extract_remainder(s3, defining, G["f1"])
+    nu, rem = extract_remainder(s3, defining)
     assert nu is None and rem.is_zero()
 
     bad = V["L3"]
     with pytest.raises(ValueError):
-        extract_remainder(bad, defining, G["f1"])
+        extract_remainder(bad, defining)
 
 
 def test_homogeneous_split():
