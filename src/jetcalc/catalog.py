@@ -93,7 +93,7 @@ def parse_tag_expression(text: str, tags: Dict[str, Variable]) -> Polynomial:
     if text in ("", "0"):
         return Polynomial.zero()
     pos = 0
-    acc = Polynomial.zero()
+    terms: Dict[tuple, Fraction] = {}
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
@@ -115,9 +115,9 @@ def parse_tag_expression(text: str, tags: Dict[str, Variable]) -> Polynomial:
                 v = tags[name]
                 factors[v] = factors.get(v, 0) + exp
         mono = tuple(sorted(factors.items(), key=lambda pr: pr[0].key))
-        acc = acc + Polynomial(_raw={mono: c})
+        terms[mono] = terms.get(mono, 0) + c
         pos = m.end()
-    return acc
+    return Polynomial(_raw={mono: c for mono, c in terms.items() if c})
 
 
 def _make_syzygies(rows: Sequence[Tuple[str, Optional[int], str]],
@@ -689,7 +689,7 @@ def integrity_check(data: CatalogData) -> List[IntegrityIssue]:
             issues.append(IntegrityIssue(e.name, "fails reparametrization invariance"))
         elif rep.weight != e.weight:
             issues.append(IntegrityIssue(e.name, f"invariance weight {rep.weight}"))
-        if data.mode == "bi" and not check_unipotent_invariance(e.poly, data.ctx.n):
+        if data.mode == "bi" and not check_unipotent_invariance(e.poly):
             issues.append(IntegrityIssue(e.name, "fails unipotent invariance"))
     return issues
 

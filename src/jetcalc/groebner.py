@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .jets import derivation
 from .polyring import (
     Block,
     DegRevLex,
@@ -374,59 +375,35 @@ def jacobian_rank_certificate(polys: Sequence[Polynomial]) -> bool:
     """True when the polynomials are certified algebraically independent.
 
     Evaluates the Jacobian at random integer points; full rank at any point
-    certifies independence over the rationals (char 0).  False means only
-    "no certificate found", but dependent inputs always return False.
+    (all k rows become pivots of one `_IncrementalKernel`) certifies
+    independence over the rationals (char 0).  False means only "no
+    certificate found", but dependent inputs always return False.
     """
     import random
 
     variables = sorted({v for p in polys for v in p.variables()}, key=lambda v: v.key)
-    k = len(polys)
-    if k > len(variables):
+    if len(polys) > len(variables):
         return False
-    rows = []
-    for p in polys:
-        row = []
-        for v in variables:
-            row.append(derive_wrt(p, v))
-        rows.append(row)
+    rows = [[derivation(p, {v: Polynomial.constant(1)}) for v in variables]
+            for p in polys]
     rng = random.Random(17)
     for _ in range(_JACOBIAN_TRIALS):
         point = {v: Polynomial.constant(rng.randint(-40, 40)) for v in variables}
-        mat = [[entry.substitute(point).constant_term() for entry in row] for row in rows]
-        if _rank(mat) == k:
+        kernel = _IncrementalKernel()
+        if all(kernel.offer(_evaluated_row(row, point), r) is None
+               for r, row in enumerate(rows)):
             return True
     return False
 
 
-def derive_wrt(p: Polynomial, v: Variable) -> Polynomial:
-    from .jets import derivation
-
-    return derivation(p, {v: Polynomial.constant(1)})
-
-
-def _rank(mat: List[List[Fraction]]) -> int:
-    m = [row[:] for row in mat]
-    rank = 0
-    rows, cols = len(m), len(m[0]) if m else 0
-    col = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, rows):
-            if m[r][col]:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def _evaluated_row(row: Sequence[Polynomial], point) -> Dict[int, Fraction]:
+    """The nonzero values of a Jacobian row at a point, keyed by column."""
+    out = {}
+    for col, entry in enumerate(row):
+        value = entry.substitute(point).constant_term()
+        if value:
+            out[col] = value
+    return out
 
 
 _ENGINES = ("auto", "elimination", "graded")
@@ -577,12 +554,7 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
             combo = elim.offer(powers.product(a).terms, a)
             if combo is None:
                 continue
-            rel = Polynomial.zero()
-            for aa, c in combo.items():
-                mono = tuple(sorted(((t, e) for t, e in zip(tags, aa) if e),
-                                    key=lambda pr: pr[0].key))
-                rel = rel + Polynomial(_raw={mono: c})
-            new_at_mu.append(primitive_part(rel))
+            new_at_mu.append(primitive_part(_tag_polynomial(tags, combo)))
         if new_at_mu:
             relations.extend(new_at_mu)
             current = buchberger(relations, tag_order, budget)
@@ -596,23 +568,42 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
     return rid
 
 
-class _IncrementalKernel:
-    """Sparse column echelon with combination tracking.
+def _tag_polynomial(tags: Sequence[Variable], combo: Dict[Exps, Fraction]) -> Polynomial:
+    """The tag polynomial sum of c * prod t_i^a_i over {exponent tuple a: c}.
 
-    Columns are offered one at a time as {row_key: coeff}; a column that
-    reduces to zero returns its combination {label: coeff} over the offered
-    labels, otherwise None (it became a new pivot).
+    `tags` come from make_tags, so their listing order is their seniority
+    order and every monomial is built already sorted.
+    """
+    return Polynomial(_raw={tuple((t, e) for t, e in zip(tags, a) if e): c
+                            for a, c in combo.items()})
+
+
+class _IncrementalKernel:
+    """Sparse column echelon with combination tracking: jetcalc's one exact
+    eliminator (membership, the graded relation kernel, the Jacobian
+    certificate and the invariant-dimension oracle).
+
+    Columns are offered one at a time as {row: coeff} with nonzero coeffs;
+    a column that reduces to zero returns its combination {label: coeff}
+    over the offered labels, otherwise None (it became a new pivot).
+
+    Invariant: every stored column's pivot is its smallest row under one
+    fixed total order, plain `<` on the rows (ints, or monomial tuples,
+    which compare by variable seniority).  Subtracting the stored column at
+    an offered column's smallest row then clears that row and touches only
+    larger ones, so the smallest row rises at every step.  Pivoting on any
+    other row (the first inserted, say) can bring cleared rows back and
+    gives wrong counts or never ends.
     """
 
     def __init__(self):
-        self.pivots: Dict = {}  # pivot row key -> (column dict, combo dict)
+        self.pivots: Dict = {}  # pivot row -> (column dict, combo dict)
 
     def offer(self, column: Dict, label) -> Optional[Dict]:
         col = dict(column)
         combo = {label: Fraction(1)}
         while col:
-            # deterministic pivot row: smallest key available
-            row = min(col, key=_rowkey)
+            row = min(col)
             hit = self.pivots.get(row)
             if hit is None:
                 pv = col[row]
@@ -635,11 +626,6 @@ class _IncrementalKernel:
                 else:
                     combo.pop(l, None)
         return combo
-
-
-def _rowkey(row):
-    # rows are monomials: tuples of (Variable, exp)
-    return tuple((v.key, e) for v, e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +679,5 @@ def subalgebra_membership(p: Polynomial,
     if combo is None:
         return MembershipResult(False)
     pivot = combo.pop(sentinel)
-    expr = Polynomial.zero()
-    for a, c in combo.items():
-        coeff = -c / pivot
-        mono = tuple(sorted(((t, e) for t, e in zip(tags, a) if e),
-                            key=lambda pr: pr[0].key))
-        expr = expr + Polynomial(_raw={mono: coeff})
+    expr = _tag_polynomial(tags, {a: -c / pivot for a, c in combo.items()})
     return MembershipResult(True, expr)

@@ -14,6 +14,7 @@ from .groebner import (
     BudgetExceeded,
     DegRevLex,
     MonomialOrder,
+    _IncrementalKernel,
     relations_ideal,
     subalgebra_membership,
     weight_tuples,
@@ -27,12 +28,15 @@ from .jets import (
     initial_bi_invariants,
     initial_invariants,
     maximal_f1_power,
+    reparam_images,
     restrict_f1,
+    unipotent_images,
 )
 from .polyring import (
     Polynomial,
     Variable,
     is_tag,
+    jet,
     mono_weight,
     primitive_part,
     proportional,
@@ -264,7 +268,7 @@ def _fill_remainders(state: GenerationState, tag_order: MonomialOrder):
         rep = check_reparam_invariance(g.poly)
         if not rep or rep.weight != g.weight:
             raise AssertionError(f"generator {g.name} failed invariance re-check")
-        if state.mode == "bi" and not check_unipotent_invariance(g.poly, state.ctx.n):
+        if state.mode == "bi" and not check_unipotent_invariance(g.poly):
             raise AssertionError(f"generator {g.name} failed unipotent re-check")
 
 
@@ -317,76 +321,29 @@ def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
 
     Independent oracle: write down all jet monomials of weight m, apply the
     formal reparametrization action (and the unipotent action when `bi`),
-    and compute the kernel dimension of the linear invariance constraints.
+    and count the kernel of the linear invariance constraints.  Each
+    monomial p offers the column p.substitute(images) - p to one
+    `_IncrementalKernel`; its rows are constraint monomials (phi rows from
+    the reparametrization, u rows from the unipotent action, so the two
+    never share a row).  The dimension is the number of columns that reduce
+    to zero, exact because the kernel pivots every column on its smallest
+    row in the monomial order.
     """
-    from .jets import faa_di_bruno, poly_jet
-    from .polyring import jet as jet_var, uni as uni_var
-
-    variables = [jet_var(i, lam) for i in range(1, ctx.n + 1)
+    variables = [jet(i, lam) for i in range(1, ctx.n + 1)
                  for lam in range(1, ctx.kappa + 1)]
-    monos = _weighted_monomials(variables, m)
-    if not monos:
-        return 0
-    matrix = faa_di_bruno(ctx.kappa)
-    reparam_sigma = {}
-    for v in variables:
-        img = Polynomial.zero()
-        for mu in range(1, v.j + 1):
-            entry = matrix[v.j][mu]
-            if entry:
-                img = img + entry * poly_jet(v.i, mu)
-        reparam_sigma[v] = img
-    uni_sigma = {}
-    for v in variables:
-        if v.i > 1:
-            img = poly_jet(v.i, v.j)
-            for j in range(1, v.i):
-                img = img + Polynomial.variable(uni_var(v.i, j)) * poly_jet(j, v.j)
-            uni_sigma[v] = img
-    constraints: Dict = {}
-    rows: List[Dict[int, Fraction]] = []
-
-    def add_constraints(sigma):
-        for j, mono in enumerate(monos):
-            p = Polynomial(_raw={mono: Fraction(1)})
-            img = p.substitute(sigma) - p
-            for mm, c in img.terms.items():
-                idx = constraints.setdefault(mm, len(constraints))
-                while len(rows) <= idx:
-                    rows.append({})
-                rows[idx][j] = c
-
-    add_constraints(reparam_sigma)
-    if bi:
-        add_constraints(uni_sigma)
-    ncols = len(monos)
-    # kernel dimension = ncols - rank
-    mat = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
-    from .groebner import _rank
-
-    return ncols - (_rank(mat) if mat else 0)
-
-
-def _weighted_monomials(variables, m: int):
-    out = []
-    vs = list(variables)
-
-    def rec(i: int, left: int, acc):
-        if left == 0:
-            out.append(tuple(acc))
-            return
-        if i == len(vs):
-            return
-        v = vs[i]
-        rec(i + 1, left, acc)
-        top = left // v.weight
-        for e in range(1, top + 1):
-            acc.append((v, e))
-            rec(i + 1, left - e * v.weight, acc)
-            acc.pop()
-
-    rec(0, m, [])
-    return [tuple(sorted(t, key=lambda pr: pr[0].key)) for t in out]
+    reparam = reparam_images(variables)
+    unipotent = unipotent_images(variables) if bi else {}
+    kernel = _IncrementalKernel()
+    dim = 0
+    for a in weight_tuples([v.weight for v in variables], m):
+        # variables are listed in seniority order, so this is a monomial
+        mono = tuple((v, e) for v, e in zip(variables, a) if e)
+        p = Polynomial(_raw={mono: Fraction(1)})
+        column = dict((p.substitute(reparam) - p).terms)
+        column.update((p.substitute(unipotent) - p).terms)
+        if kernel.offer(column, mono) is not None:
+            dim += 1
+    return dim
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ composite differentiation with phi' = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polyring import (
     Polynomial,
@@ -113,11 +113,11 @@ def faa_di_bruno(kappa: int, normalized: bool = True) -> List[List[Polynomial]]:
     return rows
 
 
-def reparam_substitution(p: Polynomial) -> Polynomial:
-    """Image of p under f_i^(lam) -> sum_mu M[lam][mu] f_i^(mu), phi' = 1."""
-    jets = [v for v in p.variables() if is_jet(v)]
+def reparam_images(variables: Iterable[Variable]) -> Dict[Variable, Polynomial]:
+    """Images f_i^(lam) -> sum_mu M[lam][mu] f_i^(mu), phi' = 1, of the jets."""
+    jets = [v for v in variables if is_jet(v)]
     if not jets:
-        return p
+        return {}
     matrix = faa_di_bruno(max(v.j for v in jets))
     sigma = {}
     for v in jets:
@@ -128,24 +128,30 @@ def reparam_substitution(p: Polynomial) -> Polynomial:
             if entry:
                 img = img + entry * poly_jet(v.i, mu)
         sigma[v] = img
-    return p.substitute(sigma)
+    return sigma
 
 
-def unipotent_substitution(p: Polynomial, n: Optional[int] = None) -> Polynomial:
-    """Image of p under the formal unipotent action u . f_i = f_i + sum u_ij f_j."""
-    jets = [v for v in p.variables() if is_jet(v)]
-    if not jets:
-        return p
-    nn = n or max(v.i for v in jets)
+def unipotent_images(variables: Iterable[Variable]) -> Dict[Variable, Polynomial]:
+    """Images f_i^(lam) -> f_i^(lam) + sum_{j<i} u[i][j] f_j^(lam) of the jets."""
     sigma = {}
-    for v in jets:
-        if v.i == 1:
+    for v in variables:
+        if not is_jet(v) or v.i == 1:
             continue
         img = poly_jet(v.i, v.j)
         for j in range(1, v.i):
             img = img + Polynomial.variable(uni(v.i, j)) * poly_jet(j, v.j)
         sigma[v] = img
-    return p.substitute(sigma) if sigma else p
+    return sigma
+
+
+def reparam_substitution(p: Polynomial) -> Polynomial:
+    """Image of p under f_i^(lam) -> sum_mu M[lam][mu] f_i^(mu), phi' = 1."""
+    return p.substitute(reparam_images(p.variables()))
+
+
+def unipotent_substitution(p: Polynomial) -> Polynomial:
+    """Image of p under the formal unipotent action u . f_i = f_i + sum u_ij f_j."""
+    return p.substitute(unipotent_images(p.variables()))
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +191,14 @@ def check_reparam_invariance(p: Polynomial) -> InvarianceReport:
 
 
 def check_unipotent_invariance(p: Polynomial, n: Optional[int] = None) -> InvarianceReport:
-    """Invariance under the lower-triangular unipotent group, all jet levels."""
+    """Invariance under the lower-triangular unipotent group, all jet levels.
+
+    `n` is accepted but not needed: the image of f_i only involves f_j with
+    j < i, so the variables of p fix the action.
+    """
     if p.is_zero():
         return InvarianceReport(True, weight=0)
-    residual = unipotent_substitution(p, n) - p
+    residual = unipotent_substitution(p) - p
     if residual.is_zero():
         try:
             w = p.weighted_degree()

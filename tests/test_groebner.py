@@ -147,6 +147,72 @@ def test_jacobian_certificate_rejects_dependence():
     assert not jacobian_rank_certificate([x, x * x])
 
 
+def _brute_force_rank(cols, nrows):
+    """Largest r with a nonzero r x r minor (Leibniz expansion)."""
+    from itertools import combinations, permutations
+
+    def det(m):
+        total = 0
+        for perm in permutations(range(len(m))):
+            sign = 1
+            for i in range(len(perm)):
+                for j in range(i + 1, len(perm)):
+                    if perm[i] > perm[j]:
+                        sign = -sign
+            term = sign
+            for i, j in enumerate(perm):
+                term *= m[i][j]
+            total += term
+        return total
+
+    for r in range(min(nrows, len(cols)), 0, -1):
+        for rs in combinations(range(nrows), r):
+            for cs in combinations(range(len(cols)), r):
+                if det([[cols[c][i] for c in cs] for i in rs]):
+                    return r
+    return 0
+
+
+def test_incremental_kernel_matches_brute_force_rank():
+    """The one exact eliminator against an independent rank, on seeded
+    random small integer matrices with planted dependent and zero columns."""
+    for seed in range(300):
+        _check_kernel_on_random_matrix(seed)
+
+
+def _check_kernel_on_random_matrix(seed):
+    import random
+
+    from jetcalc.groebner import _IncrementalKernel
+
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(2, 5), rng.randint(2, 6)
+    cols = []
+    for _ in range(ncols):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append([0] * nrows)
+        elif kind < 0.45 and cols:
+            a, b = rng.choice(cols), rng.choice(cols)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            cols.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            cols.append([rng.choice([0, rng.randint(1, 9), rng.randint(-9, -1)])
+                         for _ in range(nrows)])
+    # rows under a shuffled labelling, so pivot order differs from listing order
+    labels = rng.sample(range(100), nrows)
+    kernel = _IncrementalKernel()
+    pivots = 0
+    for j, col in enumerate(cols):
+        combo = kernel.offer({labels[i]: Fraction(x) for i, x in enumerate(col) if x}, j)
+        if combo is None:
+            pivots += 1
+            continue
+        for i in range(nrows):
+            assert sum(c * cols[l][i] for l, c in combo.items()) == 0, seed
+    assert pivots == _brute_force_rank(cols, nrows), seed
+
+
 def test_membership_examples():
     inits = {i.name: i for i in initial_invariants(JetContext(2, 4))}
     f1, f2 = inits["f1'"].poly, inits["f2'"].poly

@@ -133,10 +133,34 @@ def test_dimension_oracle_e22():
 
 def test_bi_dimension_oracle_ue33():
     # bi-invariants of (3,3): free algebra on weights 1, 3, 5, 6
-    for m in range(1, 8):
+    for m in range(1, 11):
         dim = invariant_space_dimension(JetContext(3, 3), m, bi=True)
         count = len(normal_form_monomials([1, 3, 5, 6], [], m))
         assert dim == count
+    assert [len(normal_form_monomials([1, 3, 5, 6], [], m)) for m in (8, 9, 10)] == [6, 8, 9]
+
+
+def test_dimension_oracle_e24_pinned():
+    dims = [invariant_space_dimension(JetContext(2, 4), m) for m in range(11)]
+    assert dims == [1, 2, 3, 5, 7, 11, 15, 22, 30, 38, 49]
+
+
+@pytest.mark.parametrize("n,kappa,mode,digest", [
+    (2, 3, "full", "6402ca81797e3e35ae3f6986c514af683dfd4fd7987dc1f23cd13a076f65885e"),
+    (3, 3, "bi", "a1922204721ef084283bb865950dc37e65c0d25f976714c8c4f2bc60c84a6b92"),
+])
+def test_generation_report_bytes(n, kappa, mode, digest):
+    """The generation state's JSON is byte-identical to the pinned report."""
+    import hashlib
+    import json
+
+    from jetcalc.catalog import normalizer_for
+    from jetcalc.groebner import Budget
+
+    ctx = JetContext(n, kappa)
+    state = run_generation(ctx, mode, budget=Budget(), normalizer=normalizer_for(ctx, mode))
+    text = json.dumps(state.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_state_normal_form_monomials_weight0():
