@@ -1,14 +1,16 @@
 """Buchberger-style Groebner machinery: reduced bases, normal forms,
 relation ideals among named polynomials, and subalgebra membership.
 
-Internally polynomials are flattened onto a fixed ring as dense exponent
-tuples so order comparison is plain tuple comparison.  Budgets count
-single reduction steps; exhausting one returns a partial result flagged
-incomplete instead of raising.
+Buchberger runs on the `Polynomial.terms` dicts themselves: the order's
+`sort_key` ranks monomials and the `polyring` monomial helpers multiply,
+divide and take lcms.  Pending pairs wait in a heap whose keys are computed
+once, at insertion.  Budgets count single reduction steps; exhausting one
+returns a partial result flagged incomplete instead of raising.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,17 +19,22 @@ from .jets import derivation
 from .polyring import (
     Block,
     DegRevLex,
-    Lex,
+    Monomial,
     MonomialOrder,
     Polynomial,
-    PolyRing,
     Variable,
     is_tag,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
     primitive_part,
     tag,
 )
 
 Exps = Tuple[int, ...]
+Terms = Dict[Monomial, Fraction]
 
 
 class BudgetExceeded(Exception):
@@ -58,83 +65,9 @@ class Budget:
                     raise BudgetExceeded("time budget exhausted")
 
 
-class DenseRing:
-    """Polynomials as dicts {exponent tuple: Fraction} over ordered variables."""
-
-    def __init__(self, variables: Sequence[Variable], order: MonomialOrder):
-        self.variables = tuple(variables)
-        self.index = {v: k for k, v in enumerate(self.variables)}
-        self.n = len(self.variables)
-        self.order = order
-        self.key = self._make_key(order)
-
-    def _make_key(self, order: MonomialOrder):
-        n = self.n
-        if isinstance(order, Lex):
-            return lambda e: e
-        if isinstance(order, DegRevLex):
-            return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-        if isinstance(order, Block):
-            front_mask = [v in order.front for v in self.variables]
-            fidx = [i for i in range(n) if front_mask[i]]
-            bidx = [i for i in range(n) if not front_mask[i]]
-            fkey = self._inner_key(order.inner_front, fidx)
-            bkey = self._inner_key(order.inner_back, bidx)
-            return lambda e: (fkey(e), bkey(e))
-        raise ValueError(f"unsupported order for dense ring: {order!r}")
-
-    @staticmethod
-    def _inner_key(order: MonomialOrder, idx: List[int]):
-        if isinstance(order, Lex):
-            return lambda e: tuple(e[i] for i in idx)
-        if isinstance(order, DegRevLex):
-            return lambda e: (sum(e[i] for i in idx), tuple(-e[i] for i in reversed(idx)))
-        raise ValueError(f"unsupported inner order: {order!r}")
-
-    def to_dense(self, p: Polynomial) -> Dict[Exps, Fraction]:
-        out: Dict[Exps, Fraction] = {}
-        for m, c in p.terms.items():
-            row = [0] * self.n
-            for v, e in m:
-                k = self.index.get(v)
-                if k is None:
-                    raise KeyError(f"variable {v} not in ring")
-                row[k] = e
-            out[tuple(row)] = c
-        return out
-
-    def from_dense(self, d: Dict[Exps, Fraction]) -> Polynomial:
-        terms = {}
-        for e, c in d.items():
-            mono = tuple((self.variables[i], e[i]) for i in range(self.n) if e[i])
-            mono = tuple(sorted(mono, key=lambda pr: pr[0].key))
-            terms[mono] = c
-        return Polynomial(_raw=terms)
-
-    def lead(self, d: Dict[Exps, Fraction]) -> Exps:
-        return max(d, key=self.key)
-
-
-def _divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _sub(a: Exps, b: Exps) -> Exps:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mul_into(acc: Dict[Exps, Fraction], d: Dict[Exps, Fraction],
-              shift: Exps, coeff: Fraction):
-    for e, c in d.items():
-        key = _add(e, shift)
+def _mul_into(acc: Terms, d: Terms, shift: Monomial, coeff: Fraction):
+    for m, c in d.items():
+        key = mono_mul(m, shift)
         s = acc.get(key)
         p = c * coeff
         if s is None:
@@ -147,38 +80,22 @@ def _mul_into(acc: Dict[Exps, Fraction], d: Dict[Exps, Fraction],
                 del acc[key]
 
 
-def _reduce_full(ring: DenseRing, p: Dict[Exps, Fraction],
-                 basis: List[Dict[Exps, Fraction]], leads: List[Exps],
-                 budget: Budget) -> Dict[Exps, Fraction]:
+def _reduce_full(p: Terms, basis: List[Terms], leads: List[Monomial], key,
+                 budget: Budget) -> Terms:
     """Remainder of p modulo basis: no remaining term divisible by any lead."""
-    rem: Dict[Exps, Fraction] = {}
+    rem: Terms = {}
     work = dict(p)
-    key = ring.key
     while work:
-        e = max(work, key=key)
-        c = work.pop(e)
+        m = max(work, key=key)
         for g, lt in zip(basis, leads):
-            if _divides(lt, e):
+            if mono_divides(lt, m):
                 budget.spend(len(g))
-                shift = _sub(e, lt)
-                coeff = -c / g[lt]
-                _mul_into(work, g, shift, coeff)
-                work[e] = work.get(e, Fraction(0)) + c
-                if not work[e]:
-                    del work[e]
+                # cancels the term at m exactly
+                _mul_into(work, g, mono_div(m, lt), -work[m] / g[lt])
                 break
         else:
-            rem[e] = c
+            rem[m] = work.pop(m)
     return rem
-
-
-def _spoly(ring: DenseRing, f: Dict[Exps, Fraction], g: Dict[Exps, Fraction],
-           ltf: Exps, ltg: Exps) -> Dict[Exps, Fraction]:
-    l = _lcm(ltf, ltg)
-    acc: Dict[Exps, Fraction] = {}
-    _mul_into(acc, f, _sub(l, ltf), Fraction(1) / f[ltf])
-    _mul_into(acc, g, _sub(l, ltg), Fraction(-1) / g[ltg])
-    return acc
 
 
 @dataclass
@@ -187,7 +104,6 @@ class GroebnerBasis:
     order: MonomialOrder
     complete: bool = True
     steps_used: int = 0
-    ring: Optional[DenseRing] = None
 
     def __len__(self):
         return len(self.generators)
@@ -196,143 +112,105 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-def _buchberger_dense(ring: DenseRing, polys: List[Dict[Exps, Fraction]],
-                      budget: Budget) -> Tuple[List[Dict[Exps, Fraction]], bool]:
-    """Core loop with the Buchberger product/chain criteria, sugar selection."""
-    basis: List[Dict[Exps, Fraction]] = []
-    leads: List[Exps] = []
-    sugars: List[int] = []
+def _buchberger_loop(polys: List[Terms], key, budget: Budget) -> Tuple[List[Terms], bool]:
+    """Core loop with the Buchberger product/chain criteria, sugar selection.
 
-    def add_poly(d: Dict[Exps, Fraction], sugar: int):
-        lt = ring.lead(d)
+    Every pair's selection key (sugar, key of the lcm, i, j) is fixed once
+    its two leads exist, so it is computed at insertion into a heap; the
+    pending set `pairs` mirrors the heap for the chain criterion.
+    """
+    basis: List[Terms] = []
+    leads: List[Monomial] = []
+    sugars: List[int] = []
+    pairs = set()
+    heap = []
+
+    def add_poly(d: Terms, sugar: int):
+        lt = max(d, key=key)
         lc = d[lt]
         if lc != 1:
-            d = {e: c / lc for e, c in d.items()}
+            d = {m: c / lc for m, c in d.items()}
+        t = len(basis)
         basis.append(d)
         leads.append(lt)
         sugars.append(sugar)
+        deg_t = mono_degree(lt)
+        for i in range(t):
+            l = mono_lcm(leads[i], lt)
+            deg_l = mono_degree(l)
+            sugar_ij = max(sugars[i] + deg_l - mono_degree(leads[i]), sugar + deg_l - deg_t)
+            heapq.heappush(heap, (sugar_ij, key(l), i, t, l))
+            pairs.add((i, t))
 
     for d in polys:
-        if d:
-            add_poly(dict(d), max(sum(e) for e in d))
-
-    pairs = set()
-
-    def pair_sugar(i: int, j: int) -> int:
-        l = _lcm(leads[i], leads[j])
-        return max(sugars[i] + sum(_sub(l, leads[i])), sugars[j] + sum(_sub(l, leads[j])))
-
-    for i in range(len(basis)):
-        for j in range(i):
-            pairs.add((j, i))
-
+        add_poly(dict(d), max(mono_degree(m) for m in d))
     complete = True
     try:
-        while pairs:
-            # sugar strategy: smallest sugar first, then smallest lcm
-            best = min(pairs, key=lambda ij: (pair_sugar(*ij),
-                                              ring.key(_lcm(leads[ij[0]], leads[ij[1]]))))
-            i, j = best
-            pairs.discard(best)
+        while heap:
+            sugar, _, i, j, l = heapq.heappop(heap)
+            pairs.discard((i, j))
             li, lj = leads[i], leads[j]
-            l = _lcm(li, lj)
-            # product criterion
-            if all(a + b == c for a, b, c in zip(li, lj, l)):
+            # product criterion: coprime leads
+            if mono_degree(l) == mono_degree(li) + mono_degree(lj):
                 continue
             # chain criterion
-            skip = False
-            for k in range(len(basis)):
-                if k == i or k == j:
-                    continue
-                if _divides(leads[k], l):
-                    a = (min(i, k), max(i, k))
-                    b = (min(j, k), max(j, k))
-                    if a not in pairs and b not in pairs:
-                        skip = True
-                        break
-            if skip:
+            if any(k != i and k != j and mono_divides(leads[k], l)
+                   and (min(i, k), max(i, k)) not in pairs
+                   and (min(j, k), max(j, k)) not in pairs
+                   for k in range(len(basis))):
                 continue
-            s = _spoly(ring, basis[i], basis[j], li, lj)
-            rem = _reduce_full(ring, s, basis, leads, budget)
+            s: Terms = {}  # the S-polynomial; add_poly keeps the basis monic
+            _mul_into(s, basis[i], mono_div(l, li), Fraction(1))
+            _mul_into(s, basis[j], mono_div(l, lj), Fraction(-1))
+            rem = _reduce_full(s, basis, leads, key, budget)
             if rem:
-                new_sugar = pair_sugar(i, j)
-                add_poly(rem, new_sugar)
-                t = len(basis) - 1
-                for k in range(t):
-                    pairs.add((k, t))
+                add_poly(rem, sugar)
     except BudgetExceeded:
         complete = False
     return basis, complete
 
 
-def _interreduce(ring: DenseRing, basis: List[Dict[Exps, Fraction]],
-                 budget: Budget) -> List[Dict[Exps, Fraction]]:
+def _interreduce(basis: List[Terms], key, budget: Budget) -> List[Terms]:
     """Minimal then fully reduced basis, monic generators."""
-    leads = [ring.lead(g) for g in basis]
-    keep = []
-    for i, lt in enumerate(leads):
-        if not any(j != i and _divides(leads[j], lt)
-                   and (leads[j] != lt or j < i) for j in range(len(basis))):
-            keep.append(i)
-    mins = [basis[i] for i in keep]
+    leads = [max(g, key=key) for g in basis]
+    keep = [i for i, lt in enumerate(leads)
+            if not any(j != i and mono_divides(leads[j], lt)
+                       and (leads[j] != lt or j < i) for j in range(len(basis)))]
     out = []
-    for i, g in enumerate(mins):
-        others = [mins[j] for j in range(len(mins)) if j != i]
-        olts = [ring.lead(h) for h in others]
-        rem = _reduce_full(ring, g, others, olts, budget) if others else dict(g)
+    for i in keep:
+        others = [k for k in keep if k != i]
+        rem = _reduce_full(basis[i], [basis[k] for k in others],
+                           [leads[k] for k in others], key, budget)
         if rem:
-            lt = ring.lead(rem)
-            lc = rem[lt]
-            out.append({e: c / lc for e, c in rem.items()})
-    out.sort(key=lambda g: ring.key(ring.lead(g)))
+            lc = rem[max(rem, key=key)]
+            out.append({m: c / lc for m, c in rem.items()})
+    out.sort(key=lambda g: key(max(g, key=key)))
     return out
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
-               budget: Optional[Budget] = None,
-               ring: Optional[PolyRing] = None) -> GroebnerBasis:
+               budget: Optional[Budget] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Deterministic given inputs and order.  On budget exhaustion the partial
     (unreduced) basis is returned with complete=False.
     """
     budget = budget or Budget()
-    gens = [g for g in gens if g]
-    if not gens:
-        return GroebnerBasis([], order)
-    variables = set()
-    for g in gens:
-        variables |= g.variables()
-    if ring is not None:
-        for g in gens:
-            ring.check(g)
-        variables |= ring.var_set
-    ordered = sorted(variables, key=lambda v: v.key)
-    dring = DenseRing(ordered, order)
-    dense = [dring.to_dense(g) for g in gens]
-    basis, complete = _buchberger_dense(dring, dense, budget)
+    key = order.sort_key
+    basis, complete = _buchberger_loop([g.terms for g in gens if g], key, budget)
     if complete:
-        basis = _interreduce(dring, basis, budget)
-    polys = [dring.from_dense(g) for g in basis]
-    return GroebnerBasis(polys, order, complete=complete,
-                         steps_used=budget.used, ring=dring)
+        basis = _interreduce(basis, key, budget)
+    return GroebnerBasis([Polynomial(_raw=g) for g in basis], order,
+                         complete=complete, steps_used=budget.used)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis,
                 budget: Optional[Budget] = None) -> Polynomial:
     """The unique remainder of p modulo the (reduced) basis."""
-    budget = budget or Budget()
-    if not gb.generators:
-        return p
-    variables = set(gb.ring.variables) if gb.ring else set()
-    variables |= p.variables()
-    for g in gb.generators:
-        variables |= g.variables()
-    dring = DenseRing(sorted(variables, key=lambda v: v.key), gb.order)
-    basis = [dring.to_dense(g) for g in gb.generators]
-    leads = [dring.lead(g) for g in basis]
-    rem = _reduce_full(dring, dring.to_dense(p), basis, leads, budget)
-    return dring.from_dense(rem)
+    key = gb.order.sort_key
+    basis = [g.terms for g in gb.generators]
+    leads = [max(g, key=key) for g in basis]
+    return Polynomial(_raw=_reduce_full(p.terms, basis, leads, key, budget or Budget()))
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +408,10 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
     powers = _PowerCache(gens)
     relations: List[Polynomial] = []
     current = GroebnerBasis([], tag_order)
-    lead_vertices: List[Exps] = []
-
-    def standard(a: Exps) -> bool:
-        return not any(_divides(v, a) for v in lead_vertices)
-
-    def vertex_of(rel: Polynomial) -> Exps:
-        lead = tag_order.leading_monomial(rel)
-        row = [0] * len(tags)
-        pos = {t: k for k, t in enumerate(tags)}
-        for v, e in lead:
-            row[pos[v]] = e
-        return tuple(row)
-
+    leads: List[Monomial] = []
     for mu in range(min(weights), top_weight + 1):
-        tuples = [a for a in weight_tuples(weights, mu) if standard(a)]
+        tuples = [a for a in weight_tuples(weights, mu)
+                  if not any(mono_divides(lt, _tag_monomial(tags, a)) for lt in leads)]
         if len(tuples) < 2:
             continue
         elim = _IncrementalKernel()
@@ -558,7 +425,7 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
         if new_at_mu:
             relations.extend(new_at_mu)
             current = buchberger(relations, tag_order, budget)
-            lead_vertices = [vertex_of(r) for r in current.generators]
+            leads = [tag_order.leading_monomial(r) for r in current.generators]
     rid = RelationIdeal(list(tags), dict(defining), current,
                         method="graded-kernel", complete=False)
     if not relations:
@@ -568,14 +435,18 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
     return rid
 
 
-def _tag_polynomial(tags: Sequence[Variable], combo: Dict[Exps, Fraction]) -> Polynomial:
-    """The tag polynomial sum of c * prod t_i^a_i over {exponent tuple a: c}.
+def _tag_monomial(tags: Sequence[Variable], a: Exps) -> Monomial:
+    """The tag monomial prod t_i^a_i.
 
     `tags` come from make_tags, so their listing order is their seniority
-    order and every monomial is built already sorted.
+    order and the monomial is built already sorted.
     """
-    return Polynomial(_raw={tuple((t, e) for t, e in zip(tags, a) if e): c
-                            for a, c in combo.items()})
+    return tuple((t, e) for t, e in zip(tags, a) if e)
+
+
+def _tag_polynomial(tags: Sequence[Variable], combo: Dict[Exps, Fraction]) -> Polynomial:
+    """The tag polynomial sum of c * prod t_i^a_i over {exponent tuple a: c}."""
+    return Polynomial(_raw={_tag_monomial(tags, a): c for a, c in combo.items()})
 
 
 class _IncrementalKernel:

@@ -190,11 +190,11 @@ def check_reparam_invariance(p: Polynomial) -> InvarianceReport:
     return InvarianceReport(False, witness=residual)
 
 
-def check_unipotent_invariance(p: Polynomial, n: Optional[int] = None) -> InvarianceReport:
+def check_unipotent_invariance(p: Polynomial) -> InvarianceReport:
     """Invariance under the lower-triangular unipotent group, all jet levels.
 
-    `n` is accepted but not needed: the image of f_i only involves f_j with
-    j < i, so the variables of p fix the action.
+    The image of f_i only involves f_j with j < i, so the variables of p
+    fix the action.
     """
     if p.is_zero():
         return InvarianceReport(True, weight=0)

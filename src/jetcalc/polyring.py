@@ -173,6 +173,14 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(quot.items(), key=lambda p: p[0].key))
 
 
+def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    acc = dict(a)
+    for v, e in b:
+        if acc.get(v, 0) < e:
+            acc[v] = e
+    return tuple(sorted(acc.items(), key=lambda p: p[0].key))
+
+
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 

@@ -132,10 +132,10 @@ def test_criterion_03_e23_derivation():
                      f"{clock.done():.1f}s")
 
 
-def test_criterion_04_e24_derivation():
+def test_criterion_04_e24_derivation(e24_state):
     """9 generators, the fundamental syzygies, three-loop transcript."""
     clock = Clock(300)
-    state = run_generation(JetContext(2, 4), "full")
+    state = e24_state
     assert state.terminated and state.loop_count == 3
     catalog = load_catalog("E2k4")
     assert len(state.generators) == 9

@@ -187,7 +187,7 @@ def test_bi_invariance_of_ue4k4_entries():
     for e in data.entries:
         rep = check_reparam_invariance(e.poly)
         assert rep and rep.weight == e.weight, e.name
-        assert check_unipotent_invariance(e.poly, 4), e.name
+        assert check_unipotent_invariance(e.poly), e.name
 
 
 def test_json_roundtrip_bit_exact():

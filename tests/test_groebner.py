@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, relation ideals, membership."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from jetcalc.groebner import (
     Budget,
     buchberger,
     jacobian_rank_certificate,
+    make_tags,
     normal_form,
     relations_ideal,
     subalgebra_membership,
@@ -80,6 +82,36 @@ def _loop1_named():
             ("L3", 3, restrict_f1(inits["Lam[1,2]^3"].poly)),
             ("L5", 5, restrict_f1(inits["Lam[1,2;1]^5"].poly)),
             ("L7", 7, restrict_f1(inits["Lam[1,2;1,1]^7"].poly))]
+
+
+def _twisted_cubic():
+    x, y, z = (Polynomial.variable(tag(n, 0, k)) for k, n in enumerate("xyz"))
+    return [x * x - y, x * y - z, y * y - x * z, x ** 3 - z]
+
+
+def _loop1_elimination():
+    """The tag-elimination input of the E24 first loop and its block order."""
+    named = _loop1_named()
+    tags = make_tags([(n, w) for n, w, _ in named])
+    front = set().union(*(p.variables() for _, _, p in named))
+    gens = [Polynomial.variable(t) - p for t, (_, _, p) in zip(tags, named)]
+    return gens, Block(front, DegRevLex(), DegRevLex())
+
+
+@pytest.mark.parametrize("case", ["cubic-lex", "cubic-degrevlex", "e24-loop1"])
+def test_buchberger_independent_of_input_order(case):
+    """Equal pair keys are taken in (i, j) order, which follows the input
+    order; the reduced basis must not depend on it."""
+    if case == "e24-loop1":
+        gens, order = _loop1_elimination()
+    else:
+        gens, order = _twisted_cubic(), Lex() if case == "cubic-lex" else DegRevLex()
+    expected = buchberger(gens, order).generators
+    rng = random.Random(5)
+    for _ in range(5):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert buchberger(shuffled, order).generators == expected
 
 
 @pytest.mark.parametrize("engine", ["elimination", "graded"])

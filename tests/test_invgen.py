@@ -148,6 +148,7 @@ def test_dimension_oracle_e24_pinned():
 @pytest.mark.parametrize("n,kappa,mode,digest", [
     (2, 3, "full", "6402ca81797e3e35ae3f6986c514af683dfd4fd7987dc1f23cd13a076f65885e"),
     (3, 3, "bi", "a1922204721ef084283bb865950dc37e65c0d25f976714c8c4f2bc60c84a6b92"),
+    (2, 4, "full", "20400623c016be4e6711dacae1d296614e9851123a385cc078a343a7012b4007"),
 ])
 def test_generation_report_bytes(n, kappa, mode, digest):
     """The generation state's JSON is byte-identical to the pinned report."""

@@ -152,10 +152,10 @@ def test_reparam_examples():
 
 def test_unipotent_examples():
     lam3 = wronskian([1, 2])
-    assert check_unipotent_invariance(lam3, 2)
-    rep = check_unipotent_invariance(poly_jet(2, 1), 2)
+    assert check_unipotent_invariance(lam3)
+    rep = check_unipotent_invariance(poly_jet(2, 1))
     assert not rep and rep.witness is not None
-    assert check_unipotent_invariance(wronskian([1, 2, 3, 4]), 4)
+    assert check_unipotent_invariance(wronskian([1, 2, 3, 4]))
     # f_2' fails with residual u_21 f_1'
     from jetcalc.polyring import uni
 
@@ -199,7 +199,7 @@ def test_initial_bi_invariants():
     w10 = [i for i in out44 if i.weight == 10]
     assert any(i.poly == wronskian([1, 2, 3, 4]) for i in w10)
     for inv in out44:
-        assert check_unipotent_invariance(inv.poly, 4)
+        assert check_unipotent_invariance(inv.poly)
 
 
 def test_f1_power_helpers():

@@ -103,7 +103,8 @@ def test_substitute_identity_and_restriction():
     assert lam3.substitute({jet(1, 1): Polynomial.zero()}) == -(f1pp * f2p)
 
 
-@pytest.mark.parametrize("order", [Lex(), DegRevLex(), WeightedDeg()])
+@pytest.mark.parametrize("order", [Lex(), DegRevLex(), WeightedDeg(),
+                                   Block({jet(1, 1), jet(2, 1)})])
 def test_order_multiplicative_and_unit_minimal(order):
     rng = random.Random(17)
     monos = []
@@ -120,6 +121,66 @@ def test_order_multiplicative_and_unit_minimal(order):
     for m in monos:
         if m:
             assert order.sort_key(unit) < order.sort_key(m)
+
+
+def _lex_cmp(a, b):
+    """Textbook lex on exponent vectors (most senior variable first)."""
+    for x, y in zip(a, b):
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+def _degrevlex_cmp(a, b):
+    """Textbook degrevlex: total degree, then the smaller exponent on the
+    least senior variable where the vectors differ wins."""
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def _block_cmp(front_mask, cmp_front, cmp_back):
+    """Front sub-vector first, back sub-vector breaks ties."""
+    def cmp(a, b):
+        fa = [x for x, f in zip(a, front_mask) if f]
+        fb = [x for x, f in zip(b, front_mask) if f]
+        ba = [x for x, f in zip(a, front_mask) if not f]
+        bb = [x for x, f in zip(b, front_mask) if not f]
+        return cmp_front(fa, fb) or cmp_back(ba, bb)
+    return cmp
+
+
+@pytest.mark.parametrize("which", ["lex", "degrevlex", "block", "block-lex"])
+def test_sort_key_matches_exponent_vector_orders(which):
+    """`sort_key` ranks every pair of monomials as the exponent-vector
+    definition of its order does."""
+    variables = sorted(VARS + [phi(1), phi(2), uni(2, 1), tag("a", 2, 0), tag("b", 1, 1)],
+                       key=lambda v: v.key)
+    front = {jet(1, 2), jet(2, 1), phi(1), tag("b", 1, 1)}
+    mask = [v in front for v in variables]
+    order, cmp = {
+        "lex": (Lex(), _lex_cmp),
+        "degrevlex": (DegRevLex(), _degrevlex_cmp),
+        "block": (Block(front), _block_cmp(mask, _degrevlex_cmp, _degrevlex_cmp)),
+        "block-lex": (Block(front, Lex(), DegRevLex()),
+                      _block_cmp(mask, _lex_cmp, _degrevlex_cmp)),
+    }[which]
+    rng = random.Random(29)
+    monos = []
+    for _ in range(80):
+        m = ()
+        for v in rng.sample(variables, rng.randint(0, 4)):
+            m = mono_mul(m, ((v, rng.randint(1, 3)),))
+        monos.append(m)
+    for a in monos:
+        ea = [dict(a).get(v, 0) for v in variables]
+        for b in monos:
+            eb = [dict(b).get(v, 0) for v in variables]
+            ka, kb = order.sort_key(a), order.sort_key(b)
+            assert (ka > kb) - (ka < kb) == cmp(ea, eb), (a, b)
 
 
 def test_block_order_eliminates_front():
