@@ -11,6 +11,7 @@ returns a partial result flagged incomplete instead of raising.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,10 +60,12 @@ class Budget:
         if self.deadline is not None:
             self._tick += 1
             if self._tick % 64 == 0:
-                import time
+                self.check_deadline()
 
-                if time.monotonic() > self.deadline:
-                    raise BudgetExceeded("time budget exhausted")
+    def check_deadline(self):
+        """Read the clock now; for loops whose single steps can take seconds."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time budget exhausted")
 
 
 def _mul_into(acc: Terms, d: Terms, shift: Monomial, coeff: Fraction):
@@ -418,6 +421,7 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
         new_at_mu = []
         for a in tuples:
             budget.spend()
+            budget.check_deadline()
             combo = elim.offer(powers.product(a).terms, a)
             if combo is None:
                 continue
@@ -544,6 +548,7 @@ def subalgebra_membership(p: Polynomial,
     elim = _IncrementalKernel()
     for a in tuples:
         budget.spend()
+        budget.check_deadline()
         elim.offer(powers.product(a).terms, a)
     sentinel = object()
     combo = elim.offer(p.terms, sentinel)

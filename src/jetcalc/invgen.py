@@ -33,6 +33,7 @@ from .jets import (
     unipotent_images,
 )
 from .polyring import (
+    PackedSubstitution,
     Polynomial,
     Variable,
     is_tag,
@@ -214,7 +215,15 @@ def run_generation(ctx: JetContext, mode: str = "full",
                                        Polynomial.zero()))
                 continue
             pool = gens + new_invariants
-            membership = subalgebra_membership(rem, [(g.name, g.poly) for g in pool])
+            try:
+                # the caller's deadline, but not its step count
+                membership = subalgebra_membership(rem, [(g.name, g.poly) for g in pool],
+                                                   Budget(deadline=budget.deadline))
+            except BudgetExceeded as exc:
+                state.transcript.append(
+                    f"loop {state.loop_count}: membership test failed: {exc}")
+                state.budget_exceeded = True
+                return state
             if membership.member:
                 syzygies.append(Syzygy(f"L{state.loop_count}.{k}", rel, w, nu,
                                        membership.expression))
@@ -361,7 +370,11 @@ class SyzygyCheck:
 
 def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial],
                     f1_name: str = "f1'") -> List[SyzygyCheck]:
-    """Expand S(gens) + f_1'^nu R(gens) in jet variables and assert zero."""
+    """Expand S(gens) + f_1'^nu R(gens) in jet variables and assert zero.
+
+    S(gens), R(gens) and f_1'^nu share one packing and the sum is tested in
+    packed form; `max_terms` is the larger term count of S(gens), R(gens).
+    """
     results = []
     f1 = generators[f1_name]
     for s in syzygies:
@@ -369,13 +382,18 @@ def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial
         for v in (s.relation.variables() | s.remainder.variables()):
             if is_tag(v):
                 sub[v] = generators[v.name[2:]]
-        value = s.relation.substitute(sub)
-        peak = len(value)
+        products = [(s.relation,)]
         if s.nu is not None:
-            rem = s.remainder.substitute(sub)
-            peak = max(peak, len(rem))
-            value = value + (f1 ** s.nu) * rem
-        ok = value.is_zero()
-        results.append(SyzygyCheck(s.id, ok, peak,
-                                   "" if ok else f"residual has {len(value)} terms"))
+            f1_power = f1 ** s.nu
+            products.append((s.remainder, f1_power))
+        packed = PackedSubstitution(sub, products)
+        value = packed.image(s.relation)
+        peak = len(value[1])
+        if s.nu is not None:
+            rem = packed.image(s.remainder)
+            peak = max(peak, len(rem[1]))
+            value = packed.add_product(value, packed.image(f1_power), rem)
+        residual = len(value[1])
+        results.append(SyzygyCheck(s.id, not residual, peak,
+                                   f"residual has {residual} terms" if residual else ""))
     return results

@@ -20,6 +20,7 @@ from .polyring import (
     is_jet,
     is_phi,
     jet,
+    mono_mul,
     phi,
     uni,
 )
@@ -43,7 +44,7 @@ def poly_jet(i: int, lam: int) -> Polynomial:
 
 def derivation(p: Polynomial, images: Dict[Variable, Polynomial]) -> Polynomial:
     """Apply the derivation sending each variable to its image (Leibniz)."""
-    acc = Polynomial.zero()
+    acc = {}
     for m, c in p.terms.items():
         for idx, (v, e) in enumerate(m):
             img = images.get(v)
@@ -54,8 +55,12 @@ def derivation(p: Polynomial, images: Dict[Variable, Polynomial]) -> Polynomial:
                 del rest[idx]
             else:
                 rest[idx] = (v, e - 1)
-            acc = acc + img * Polynomial(_raw={tuple(rest): c * e})
-    return acc
+            rest = tuple(rest)
+            ce = c * e
+            for mi, ci in img.terms.items():
+                key = mono_mul(rest, mi)
+                acc[key] = acc.get(key, 0) + ci * ce
+    return Polynomial(_raw={m: c for m, c in acc.items() if c})
 
 
 def total_derivative(p: Polynomial) -> Polynomial:

@@ -7,12 +7,24 @@ u[r][c], and named tag variables standing for invariants.  Coefficients are
 
 Polynomials are immutable values (plain dicts wrapped in a thin class); all
 operations return new objects, so they are safe to share between tasks.
+Their monomials are tuples of (Variable, exponent) pairs.
+
+Substitution, the heaviest expansion (a syzygy check expands a few tag
+monomials into ~10k-term jet polynomials), runs on a transient packed form
+that never leaves the call (`PackedSubstitution`; Monagan & Pearce, CASC
+2007).  A monomial is one `int`: every variable of the call gets a bit field,
+the most senior variable the top one, wide enough for a total-degree bound
+on the result, so no field can overflow and a monomial product is an integer
+`+`.  A polynomial is `(den, {code: int numerator})` over one common
+denominator.  Image powers are cached per call, every term is accumulated
+into one dict, and the result is unpacked once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
@@ -366,31 +378,10 @@ class Polynomial:
         """Image under variable -> polynomial, identity off the map's support."""
         if not sigma:
             return self
-        pow_cache: Dict[Tuple[Variable, int], Polynomial] = {}
-
-        def image_power(v: Variable, e: int) -> Polynomial:
-            got = pow_cache.get((v, e))
-            if got is None:
-                got = sigma[v] ** e
-                pow_cache[(v, e)] = got
-            return got
-
-        acc = Polynomial.zero()
-        for m, c in self.terms.items():
-            kept = []
-            factors = []
-            for v, e in m:
-                if v in sigma:
-                    factors.append(image_power(v, e))
-                else:
-                    kept.append((v, e))
-            term = Polynomial(_raw={tuple(kept): c})
-            for f in factors:
-                term = term * f
-                if not term:
-                    break
-            acc = acc + term
-        return acc
+        packed = PackedSubstitution(sigma, [(self,)])
+        if not packed.images:
+            return self
+        return packed.unpack(*packed.image(self))
 
     def divide_exact(self, q: "Polynomial") -> "Polynomial":
         """Return r with self == q * r, raising NotDivisible otherwise."""
@@ -434,6 +425,158 @@ class Polynomial:
         if len(s) > 120:
             s = s[:117] + "..."
         return f"Polynomial({s})"
+
+
+# ---------------------------------------------------------------------------
+# packed substitution
+# ---------------------------------------------------------------------------
+
+# A packed polynomial (den, {code: numerator}) stands for the sum of
+# numerator / den * monomial(code), with integer numerators.
+Packed = Tuple[int, Dict[int, int]]
+
+
+def _degree_bound(p: Polynomial, degree: Mapping[Variable, int]) -> int:
+    """Largest total degree of a term's image, `degree` giving each mapped
+    variable's image degree (1 for kept variables)."""
+    return max((sum(e * degree.get(v, 1) for v, e in m) for m in p.terms), default=0)
+
+
+def _add_packed_product(acc: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
+                       scale: int = 1):
+    """acc += scale * a * b on packed numerators; zero entries stay in acc."""
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= scale
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+
+
+def _packed_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    out: Dict[int, int] = {}
+    _add_packed_product(out, a, b)
+    return out
+
+
+class PackedSubstitution:
+    """One substitution sigma, worked out on packed monomials.
+
+    `products` lists every image the caller will form, each as the tuple of
+    polynomials whose images get multiplied together; it fixes the variable
+    universe and the field width.  A monomial is one `int`: each variable of
+    the universe owns a field of `width` bits, the most senior variable the
+    top field, so a monomial product is one integer addition.  The width
+    holds the largest total degree any requested product can reach, so no
+    field can carry into its neighbour.  Powers of the images are cached for
+    the life of the object.
+    """
+
+    def __init__(self, sigma: Mapping[Variable, Polynomial],
+                 products: Sequence[Sequence[Polynomial]]):
+        used = set()
+        for factors in products:
+            for p in factors:
+                used |= p.variables()
+        self.images = {v: sigma[v] for v in used if v in sigma}
+        degree = {v: max((mono_degree(m) for m in img.terms), default=0)
+                  for v, img in self.images.items()}
+        universe = used - self.images.keys()
+        for img in self.images.values():
+            universe |= img.variables()
+        bound = max((sum(_degree_bound(p, degree) for p in factors) for factors in products),
+                    default=0)
+        width = max(bound, 1).bit_length()
+        self.mask = (1 << width) - 1
+        ranked = sorted(universe, key=lambda v: v.key)
+        top = (len(ranked) - 1) * width
+        self.shifts = {v: top - k * width for k, v in enumerate(ranked)}
+        self._powers: Dict[Variable, list] = {}
+        self._dens: Dict[Variable, int] = {}
+        for v, img in self.images.items():
+            den, num = self.pack(img)
+            self._dens[v] = den
+            self._powers[v] = [{0: 1}, num]
+
+    def pack(self, p: Polynomial) -> Packed:
+        """p over its least common denominator; its variables must be in the universe."""
+        den = 1
+        for c in p.terms.values():
+            den = lcm(den, c.denominator)
+        shifts = self.shifts
+        return den, {sum(e << shifts[v] for v, e in m): c.numerator * (den // c.denominator)
+                     for m, c in p.terms.items()}
+
+    def _power(self, v: Variable, e: int) -> Dict[int, int]:
+        powers = self._powers[v]
+        while len(powers) <= e:
+            nxt = _packed_mul(powers[-1], powers[1])
+            powers.append({k: c for k, c in nxt.items() if c})
+        return powers[e]
+
+    def image(self, p: Polynomial) -> Packed:
+        """p under sigma, packed, with no zero numerators."""
+        images, shifts, dens = self.images, self.shifts, self._dens
+        den = 1
+        top: Dict[Variable, int] = {}
+        for m, c in p.terms.items():
+            den = lcm(den, c.denominator)
+            for v, e in m:
+                if v in images and top.get(v, 0) < e:
+                    top[v] = e
+        for v, e in top.items():
+            den *= dens[v] ** e
+        acc: Dict[int, int] = {}
+        for m, c in p.terms.items():
+            kept = 0
+            scale = den // c.denominator
+            factors = []
+            for v, e in m:
+                if v in images:
+                    f = self._power(v, e)
+                    if not f:
+                        break
+                    factors.append(f)
+                    if dens[v] != 1:
+                        scale //= dens[v] ** e
+                else:
+                    kept += e << shifts[v]
+            else:
+                # smallest factors first; the largest goes straight into acc
+                factors.sort(key=len)
+                part = {kept: c.numerator * scale}
+                for f in factors[:-1]:
+                    part = _packed_mul(part, f)
+                _add_packed_product(acc, part, factors[-1] if factors else {0: 1})
+        return den, {k: c for k, c in acc.items() if c}
+
+    @staticmethod
+    def add_product(x: Packed, y: Packed, z: Packed) -> Packed:
+        """x + y * z, packed, with no zero numerators."""
+        (dx, tx), (dy, ty), (dz, tz) = x, y, z
+        # x/dx + (y/dy)(z/dz) over the denominator dx*dy*dz
+        acc = {k: c * dy * dz for k, c in tx.items()}
+        _add_packed_product(acc, ty, tz, dx)
+        return dx * dy * dz, {k: c for k, c in acc.items() if c}
+
+    def unpack(self, den: int, terms: Mapping[int, int]) -> Polynomial:
+        """The Polynomial of a packed value; one shared pair per field value."""
+        mask = self.mask
+        fields = [(shift, v, {}) for v, shift in self.shifts.items()]
+        out: Dict[Monomial, Fraction] = {}
+        for code, c in terms.items():
+            if not c:
+                continue
+            mono = []
+            for shift, v, pairs in fields:
+                e = (code >> shift) & mask
+                if e:
+                    pair = pairs.get(e)
+                    if pair is None:
+                        pair = pairs[e] = (v, e)
+                    mono.append(pair)
+            out[tuple(mono)] = Fraction(c) if den == 1 else Fraction(c, den)
+        return Polynomial(_raw=out)
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +885,12 @@ def determinant(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Leibniz expansion of det(entries[r][c]): for each permutation, the
     signed product of entries[r][perm[r]] taken in row order."""
     k = len(entries)
-    acc = Polynomial.zero()
+    acc: Dict[Monomial, Fraction] = {}
     for perm in permutations(range(k)):
         inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
         term = Polynomial.constant(-1 if inv % 2 else 1)
         for r in range(k):
             term = term * entries[r][perm[r]]
-        acc = acc + term
-    return acc
+        for m, c in term.terms.items():
+            acc[m] = acc.get(m, 0) + c
+    return Polynomial(_raw={m: c for m, c in acc.items() if c})

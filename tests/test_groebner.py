@@ -303,3 +303,32 @@ def test_auxiliary_basis_normal_form_value():
     expect = Fraction(35, 9) * Polynomial.variable(aux[1]) ** 2 \
         * Polynomial.variable(aux[3])
     assert nf == expect
+
+
+@pytest.mark.parametrize("loop", ["membership", "graded-kernel"])
+def test_product_loops_read_the_clock_before_each_product(monkeypatch, loop):
+    """One generator product can take seconds, so these loops read the
+    deadline before every product, not every 64 steps."""
+    import time
+
+    import jetcalc.groebner as groebner
+    from jetcalc.groebner import BudgetExceeded
+
+    products = []
+    product = groebner._PowerCache.product
+    monkeypatch.setattr(groebner._PowerCache, "product",
+                        lambda self, a: products.append(a) or product(self, a))
+    f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
+
+    def run(budget):
+        if loop == "membership":
+            return subalgebra_membership(f1 * f2, [("a", f1), ("b", f2)], budget)
+        return relations_ideal([("a", 1, f1), ("b", 1, f2), ("c", 2, f1 * f2)],
+                               budget=budget, engine="graded")
+
+    assert run(Budget()) and products
+    products.clear()
+    late = Budget(deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceeded, match="time budget"):
+        run(late)
+    assert products == [] and late.used == 1

@@ -194,3 +194,47 @@ def test_run_generation_records_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(invgen, "relations_ideal", exhausted)
     state = run_generation(JetContext(2, 3), "full")
     assert state.budget_exceeded and not state.terminated
+
+
+def test_verify_ue3k4_2_keeps_its_fractional_remainder():
+    """UE3k4.2 is the one catalogued syzygy with a non-integer coefficient
+    (remainder -1/3 E10); dropping the 1/3 must leave a residual."""
+    import dataclasses
+    from fractions import Fraction
+
+    data = load_catalog("UE3k4")
+    s = next(s for s in data.syzygy_sets["lex41"] if s.id == "UE3k4.2")
+    assert {c.denominator for c in s.remainder.terms.values()} == {3}
+    gens = data.generator_map()
+    [check] = verify_syzygies([s], gens, "f1")
+    assert check.ok and check.max_terms == 22
+    [bad] = verify_syzygies([dataclasses.replace(s, remainder=3 * s.remainder)], gens, "f1")
+    assert not bad.ok and bad.detail == "residual has 22 terms"
+    # a third of a syzygy is one: S and R both carry denominators
+    third = dataclasses.replace(s, relation=s.relation * Fraction(1, 3),
+                                remainder=s.remainder * Fraction(1, 3))
+    [check] = verify_syzygies([third], gens, "f1")
+    assert check.ok and check.max_terms == 22
+
+
+def test_run_generation_hands_membership_the_deadline(monkeypatch):
+    import time
+
+    import jetcalc.invgen as invgen
+    from jetcalc.groebner import Budget, BudgetExceeded
+
+    seen = []
+
+    def expired(p, named, budget=None):
+        seen.append(budget)
+        raise BudgetExceeded("time budget exhausted")
+
+    monkeypatch.setattr(invgen, "subalgebra_membership", expired)
+    caller = Budget(deadline=time.monotonic() + 3600)
+    state = run_generation(JetContext(2, 3), "full", budget=caller)
+    assert state.budget_exceeded and not state.terminated
+    assert state.transcript[-1] == "loop 1: membership test failed: time budget exhausted"
+    # the deadline is forwarded; the step count is not
+    [got] = seen
+    assert got is not caller and got.deadline == caller.deadline
+    assert got.steps == Budget().steps
