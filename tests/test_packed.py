@@ -84,30 +84,36 @@ def test_packed_substitute_matches_reference(seed):
 
 
 def test_random_cases_cover_every_image_kind():
-    kinds = {"zero": 0, "constant": 0, "polynomial": 0, "kept": 0, "fraction": 0}
+    kinds = {"zero": 0, "constant": 0, "polynomial": 0, "kept": 0}
+    denominators, mapped_kinds = set(), set()
     for seed in range(40):
         p, sigma = random_case(seed)
-        for img in sigma.values():
+        for v, img in sigma.items():
+            mapped_kinds.add(v.kind)
             if not img:
                 kinds["zero"] += 1
             elif img.variables():
                 kinds["polynomial"] += 1
             else:
                 kinds["constant"] += 1
-            kinds["fraction"] += any(c.denominator > 1 for c in img.terms.values())
+            denominators |= {c.denominator for c in img.terms.values()}
         kinds["kept"] += bool(p.variables() - sigma.keys())
+        denominators |= {c.denominator for c in p.terms.values()}
     assert all(kinds.values()), kinds
+    assert {2, 3, 7} <= denominators
+    # jets, phi, u[r][c] and tags are all mapped somewhere
+    assert mapped_kinds == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("power", [200, 40000])
 def test_exponents_past_8_and_16_bit_fields(power):
     """x^2 -> y^(2 power): the result's y field passes 255, then 65535, with
-    occupied fields on both sides of it."""
-    x, y, z, w = jet(1, 1), jet(1, 2), jet(2, 1), phi(1)
-    X, Y, Z, W = (Polynomial.variable(v) for v in (x, y, z, w))
-    p = X ** 2 * Z ** 3 + Fraction(5, 7) * X * W - Fraction(1, 2) * Z
+    occupied fields on both sides of it (u above, z and w below)."""
+    u, y, x, z, w = jet(1, 1), jet(1, 3), jet(2, 2), jet(2, 1), phi(1)
+    U, Y, X, Z, W = (Polynomial.variable(v) for v in (u, y, x, z, w))
+    p = X ** 2 * Z ** 3 * U + Fraction(5, 7) * X * W - Fraction(1, 2) * Z
     sigma = {x: Y ** power + Z - Fraction(1, 3)}
     got = p.substitute(sigma)
     assert got == reference_substitute(p, sigma)
     assert max(e for m in got.terms for v, e in m if v is y) == 2 * power
-    assert got.coefficient(((y, 2 * power), (z, 3))) == 1
+    assert got.coefficient(((u, 1), (y, 2 * power), (z, 3))) == 1
