@@ -68,33 +68,43 @@ class Budget:
             raise BudgetExceeded("time budget exhausted")
 
 
-def _mul_into(acc: Terms, d: Terms, shift: Monomial, coeff: Fraction):
-    for m, c in d.items():
-        key = mono_mul(m, shift)
-        s = acc.get(key)
+def _mul_into(acc: Terms, d: Terms, shift: Monomial, coeff: Fraction,
+              keys: Optional[dict] = None, key=None):
+    """acc += coeff * shift * d; with `keys`, key each monomial acc gains."""
+    for md, c in d.items():
+        m = mono_mul(md, shift)
+        s = acc.get(m)
         p = c * coeff
         if s is None:
-            acc[key] = p
+            acc[m] = p
+            if keys is not None and m not in keys:
+                keys[m] = key(m)
         else:
             s = s + p
             if s:
-                acc[key] = s
+                acc[m] = s
             else:
-                del acc[key]
+                del acc[m]
 
 
 def _reduce_full(p: Terms, basis: List[Terms], leads: List[Monomial], key,
                  budget: Budget) -> Terms:
-    """Remainder of p modulo basis: no remaining term divisible by any lead."""
+    """Remainder of p modulo basis: no remaining term divisible by any lead.
+
+    Each monomial's key is computed once, when it enters `work`, and kept
+    until the reduction ends.  The remainder's terms arrive in decreasing
+    order, so its first monomial is its lead.
+    """
     rem: Terms = {}
     work = dict(p)
+    keys = {m: key(m) for m in work}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=keys.__getitem__)
         for g, lt in zip(basis, leads):
             if mono_divides(lt, m):
                 budget.spend(len(g))
                 # cancels the term at m exactly
-                _mul_into(work, g, mono_div(m, lt), -work[m] / g[lt])
+                _mul_into(work, g, mono_div(m, lt), -work[m] / g[lt], keys, key)
                 break
         else:
             rem[m] = work.pop(m)
@@ -115,12 +125,14 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-def _buchberger_loop(polys: List[Terms], key, budget: Budget) -> Tuple[List[Terms], bool]:
+def _buchberger_loop(polys: List[Terms], key,
+                     budget: Budget) -> Tuple[List[Terms], List[Monomial], bool]:
     """Core loop with the Buchberger product/chain criteria, sugar selection.
 
-    Every pair's selection key (sugar, key of the lcm, i, j) is fixed once
-    its two leads exist, so it is computed at insertion into a heap; the
-    pending set `pairs` mirrors the heap for the chain criterion.
+    Returns the basis, its leads and whether the loop completed.  Every
+    pair's selection key (sugar, key of the lcm, i, j) is fixed once its two
+    leads exist, so it is computed at insertion into a heap; the pending set
+    `pairs` mirrors the heap for the chain criterion.
     """
     basis: List[Terms] = []
     leads: List[Monomial] = []
@@ -128,8 +140,7 @@ def _buchberger_loop(polys: List[Terms], key, budget: Budget) -> Tuple[List[Term
     pairs = set()
     heap = []
 
-    def add_poly(d: Terms, sugar: int):
-        lt = max(d, key=key)
+    def add_poly(d: Terms, lt: Monomial, sugar: int):
         lc = d[lt]
         if lc != 1:
             d = {m: c / lc for m, c in d.items()}
@@ -146,7 +157,7 @@ def _buchberger_loop(polys: List[Terms], key, budget: Budget) -> Tuple[List[Term
             pairs.add((i, t))
 
     for d in polys:
-        add_poly(dict(d), max(mono_degree(m) for m in d))
+        add_poly(dict(d), max(d, key=key), max(mono_degree(m) for m in d))
     complete = True
     try:
         while heap:
@@ -167,15 +178,19 @@ def _buchberger_loop(polys: List[Terms], key, budget: Budget) -> Tuple[List[Term
             _mul_into(s, basis[j], mono_div(l, lj), Fraction(-1))
             rem = _reduce_full(s, basis, leads, key, budget)
             if rem:
-                add_poly(rem, sugar)
+                add_poly(rem, next(iter(rem)), sugar)
     except BudgetExceeded:
         complete = False
-    return basis, complete
+    return basis, leads, complete
 
 
-def _interreduce(basis: List[Terms], key, budget: Budget) -> List[Terms]:
-    """Minimal then fully reduced basis, monic generators."""
-    leads = [max(g, key=key) for g in basis]
+def _interreduce(basis: List[Terms], leads: List[Monomial], key,
+                 budget: Budget) -> List[Terms]:
+    """Minimal then fully reduced basis, monic generators, sorted by lead.
+
+    A kept generator's lead is divisible by no other kept lead, so it stays
+    the lead of its remainder, with coefficient 1.
+    """
     keep = [i for i, lt in enumerate(leads)
             if not any(j != i and mono_divides(leads[j], lt)
                        and (leads[j] != lt or j < i) for j in range(len(basis)))]
@@ -184,11 +199,9 @@ def _interreduce(basis: List[Terms], key, budget: Budget) -> List[Terms]:
         others = [k for k in keep if k != i]
         rem = _reduce_full(basis[i], [basis[k] for k in others],
                            [leads[k] for k in others], key, budget)
-        if rem:
-            lc = rem[max(rem, key=key)]
-            out.append({m: c / lc for m, c in rem.items()})
-    out.sort(key=lambda g: key(max(g, key=key)))
-    return out
+        out.append((key(leads[i]), rem))
+    out.sort(key=lambda pair: pair[0])
+    return [rem for _, rem in out]
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
@@ -200,9 +213,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     """
     budget = budget or Budget()
     key = order.sort_key
-    basis, complete = _buchberger_loop([g.terms for g in gens if g], key, budget)
+    basis, leads, complete = _buchberger_loop([g.terms for g in gens if g], key, budget)
     if complete:
-        basis = _interreduce(basis, key, budget)
+        basis = _interreduce(basis, leads, key, budget)
     return GroebnerBasis([Polynomial(_raw=g) for g in basis], order,
                          complete=complete, steps_used=budget.used)
 

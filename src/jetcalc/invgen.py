@@ -24,13 +24,14 @@ from .jets import (
     JetContext,
     check_reparam_invariance,
     check_unipotent_invariance,
+    derivation,
     divide_f1_power,
     initial_bi_invariants,
     initial_invariants,
     maximal_f1_power,
-    reparam_images,
+    reparam_derivations,
     restrict_f1,
-    unipotent_images,
+    unipotent_derivations,
 )
 from .polyring import (
     PackedSubstitution,
@@ -328,28 +329,29 @@ def state_normal_form_monomials(state: GenerationState, m: int) -> List[dict]:
 def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
     """Dimension of the weight-m invariant space by exact linear algebra.
 
-    Independent oracle: write down all jet monomials of weight m, apply the
-    formal reparametrization action (and the unipotent action when `bi`),
-    and count the kernel of the linear invariance constraints.  Each
-    monomial p offers the column p.substitute(images) - p to one
-    `_IncrementalKernel`; its rows are constraint monomials (phi rows from
-    the reparametrization, u rows from the unipotent action, so the two
-    never share a row).  The dimension is the number of columns that reduce
-    to zero, exact because the kernel pivots every column on its smallest
-    row in the monomial order.
+    Independent oracle: the reparametrization group tangent to the identity
+    (and, when `bi`, the lower-triangular unipotent group) is connected and
+    unipotent, so the invariants of weight m are the common kernel of its
+    Lie algebra's generators D_2, D_3 (and the E_i) on the span of all jet
+    monomials of weight m.  Each monomial p offers one column to one
+    `_IncrementalKernel`, with rows keyed (operator index, monomial) so that
+    the images under different operators never share a row.  The dimension
+    is the number of columns that reduce to zero, exact because the kernel
+    pivots every column on its smallest row.
     """
     variables = [jet(i, lam) for i in range(1, ctx.n + 1)
                  for lam in range(1, ctx.kappa + 1)]
-    reparam = reparam_images(variables)
-    unipotent = unipotent_images(variables) if bi else {}
+    operators = reparam_derivations(variables)
+    if bi:
+        operators += unipotent_derivations(variables)
     kernel = _IncrementalKernel()
     dim = 0
     for a in weight_tuples([v.weight for v in variables], m):
         # variables are listed in seniority order, so this is a monomial
         mono = tuple((v, e) for v, e in zip(variables, a) if e)
         p = Polynomial(_raw={mono: Fraction(1)})
-        column = dict((p.substitute(reparam) - p).terms)
-        column.update((p.substitute(unipotent) - p).terms)
+        column = {(k, row): c for k, images in enumerate(operators)
+                  for row, c in derivation(p, images).terms.items()}
         if kernel.offer(column, mono) is not None:
             dim += 1
     return dim

@@ -4,13 +4,26 @@ the reparametrization and unipotent group actions, and the initial invariants.
 Everything here is exact polynomial algebra.  A weight-m invariant P obeys
 P(jets of f.phi) = phi'^m * P(jets of f); since any jet of phi factors into a
 dilation and a jet tangent to the identity, checking invariance splits into a
-weighted-homogeneity test plus invariance under the unipotent matrix group of
-composite differentiation with phi' = 1.
+weighted-homogeneity test plus invariance under the group of jets tangent to
+the identity, which acts through the unipotent matrix of composite
+differentiation with phi' = 1.
+
+That group, like the lower-triangular unipotent group of the bi-invariant
+theory, is connected and unipotent, so a polynomial is invariant exactly when
+the derivations of its Lie algebra kill it (Demailly 1997 for G_k;
+Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, 2006).
+t^j d/dt acts on jets as D_j f_i^(lam) = lam!/(lam-j)! f_i^(lam-j+1), and
+since [t^2 d/dt, t^j d/dt] = (j-2) t^(j+1) d/dt, D_2 and D_3 generate the
+algebra.  The unipotent algebra is generated by the lowering derivations
+E_i: f_(i+1)^(lam) -> f_i^(lam).  All of them are first order and linear, so
+`derivation` applies them without expanding a power; the substitutions
+remain only to exhibit a witness of failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polyring import (
@@ -160,6 +173,46 @@ def unipotent_substitution(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# the Lie algebras of the two actions
+# ---------------------------------------------------------------------------
+
+Derivations = List[Dict[Variable, Polynomial]]
+
+
+def reparam_derivations(variables: Iterable[Variable]) -> Derivations:
+    """Images of D_2 and D_3: f_i^(lam) -> lam!/(lam-j)! f_i^(lam-j+1), j = 2, 3.
+
+    Jets of order lam < j are killed, so they have no image.
+    """
+    jets = [v for v in variables if is_jet(v)]
+    out = []
+    for j in (2, 3):
+        images = {}
+        for v in jets:
+            if v.j >= j:
+                falling = factorial(v.j) // factorial(v.j - j)
+                images[v] = falling * poly_jet(v.i, v.j - j + 1)
+        out.append(images)
+    return out
+
+
+def unipotent_derivations(variables: Iterable[Variable]) -> Derivations:
+    """Images of the lowering derivations E_i: f_(i+1)^(lam) -> f_i^(lam).
+
+    Only the E_i that move a variable present are listed; the others kill.
+    """
+    by_row: Dict[int, Dict[Variable, Polynomial]] = {}
+    for v in variables:
+        if is_jet(v) and v.i > 1:
+            by_row.setdefault(v.i - 1, {})[v] = poly_jet(v.i - 1, v.j)
+    return [by_row[i] for i in sorted(by_row)]
+
+
+def _killed_by(p: Polynomial, derivations: Derivations) -> bool:
+    return all(derivation(p, images).is_zero() for images in derivations)
+
+
+# ---------------------------------------------------------------------------
 # invariance checks
 # ---------------------------------------------------------------------------
 
@@ -179,9 +232,9 @@ class InvarianceReport:
 def check_reparam_invariance(p: Polynomial) -> InvarianceReport:
     """Weight(m) when p is invariant under source reparametrization.
 
-    Tests weighted homogeneity (dilations) and exact cancellation of all
-    formal phi''..phi^(kappa) under composite differentiation with phi'=1.
-    The witness of failure is a nonzero residual polynomial.
+    Tests weighted homogeneity (dilations), then asks D_2 and D_3 to kill p.
+    The witness of failure is the nonzero residual of composite
+    differentiation with phi' = 1, in the formal phi''..phi^(kappa).
     """
     if p.is_zero():
         return InvarianceReport(True, weight=0)
@@ -189,28 +242,22 @@ def check_reparam_invariance(p: Polynomial) -> InvarianceReport:
     if w is None:
         # mix of weights: witness is the leading inhomogeneous discrepancy
         return InvarianceReport(False, witness=p)
-    residual = reparam_substitution(p) - p
-    if residual.is_zero():
+    if _killed_by(p, reparam_derivations(p.variables())):
         return InvarianceReport(True, weight=w)
-    return InvarianceReport(False, witness=residual)
+    return InvarianceReport(False, witness=reparam_substitution(p) - p)
 
 
 def check_unipotent_invariance(p: Polynomial) -> InvarianceReport:
     """Invariance under the lower-triangular unipotent group, all jet levels.
 
-    The image of f_i only involves f_j with j < i, so the variables of p
-    fix the action.
+    Asks every lowering derivation E_i to kill p; the witness of failure is
+    the nonzero residual of the formal action u . f_i = f_i + sum u_ij f_j.
     """
     if p.is_zero():
         return InvarianceReport(True, weight=0)
-    residual = unipotent_substitution(p) - p
-    if residual.is_zero():
-        try:
-            w = p.weighted_degree()
-        except ValueError:
-            w = None
-        return InvarianceReport(True, weight=w)
-    return InvarianceReport(False, witness=residual)
+    if _killed_by(p, unipotent_derivations(p.variables())):
+        return InvarianceReport(True, weight=p.weighted_degree())
+    return InvarianceReport(False, witness=unipotent_substitution(p) - p)
 
 
 # ---------------------------------------------------------------------------

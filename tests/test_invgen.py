@@ -164,6 +164,21 @@ def test_generation_report_bytes(n, kappa, mode, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n,kappa,mode,steps", [
+    (2, 3, "full", 26),
+    (2, 4, "full", 6807),
+    (3, 3, "bi", 0),
+])
+def test_generation_step_counts_pinned(n, kappa, mode, steps):
+    """Reduction steps spent by a whole generation run (`Budget.used`): the
+    keyed reducer must select and reduce exactly the same terms."""
+    from jetcalc.groebner import Budget
+
+    budget = Budget()
+    run_generation(JetContext(n, kappa), mode, budget=budget)
+    assert budget.used == steps
+
+
 def test_state_normal_form_monomials_weight0():
     state = run_generation(JetContext(2, 3), "full")
     assert state_normal_form_monomials(state, 0) == [{}]
