@@ -68,16 +68,15 @@ class Budget:
             raise BudgetExceeded("time budget exhausted")
 
 
-def _mul_into(acc: Terms, d: Terms, shift: Monomial, coeff: Fraction,
-              keys: Optional[dict] = None, key=None):
-    """acc += coeff * shift * d; with `keys`, key each monomial acc gains."""
+def _mul_into(acc: Terms, keys: dict, d: Terms, shift: Monomial, coeff: Fraction, key):
+    """acc += coeff * shift * d, keying each monomial acc gains in `keys`."""
     for md, c in d.items():
         m = mono_mul(md, shift)
         s = acc.get(m)
         p = c * coeff
         if s is None:
             acc[m] = p
-            if keys is not None and m not in keys:
+            if m not in keys:
                 keys[m] = key(m)
         else:
             s = s + p
@@ -87,24 +86,24 @@ def _mul_into(acc: Terms, d: Terms, shift: Monomial, coeff: Fraction,
                 del acc[m]
 
 
-def _reduce_full(p: Terms, basis: List[Terms], leads: List[Monomial], key,
+def _reduce_full(p: Terms, keys: dict, basis: List[Terms], leads: List[Monomial], key,
                  budget: Budget) -> Terms:
     """Remainder of p modulo basis: no remaining term divisible by any lead.
 
-    Each monomial's key is computed once, when it enters `work`, and kept
-    until the reduction ends.  The remainder's terms arrive in decreasing
-    order, so its first monomial is its lead.
+    `keys` holds the key of every monomial of p; each monomial that enters
+    `work` later is keyed once, on entry, and the dict dies with the
+    reduction.  The remainder's terms arrive in decreasing order, so its
+    first monomial is its lead.
     """
     rem: Terms = {}
     work = dict(p)
-    keys = {m: key(m) for m in work}
     while work:
         m = max(work, key=keys.__getitem__)
         for g, lt in zip(basis, leads):
             if mono_divides(lt, m):
                 budget.spend(len(g))
                 # cancels the term at m exactly
-                _mul_into(work, g, mono_div(m, lt), -work[m] / g[lt], keys, key)
+                _mul_into(work, keys, g, mono_div(m, lt), -work[m] / g[lt], key)
                 break
         else:
             rem[m] = work.pop(m)
@@ -174,9 +173,10 @@ def _buchberger_loop(polys: List[Terms], key,
                    for k in range(len(basis))):
                 continue
             s: Terms = {}  # the S-polynomial; add_poly keeps the basis monic
-            _mul_into(s, basis[i], mono_div(l, li), Fraction(1))
-            _mul_into(s, basis[j], mono_div(l, lj), Fraction(-1))
-            rem = _reduce_full(s, basis, leads, key, budget)
+            keys: dict = {}
+            _mul_into(s, keys, basis[i], mono_div(l, li), Fraction(1), key)
+            _mul_into(s, keys, basis[j], mono_div(l, lj), Fraction(-1), key)
+            rem = _reduce_full(s, keys, basis, leads, key, budget)
             if rem:
                 add_poly(rem, next(iter(rem)), sugar)
     except BudgetExceeded:
@@ -197,7 +197,8 @@ def _interreduce(basis: List[Terms], leads: List[Monomial], key,
     out = []
     for i in keep:
         others = [k for k in keep if k != i]
-        rem = _reduce_full(basis[i], [basis[k] for k in others],
+        rem = _reduce_full(basis[i], {m: key(m) for m in basis[i]},
+                           [basis[k] for k in others],
                            [leads[k] for k in others], key, budget)
         out.append((key(leads[i]), rem))
     out.sort(key=lambda pair: pair[0])
@@ -226,7 +227,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
     key = gb.order.sort_key
     basis = [g.terms for g in gb.generators]
     leads = [max(g, key=key) for g in basis]
-    return Polynomial(_raw=_reduce_full(p.terms, basis, leads, key, budget or Budget()))
+    keys = {m: key(m) for m in p.terms}
+    return Polynomial(_raw=_reduce_full(p.terms, keys, basis, leads, key, budget or Budget()))
 
 
 # ---------------------------------------------------------------------------

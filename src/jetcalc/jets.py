@@ -16,8 +16,10 @@ t^j d/dt acts on jets as D_j f_i^(lam) = lam!/(lam-j)! f_i^(lam-j+1), and
 since [t^2 d/dt, t^j d/dt] = (j-2) t^(j+1) d/dt, D_2 and D_3 generate the
 algebra.  The unipotent algebra is generated by the lowering derivations
 E_i: f_(i+1)^(lam) -> f_i^(lam).  All of them are first order and linear, so
-`derivation` applies them without expanding a power; the substitutions
-remain only to exhibit a witness of failure.
+`derivation` applies them without expanding a power; the dimension oracle
+(`invgen.invariant_space_dimension`) uses them.  The invariance checks of
+single polynomials apply the group actions themselves, by substitution, and
+return the residual as the witness of a failure.
 """
 
 from __future__ import annotations
@@ -208,10 +210,6 @@ def unipotent_derivations(variables: Iterable[Variable]) -> Derivations:
     return [by_row[i] for i in sorted(by_row)]
 
 
-def _killed_by(p: Polynomial, derivations: Derivations) -> bool:
-    return all(derivation(p, images).is_zero() for images in derivations)
-
-
 # ---------------------------------------------------------------------------
 # invariance checks
 # ---------------------------------------------------------------------------
@@ -232,9 +230,9 @@ class InvarianceReport:
 def check_reparam_invariance(p: Polynomial) -> InvarianceReport:
     """Weight(m) when p is invariant under source reparametrization.
 
-    Tests weighted homogeneity (dilations), then asks D_2 and D_3 to kill p.
-    The witness of failure is the nonzero residual of composite
-    differentiation with phi' = 1, in the formal phi''..phi^(kappa).
+    Tests weighted homogeneity (dilations) and exact cancellation of all
+    formal phi''..phi^(kappa) under composite differentiation with phi'=1.
+    The witness of failure is a nonzero residual polynomial.
     """
     if p.is_zero():
         return InvarianceReport(True, weight=0)
@@ -242,22 +240,24 @@ def check_reparam_invariance(p: Polynomial) -> InvarianceReport:
     if w is None:
         # mix of weights: witness is the leading inhomogeneous discrepancy
         return InvarianceReport(False, witness=p)
-    if _killed_by(p, reparam_derivations(p.variables())):
+    residual = reparam_substitution(p) - p
+    if residual.is_zero():
         return InvarianceReport(True, weight=w)
-    return InvarianceReport(False, witness=reparam_substitution(p) - p)
+    return InvarianceReport(False, witness=residual)
 
 
 def check_unipotent_invariance(p: Polynomial) -> InvarianceReport:
     """Invariance under the lower-triangular unipotent group, all jet levels.
 
-    Asks every lowering derivation E_i to kill p; the witness of failure is
-    the nonzero residual of the formal action u . f_i = f_i + sum u_ij f_j.
+    The image of f_i only involves f_j with j < i, so the variables of p
+    fix the action.
     """
     if p.is_zero():
         return InvarianceReport(True, weight=0)
-    if _killed_by(p, unipotent_derivations(p.variables())):
+    residual = unipotent_substitution(p) - p
+    if residual.is_zero():
         return InvarianceReport(True, weight=p.weighted_degree())
-    return InvarianceReport(False, witness=unipotent_substitution(p) - p)
+    return InvarianceReport(False, witness=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """The Lie-algebra invariance criterion against the group actions themselves.
 
-`check_reparam_invariance`, `check_unipotent_invariance` and
-`invariant_space_dimension` decide by the derivations D_2, D_3 and E_i.  The
-oracles here decide by substitution: composite differentiation of the jets
-with formal phi''..phi^(kappa) (phi' = 1), and the formal unipotent action
+`invariant_space_dimension` decides by the derivations D_2, D_3 and E_i;
+`check_reparam_invariance` and `check_unipotent_invariance` decide by
+substitution: composite differentiation of the jets with formal
+phi''..phi^(kappa) (phi' = 1), and the formal unipotent action
 f_i -> f_i + sum_{j<i} u_ij f_j.  A polynomial is invariant when its image
-equals it, and the dimension oracle counts the kernel of p -> image(p) - p.
+equals it, and the substitution dimension oracle here counts the kernel of
+p -> image(p) - p.  The derivation verdicts of single polynomials are
+computed here as well, so both criteria are compared on the same inputs.
 """
 
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 import pytest
 
@@ -34,18 +35,8 @@ from jetcalc.jets import (
 from jetcalc.polyring import Polynomial, jet, phi
 
 
-def substitution_reparam_weight(p: Polynomial) -> Optional[int]:
-    """The weight of p when reparametrization-invariant by substitution."""
-    if p.is_zero():
-        return 0
-    w = p.weighted_degree()
-    if w is None or not (reparam_substitution(p) - p).is_zero():
-        return None
-    return w
-
-
-def substitution_unipotent_invariant(p: Polynomial) -> bool:
-    return (unipotent_substitution(p) - p).is_zero()
+def killed_by(p: Polynomial, derivations) -> bool:
+    return all(derivation(p, images).is_zero() for images in derivations)
 
 
 def substitution_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
@@ -72,12 +63,18 @@ def substitution_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
 
 def verdicts(p: Polynomial):
     """(reparam weight or None, unipotent verdict) by the derivations."""
-    rep = check_reparam_invariance(p)
-    return (rep.weight if rep else None), bool(check_unipotent_invariance(p))
+    if p.is_zero():
+        return 0, True
+    w = p.weighted_degree()
+    if w is not None and not killed_by(p, reparam_derivations(p.variables())):
+        w = None
+    return w, killed_by(p, unipotent_derivations(p.variables()))
 
 
 def substitution_verdicts(p: Polynomial):
-    return substitution_reparam_weight(p), substitution_unipotent_invariant(p)
+    """The same pair from the checks, which apply the group actions."""
+    rep = check_reparam_invariance(p)
+    return (rep.weight if rep else None), bool(check_unipotent_invariance(p))
 
 
 def test_catalogs_hold_109_entries():
