@@ -15,7 +15,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .invgen import Syzygy
 from .jets import (
@@ -192,7 +194,10 @@ _RECIPES_2K5 = {
 }
 
 
-def _entries_4k4() -> Dict[str, Polynomial]:
+@lru_cache(maxsize=None)
+def _entries_4k4() -> Mapping[str, Polynomial]:
+    """The UE4k4 generators, built once per process and shared read-only:
+    UE3k4 is UE4k4 without W10."""
     f1 = poly_jet(1, 1)
     L3, L5, L7 = _chain_1i(2, 4)
     L3c, L5c, L7c = _chain_1i(3, 4)
@@ -208,11 +213,11 @@ def _entries_4k4() -> Dict[str, Polynomial]:
     U17 = divide_f1_power(4 * D8 * E10 + 3 * L3 * R15, 1)
     V19 = divide_f1_power(8 * N10 * E10 + L5 * R15, 1)
     X21 = divide_f1_power(4 * D8 * Q14 - 5 * L7 * R15, 1)
-    return {
+    return MappingProxyType({
         "f1": f1, "L3": L3, "L5": L5, "L7": L7, "D6": D6, "D8": D8, "N10": N10,
         "W10": W10, "M8": M8, "E10": E10, "L12": L12, "Q14": Q14, "R15": R15,
         "U17": U17, "V19": V19, "X21": X21,
-    }
+    })
 
 
 _RECIPES_4K4 = {
@@ -589,7 +594,7 @@ def polarized_count(catalog_id: str) -> int:
 # catalog assembly
 # ---------------------------------------------------------------------------
 
-def _as_entries(polys: Dict[str, Polynomial], recipes: Dict[str, str],
+def _as_entries(polys: Mapping[str, Polynomial], recipes: Dict[str, str],
                 n: int, provenance: str = "catalog") -> List[CatalogEntry]:
     out = []
     for name, p in polys.items():

@@ -17,7 +17,10 @@ the most senior variable the top one, wide enough for a total-degree bound
 on the result, so no field can overflow and a monomial product is an integer
 `+`.  A polynomial is `(den, {code: int numerator})` over one common
 denominator.  Image powers are cached per call, every term is accumulated
-into one dict, and the result is unpacked once at the end.
+into one dict, and the result is unpacked once at the end.  A product `a * b`
+of at least `PACKED_MUL_PAIRS` term pairs runs on the same packed form (an
+empty substitution), so the large products of the catalog recipes do too;
+smaller products, the bulk of every other computation, stay on tuples.
 """
 
 from __future__ import annotations
@@ -44,12 +47,14 @@ class NotDivisible(Exception):
 class Variable:
     """A single indeterminate with structural identity.
 
-    The total order (seniority) is: jets first, ordered by (component,
-    order) so that f[1]' is the most senior jet, then phi-derivatives,
-    then unipotent entries, then tags in declaration order.
+    Variables are interned, so identity is equality: hashing and `==` are
+    those of `object`, and monomial tuples hash without calling back into
+    Python.  The total order (seniority) is: jets first, ordered by
+    (component, order) so that f[1]' is the most senior jet, then
+    phi-derivatives, then unipotent entries, then tags in declaration order.
     """
 
-    __slots__ = ("kind", "i", "j", "name", "weight", "key", "_hash")
+    __slots__ = ("kind", "i", "j", "name", "weight", "key")
 
     _interned: Dict[tuple, "Variable"] = {}
 
@@ -65,15 +70,8 @@ class Variable:
         self.name = name
         self.weight = weight
         self.key = key
-        self._hash = hash(ident)
         cls._interned[ident] = self
         return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
     def __lt__(self, other: "Variable") -> bool:
         # "less than" = more senior; monomial tuples are kept sorted this way
@@ -308,6 +306,8 @@ class Polynomial:
         return Polynomial.constant(other) - self
 
     def __mul__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
+        """The product; on packed monomials from PACKED_MUL_PAIRS term pairs
+        up, on tuples below."""
         if not isinstance(other, Polynomial):
             c = Fraction(other)
             if not c:
@@ -315,37 +315,12 @@ class Polynomial:
             return Polynomial(_raw={m: k * c for m, k in self.terms.items()})
         if not self.terms or not other.terms:
             return Polynomial.zero()
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        acc: Dict[Monomial, Fraction] = {}
-        for mb, cb in b.items():
-            if not mb:
-                for ma, ca in a.items():
-                    s = acc.get(ma)
-                    p = ca * cb
-                    if s is None:
-                        acc[ma] = p
-                    else:
-                        s = s + p
-                        if s:
-                            acc[ma] = s
-                        else:
-                            del acc[ma]
-                continue
-            for ma, ca in a.items():
-                m = mono_mul(ma, mb)
-                s = acc.get(m)
-                p = ca * cb
-                if s is None:
-                    acc[m] = p
-                else:
-                    s = s + p
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
-        return Polynomial(_raw=acc)
+        if len(self.terms) * len(other.terms) < PACKED_MUL_PAIRS:
+            return tuple_product(self, other)
+        packed = PackedSubstitution({}, [(self, other)])
+        da, ta = packed.pack(self)
+        db, tb = packed.pack(other)
+        return packed.unpack(da * db, _packed_mul(ta, tb))
 
     __rmul__ = __mul__
 
@@ -428,6 +403,53 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+# `a * b` multiplies on packed monomials when len(a) * len(b) reaches this
+# many term pairs.  Packing both operands and unpacking the result costs more
+# than it saves on small products, which are nearly all of the products in
+# determinants, derivations and Groebner reduction; the catalog recipes'
+# large bracket and quotient products gain.
+PACKED_MUL_PAIRS = 256
+
+
+def tuple_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b term pair by term pair on tuple monomials."""
+    a, b = a.terms, b.terms
+    if len(a) < len(b):
+        a, b = b, a
+    acc: Dict[Monomial, Fraction] = {}
+    for mb, cb in b.items():
+        if not mb:
+            for ma, ca in a.items():
+                s = acc.get(ma)
+                p = ca * cb
+                if s is None:
+                    acc[ma] = p
+                else:
+                    s = s + p
+                    if s:
+                        acc[ma] = s
+                    else:
+                        del acc[ma]
+            continue
+        for ma, ca in a.items():
+            m = mono_mul(ma, mb)
+            s = acc.get(m)
+            p = ca * cb
+            if s is None:
+                acc[m] = p
+            else:
+                s = s + p
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+    return Polynomial(_raw=acc)
+
+
+# ---------------------------------------------------------------------------
 # packed substitution
 # ---------------------------------------------------------------------------
 
@@ -468,8 +490,10 @@ class PackedSubstitution:
     the universe owns a field of `width` bits, the most senior variable the
     top field, so a monomial product is one integer addition.  The width
     holds the largest total degree any requested product can reach, so no
-    field can carry into its neighbour.  Powers of the images are cached for
-    the life of the object.
+    field can carry into its neighbour; `pack` and `image` raise ValueError
+    on a polynomial whose degree does not fit.  Powers of the images are
+    cached for the life of the object.  With an empty sigma it packs plain
+    products (`Polynomial.__mul__`).
     """
 
     def __init__(self, sigma: Mapping[Variable, Polynomial],
@@ -479,8 +503,8 @@ class PackedSubstitution:
             for p in factors:
                 used |= p.variables()
         self.images = {v: sigma[v] for v in used if v in sigma}
-        degree = {v: max((mono_degree(m) for m in img.terms), default=0)
-                  for v, img in self.images.items()}
+        self._degree = degree = {v: max((mono_degree(m) for m in img.terms), default=0)
+                                 for v, img in self.images.items()}
         universe = used - self.images.keys()
         for img in self.images.values():
             universe |= img.variables()
@@ -500,6 +524,8 @@ class PackedSubstitution:
 
     def pack(self, p: Polynomial) -> Packed:
         """p over its least common denominator; its variables must be in the universe."""
+        if max(map(mono_degree, p.terms), default=0) > self.mask:
+            raise ValueError(f"a term of degree over {self.mask} overflows the packed fields")
         den = 1
         for c in p.terms.values():
             den = lcm(den, c.denominator)
@@ -516,14 +542,21 @@ class PackedSubstitution:
 
     def image(self, p: Polynomial) -> Packed:
         """p under sigma, packed, with no zero numerators."""
-        images, shifts, dens = self.images, self.shifts, self._dens
+        images, shifts, dens, degree = self.images, self.shifts, self._dens, self._degree
         den = 1
         top: Dict[Variable, int] = {}
         for m, c in p.terms.items():
             den = lcm(den, c.denominator)
+            d = 0
             for v, e in m:
-                if v in images and top.get(v, 0) < e:
-                    top[v] = e
+                if v in images:
+                    d += e * degree[v]
+                    if top.get(v, 0) < e:
+                        top[v] = e
+                else:
+                    d += e
+            if d > self.mask:
+                raise ValueError(f"a term's image of degree {d} overflows the packed fields")
         for v, e in top.items():
             den *= dens[v] ** e
         acc: Dict[int, int] = {}

@@ -1,6 +1,9 @@
 """Command-line front end: exit codes, determinism, catalog overrides."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 from jetcalc.cli import EX_BUDGET, EX_INTEGRITY, EX_OK, EX_USAGE, main
@@ -29,6 +32,21 @@ def test_derive_small_and_deterministic(capsys):
     assert len(doc["syzygies"]) == 1
     code, out2, _ = run_cli(capsys, "derive", "--n", "2", "--kappa", "3")
     assert out1 == out2  # byte-identical report for identical config
+
+
+def test_derive_report_independent_of_hash_seed():
+    """Two interpreters with different string hashing print the same bytes,
+    so no report depends on set or dict order over hashed keys."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "jetcalc.cli", "derive", "--n", "2",
+                               "--kappa", "3"], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == EX_OK, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["terminated"]
 
 
 def test_derive_bi_mode(capsys):

@@ -1,19 +1,37 @@
-"""The packed substitution against the tuple-monomial expansion it replaced."""
+"""The packed substitution and products against the tuple-monomial
+expansion they replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from jetcalc.polyring import Polynomial, jet, mono_mul, phi, tag, uni
+from jetcalc import polyring
+from jetcalc.polyring import (
+    PACKED_MUL_PAIRS,
+    PackedSubstitution,
+    Polynomial,
+    jet,
+    mono_mul,
+    phi,
+    tag,
+    tuple_product,
+    uni,
+)
 
 VARS = [jet(1, 1), jet(1, 2), jet(2, 1), jet(2, 3), jet(3, 1), phi(1), phi(2),
         uni(2, 1), uni(3, 2), tag("A", 3, 0), tag("B", 5, 1)]
 IMAGE_KINDS = ("zero", "constant", "polynomial", "polynomial")
 
 
+def reference_mul(a, b):
+    """a * b on tuple monomials, whatever the size of the product."""
+    return tuple_product(a, b)
+
+
 def reference_substitute(p, sigma):
-    """Term by term on tuple monomials, image powers by `**`, summed with `+`."""
+    """Term by term on tuple monomials, image powers by repeated tuple
+    products, summed with `+`."""
     if not sigma:
         return p
     pow_cache = {}
@@ -21,7 +39,9 @@ def reference_substitute(p, sigma):
     def image_power(v, e):
         got = pow_cache.get((v, e))
         if got is None:
-            got = sigma[v] ** e
+            got = Polynomial.constant(1)
+            for _ in range(e):
+                got = reference_mul(got, sigma[v])
             pow_cache[(v, e)] = got
         return got
 
@@ -36,7 +56,7 @@ def reference_substitute(p, sigma):
                 kept.append((v, e))
         term = Polynomial(_raw={tuple(kept): c})
         for f in factors:
-            term = term * f
+            term = reference_mul(term, f)
             if not term:
                 break
         acc = acc + term
@@ -117,3 +137,126 @@ def test_exponents_past_8_and_16_bit_fields(power):
     assert got == reference_substitute(p, sigma)
     assert max(e for m in got.terms for v, e in m if v is y) == 2 * power
     assert got.coefficient(((u, 1), (y, 2 * power), (z, 3))) == 1
+
+
+# ---------------------------------------------------------------------------
+# products: a * b against the tuple routine, on either side of the size rule
+# ---------------------------------------------------------------------------
+
+
+def poly_of_size(rng, n, max_exp=3, big=()):
+    """A polynomial of exactly n terms over VARS, Fraction coefficients; the
+    variables in `big` get exponents of up to that size in a third of the
+    terms (a constant term may appear)."""
+    terms = {}
+    while len(terms) < n:
+        m = ()
+        for v in rng.sample(VARS, rng.randint(0, 3)):
+            m = mono_mul(m, ((v, rng.randint(1, max_exp)),))
+        for v, top in big:
+            if rng.random() < 1 / 3:
+                m = mono_mul(m, ((v, rng.randint(top // 2, top)),))
+        terms[m] = random_coeff(rng)
+    return Polynomial(terms)
+
+
+# term counts of the two factors: below, at and above PACKED_MUL_PAIRS
+SIZES = [(1, PACKED_MUL_PAIRS - 1), (PACKED_MUL_PAIRS // 16 - 1, 16),
+         (PACKED_MUL_PAIRS // 16, 16), (1, PACKED_MUL_PAIRS),
+         (PACKED_MUL_PAIRS // 8, 16), (3 * PACKED_MUL_PAIRS, 2)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("sizes", SIZES)
+def test_product_matches_reference(seed, sizes):
+    rng = random.Random(seed * 100 + sizes[0])
+    a, b = (poly_of_size(rng, n) for n in sizes)
+    got = a * b
+    assert got == reference_mul(a, b)
+    assert got == b * a
+    assert all(got.terms.values())
+
+
+def test_constant_products():
+    rng = random.Random(3)
+    c = Polynomial.constant(Fraction(-5, 3))
+    for n in (PACKED_MUL_PAIRS - 1, PACKED_MUL_PAIRS, 2 * PACKED_MUL_PAIRS):
+        a = poly_of_size(rng, n)
+        assert c * a == a * c == reference_mul(c, a)
+
+
+def test_products_take_the_packed_path_from_the_rule_up(monkeypatch):
+    rng = random.Random(7)
+    tuple_pairs = []
+
+    def spy(a, b):
+        tuple_pairs.append(len(a) * len(b))
+        return tuple_product(a, b)
+
+    monkeypatch.setattr(polyring, "tuple_product", spy)
+    for na, nb in SIZES:
+        poly_of_size(rng, na) * poly_of_size(rng, nb)
+    assert tuple_pairs == [na * nb for na, nb in SIZES if na * nb < PACKED_MUL_PAIRS]
+    assert tuple_pairs
+
+
+@pytest.mark.parametrize("top", [200, 40000])
+def test_product_exponents_past_8_and_16_bit_fields(top):
+    """The y field (occupied fields on both sides) and the lowest, tag, field
+    of the product pass 255, then 65535."""
+    rng = random.Random(top)
+    y, t = jet(1, 3), tag("B", 5, 1)
+    peak = Polynomial({((y, top), (t, top)): Fraction(2, 3)})
+    a = poly_of_size(rng, 24, big=[(y, top), (t, top)]) + peak
+    b = poly_of_size(rng, 24, big=[(y, top), (t, top)]) + peak
+    got = a * b
+    assert got == reference_mul(a, b)
+    assert got.coefficient(((y, 2 * top), (t, 2 * top))) != 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_cancellation(seed):
+    """(A + B)(A - B) = A^2 - B^2: every cross term cancels, and no zero
+    coefficient is left behind; the constant and tag terms cancel too."""
+    rng = random.Random(seed)
+    A = poly_of_size(rng, 20) + 3
+    B = poly_of_size(rng, 20) + Polynomial.variable(tag("A", 3, 0))
+    got = (A + B) * (A - B)
+    assert got == reference_mul(A, A) - reference_mul(B, B)
+    pairs = {mono_mul(ma, mb) for ma in (A + B).terms for mb in (A - B).terms}
+    assert len(got) < len(pairs)
+    assert all(got.terms.values())
+    assert (A - A) * B == 0 and ((A + B) * (A - A)).is_zero()
+
+
+def test_products_cover_every_variable_kind():
+    rng = random.Random(0)
+    seen = set()
+    for n in (PACKED_MUL_PAIRS // 16, 16):
+        seen |= {v.kind for v in poly_of_size(rng, n).variables()}
+    assert seen == {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# the packed encoding refuses what does not fit its fields
+# ---------------------------------------------------------------------------
+
+
+def test_pack_rejects_an_undeclared_over_degree_polynomial():
+    x, y = jet(1, 1), jet(1, 2)
+    X, Y = Polynomial.variable(x), Polynomial.variable(y)
+    packed = PackedSubstitution({}, [(X * Y + 1,)])  # degree 2: 2-bit fields
+    assert packed.pack(X * X * Y)[1]  # degree 3 still fits
+    with pytest.raises(ValueError, match="overflows"):
+        packed.pack(X ** 4 + Y)  # x^4 would carry into y's field
+
+
+def test_image_rejects_an_undeclared_over_degree_polynomial():
+    x, y, z = jet(1, 1), jet(1, 2), jet(2, 1)
+    X, Y, Z = (Polynomial.variable(v) for v in (x, y, z))
+    packed = PackedSubstitution({x: Y * Y + Z}, [(X * Z,)])  # degree 3
+    assert packed.image(X * Z) == packed.image(Z * X)
+    with pytest.raises(ValueError, match="overflows"):
+        packed.image(X ** 2)  # image degree 4
+    with pytest.raises(ValueError, match="overflows"):
+        packed.image(Z ** 4)  # a kept variable alone
