@@ -144,7 +144,7 @@ def test_exponents_past_8_and_16_bit_fields(power):
 # ---------------------------------------------------------------------------
 
 
-def poly_of_size(rng, n, max_exp=3, big=()):
+def poly_of_size(rng, n, big=()):
     """A polynomial of exactly n terms over VARS, Fraction coefficients; the
     variables in `big` get exponents of up to that size in a third of the
     terms (a constant term may appear)."""
@@ -152,7 +152,7 @@ def poly_of_size(rng, n, max_exp=3, big=()):
     while len(terms) < n:
         m = ()
         for v in rng.sample(VARS, rng.randint(0, 3)):
-            m = mono_mul(m, ((v, rng.randint(1, max_exp)),))
+            m = mono_mul(m, ((v, rng.randint(1, 3)),))
         for v, top in big:
             if rng.random() < 1 / 3:
                 m = mono_mul(m, ((v, rng.randint(top // 2, top)),))
