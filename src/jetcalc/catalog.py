@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -605,6 +605,14 @@ def _as_entries(polys: Mapping[str, Polynomial], recipes: Dict[str, str],
     return out
 
 
+@lru_cache(maxsize=None)
+def _counted_entries_4k4() -> Tuple[CatalogEntry, ...]:
+    """The UE4k4 entries, weights and per-component degrees worked out once
+    per process.  No entry but W10 involves f_4, so UE3k4's counts are the
+    first three of these."""
+    return tuple(_as_entries(_entries_4k4(), _RECIPES_4K4, 4))
+
+
 def build_catalog(catalog_id: str) -> CatalogData:
     """Construct a catalog from its defining recipes (exact, no transcription)."""
     if catalog_id == "E2k2":
@@ -657,13 +665,10 @@ def build_catalog(catalog_id: str) -> CatalogData:
         return CatalogData("UE3k3", JetContext(3, 3), "bi",
                            _as_entries(polys, recipes, 3))
     if catalog_id in ("UE3k4", "UE4k4"):
-        polys = _entries_4k4()
-        n = 4
-        if catalog_id == "UE3k4":
-            polys = {k: v for k, v in polys.items() if k != "W10"}
-            n = 3
-        data = CatalogData(catalog_id, JetContext(n, 4), "bi",
-                           _as_entries(polys, _RECIPES_4K4, n))
+        n = 4 if catalog_id == "UE4k4" else 3
+        entries = [replace(e, counts=e.counts[:n]) for e in _counted_entries_4k4()
+                   if n == 4 or e.name != "W10"]
+        data = CatalogData(catalog_id, JetContext(n, 4), "bi", entries)
         nw = [(e.name, e.weight) for e in data.entries]
         data.syzygy_sets["lex41"] = _make_syzygies(_SYZ_4K4, nw, catalog_id)
         return data

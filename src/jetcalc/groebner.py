@@ -1,11 +1,13 @@
 """Buchberger-style Groebner machinery: reduced bases, normal forms,
 relation ideals among named polynomials, and subalgebra membership.
 
-Buchberger runs on the `Polynomial.terms` dicts themselves: the order's
-`sort_key` ranks monomials and the `polyring` monomial helpers multiply,
-divide and take lcms.  Pending pairs wait in a heap whose keys are computed
-once, at insertion.  Budgets count single reduction steps; exhausting one
-returns a partial result flagged incomplete instead of raising.
+Buchberger and normal forms run on packed monomials (`polyring.PackedOrder`):
+each monomial is one `int` whose integer order is the monomial order, so a
+product is `+`, a quotient `-`, a leading term `max` and divisibility a
+guard-bit test.  Inputs are packed once and results unpacked once.  Pending
+pairs wait in a heap keyed by (sugar, lcm code, i, j), computed once, at
+insertion.  Budgets count single reduction steps; exhausting one returns a
+partial result flagged incomplete instead of raising.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from .polyring import (
     DegRevLex,
     Monomial,
     MonomialOrder,
+    PackedOrder,
     Polynomial,
     Variable,
     is_tag,
     mono_degree,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
     primitive_part,
     tag,
 )
@@ -68,16 +68,42 @@ class Budget:
             raise BudgetExceeded("time budget exhausted")
 
 
-def _mul_into(acc: Terms, keys: dict, d: Terms, shift: Monomial, coeff: Fraction, key):
-    """acc += coeff * shift * d, keying each monomial acc gains in `keys`."""
+# A basis element on packed monomials: (terms, lead code, largest degree).
+Gen = Tuple[Dict[int, Fraction], int, int]
+
+# Buchberger's intermediate terms outgrow its inputs (by up to about 3 times
+# in the derive runs); the packing holds this many times the largest input
+# degree and raises ValueError past it.
+_DEGREE_HEADROOM = 16
+
+
+def _packing(order: MonomialOrder, polys: Sequence[Terms]) -> PackedOrder:
+    variables = set()
+    top = 0
+    for d in polys:
+        for m in d:
+            variables.update(v for v, _ in m)
+            top = max(top, mono_degree(m))
+    return PackedOrder(order, variables, _DEGREE_HEADROOM * top)
+
+
+def _gen(d: Dict[int, Fraction], lead: int, packing: PackedOrder) -> Gen:
+    return d, lead, max(map(packing.degree, d))
+
+
+def _mul_into(acc: Dict[int, Fraction], gen: Gen, shift: int, coeff: Fraction,
+              packing: PackedOrder):
+    """acc += coeff * shift * gen's terms; a monomial product is a code `+`."""
+    d, _, top = gen
+    if packing.degree(shift) + top > packing.limit:
+        raise ValueError(f"a product of degree {packing.degree(shift) + top} overflows "
+                         f"the packed fields (limit {packing.limit})")
     for md, c in d.items():
-        m = mono_mul(md, shift)
+        m = md + shift
         s = acc.get(m)
         p = c * coeff
         if s is None:
             acc[m] = p
-            if m not in keys:
-                keys[m] = key(m)
         else:
             s = s + p
             if s:
@@ -86,24 +112,26 @@ def _mul_into(acc: Terms, keys: dict, d: Terms, shift: Monomial, coeff: Fraction
                 del acc[m]
 
 
-def _reduce_full(p: Terms, keys: dict, basis: List[Terms], leads: List[Monomial], key,
-                 budget: Budget) -> Terms:
+def _reduce_full(p: Dict[int, Fraction], basis: List[Gen], packing: PackedOrder,
+                 budget: Budget) -> Dict[int, Fraction]:
     """Remainder of p modulo basis: no remaining term divisible by any lead.
 
-    `keys` holds the key of every monomial of p; each monomial that enters
-    `work` later is keyed once, on entry, and the dict dies with the
-    reduction.  The remainder's terms arrive in decreasing order, so its
-    first monomial is its lead.
+    The remainder's terms arrive in decreasing order, so its first code is
+    its lead.
     """
-    rem: Terms = {}
+    guards = packing.guards
+    rem = {}
     work = dict(p)
     while work:
-        m = max(work, key=keys.__getitem__)
-        for g, lt in zip(basis, leads):
-            if mono_divides(lt, m):
+        m = max(work)
+        mg = m | guards
+        for gen in basis:
+            lt = gen[1]
+            if (mg - lt) & guards == guards:
+                g = gen[0]
                 budget.spend(len(g))
                 # cancels the term at m exactly
-                _mul_into(work, keys, g, mono_div(m, lt), -work[m] / g[lt], key)
+                _mul_into(work, gen, m - lt, -work[m] / g[lt], packing)
                 break
         else:
             rem[m] = work.pop(m)
@@ -124,83 +152,82 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-def _buchberger_loop(polys: List[Terms], key,
-                     budget: Budget) -> Tuple[List[Terms], List[Monomial], bool]:
+def _buchberger_loop(polys: List[Dict[int, Fraction]], packing: PackedOrder,
+                     budget: Budget) -> Tuple[List[Gen], bool]:
     """Core loop with the Buchberger product/chain criteria, sugar selection.
 
-    Returns the basis, its leads and whether the loop completed.  Every
-    pair's selection key (sugar, key of the lcm, i, j) is fixed once its two
-    leads exist, so it is computed at insertion into a heap; the pending set
+    Returns the basis and whether the loop completed.  Every pair's
+    selection key (sugar, lcm code, i, j) is fixed once its two leads
+    exist, so it is computed at insertion into a heap; the pending set
     `pairs` mirrors the heap for the chain criterion.
     """
-    basis: List[Terms] = []
-    leads: List[Monomial] = []
+    degree, guards = packing.degree, packing.guards
+    basis: List[Gen] = []
     sugars: List[int] = []
     pairs = set()
     heap = []
 
-    def add_poly(d: Terms, lt: Monomial, sugar: int):
+    def add_poly(d: Dict[int, Fraction], lt: int, sugar: int):
         lc = d[lt]
         if lc != 1:
             d = {m: c / lc for m, c in d.items()}
         t = len(basis)
-        basis.append(d)
-        leads.append(lt)
+        basis.append(_gen(d, lt, packing))
         sugars.append(sugar)
-        deg_t = mono_degree(lt)
+        deg_t = degree(lt)
         for i in range(t):
-            l = mono_lcm(leads[i], lt)
-            deg_l = mono_degree(l)
-            sugar_ij = max(sugars[i] + deg_l - mono_degree(leads[i]), sugar + deg_l - deg_t)
-            heapq.heappush(heap, (sugar_ij, key(l), i, t, l))
+            li = basis[i][1]
+            l = packing.lcm(li, lt)
+            deg_l = degree(l)
+            sugar_ij = max(sugars[i] + deg_l - degree(li), sugar + deg_l - deg_t)
+            heapq.heappush(heap, (sugar_ij, l, i, t))
             pairs.add((i, t))
 
     for d in polys:
-        add_poly(dict(d), max(d, key=key), max(mono_degree(m) for m in d))
+        add_poly(d, max(d), max(map(degree, d)))
     complete = True
     try:
         while heap:
-            sugar, _, i, j, l = heapq.heappop(heap)
+            sugar, l, i, j = heapq.heappop(heap)
             pairs.discard((i, j))
-            li, lj = leads[i], leads[j]
+            li, lj = basis[i][1], basis[j][1]
             # product criterion: coprime leads
-            if mono_degree(l) == mono_degree(li) + mono_degree(lj):
+            if degree(l) == degree(li) + degree(lj):
                 continue
             # chain criterion
-            if any(k != i and k != j and mono_divides(leads[k], l)
+            lg = l | guards
+            if any(k != i and k != j and (lg - basis[k][1]) & guards == guards
                    and (min(i, k), max(i, k)) not in pairs
                    and (min(j, k), max(j, k)) not in pairs
                    for k in range(len(basis))):
                 continue
-            s: Terms = {}  # the S-polynomial; add_poly keeps the basis monic
-            keys: dict = {}
-            _mul_into(s, keys, basis[i], mono_div(l, li), Fraction(1), key)
-            _mul_into(s, keys, basis[j], mono_div(l, lj), Fraction(-1), key)
-            rem = _reduce_full(s, keys, basis, leads, key, budget)
+            s: Dict[int, Fraction] = {}  # the S-polynomial; add_poly keeps the basis monic
+            _mul_into(s, basis[i], l - li, Fraction(1), packing)
+            _mul_into(s, basis[j], l - lj, Fraction(-1), packing)
+            rem = _reduce_full(s, basis, packing, budget)
             if rem:
                 add_poly(rem, next(iter(rem)), sugar)
     except BudgetExceeded:
         complete = False
-    return basis, leads, complete
+    return basis, complete
 
 
-def _interreduce(basis: List[Terms], leads: List[Monomial], key,
-                 budget: Budget) -> List[Terms]:
+def _interreduce(basis: List[Gen], packing: PackedOrder,
+                 budget: Budget) -> List[Dict[int, Fraction]]:
     """Minimal then fully reduced basis, monic generators, sorted by lead.
 
     A kept generator's lead is divisible by no other kept lead, so it stays
     the lead of its remainder, with coefficient 1.
     """
+    guards = packing.guards
+    leads = [lt for _, lt, _ in basis]
     keep = [i for i, lt in enumerate(leads)
-            if not any(j != i and mono_divides(leads[j], lt)
+            if not any(j != i and ((lt | guards) - leads[j]) & guards == guards
                        and (leads[j] != lt or j < i) for j in range(len(basis)))]
     out = []
     for i in keep:
-        others = [k for k in keep if k != i]
-        rem = _reduce_full(basis[i], {m: key(m) for m in basis[i]},
-                           [basis[k] for k in others],
-                           [leads[k] for k in others], key, budget)
-        out.append((key(leads[i]), rem))
+        rem = _reduce_full(basis[i][0], [basis[k] for k in keep if k != i], packing, budget)
+        out.append((leads[i], rem))
     out.sort(key=lambda pair: pair[0])
     return [rem for _, rem in out]
 
@@ -210,25 +237,32 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Deterministic given inputs and order.  On budget exhaustion the partial
-    (unreduced) basis is returned with complete=False.
+    (unreduced) basis is returned with complete=False.  Raises ValueError
+    when an intermediate term outgrows the packing.
     """
     budget = budget or Budget()
-    key = order.sort_key
-    basis, leads, complete = _buchberger_loop([g.terms for g in gens if g], key, budget)
+    polys = [g.terms for g in gens if g]
+    packing = _packing(order, polys)
+    basis, complete = _buchberger_loop([packing.pack_terms(d) for d in polys], packing, budget)
     if complete:
-        basis = _interreduce(basis, leads, key, budget)
-    return GroebnerBasis([Polynomial(_raw=g) for g in basis], order,
+        out = _interreduce(basis, packing, budget)
+    else:
+        out = [d for d, _, _ in basis]
+    return GroebnerBasis([Polynomial(_raw=packing.unpack_terms(d)) for d in out], order,
                          complete=complete, steps_used=budget.used)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis,
                 budget: Optional[Budget] = None) -> Polynomial:
     """The unique remainder of p modulo the (reduced) basis."""
-    key = gb.order.sort_key
-    basis = [g.terms for g in gb.generators]
-    leads = [max(g, key=key) for g in basis]
-    keys = {m: key(m) for m in p.terms}
-    return Polynomial(_raw=_reduce_full(p.terms, keys, basis, leads, key, budget or Budget()))
+    polys = [g.terms for g in gb.generators]
+    packing = _packing(gb.order, polys + [p.terms])
+    basis = []
+    for g in polys:
+        d = packing.pack_terms(g)
+        basis.append(_gen(d, max(d), packing))
+    rem = _reduce_full(packing.pack_terms(p.terms), basis, packing, budget or Budget())
+    return Polynomial(_raw=packing.unpack_terms(rem))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ into one dict, and the result is unpacked once at the end.  A product `a * b`
 of at least `PACKED_MUL_PAIRS` term pairs runs on the same packed form (an
 empty substitution), so the large products of the catalog recipes do too;
 smaller products, the bulk of every other computation, stay on tuples.
+
+Groebner computations run on the second packed form, `PackedOrder`: its
+codes carry the monomial order's integer weight rows in their top fields,
+so comparing codes compares monomials, and a guard bit above each exponent
+field makes divisibility one subtraction.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
 
@@ -181,14 +186,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
         else:
             del quot[v]
     return tuple(sorted(quot.items(), key=lambda p: p[0].key))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    acc = dict(a)
-    for v, e in b:
-        if acc.get(v, 0) < e:
-            acc[v] = e
-    return tuple(sorted(acc.items(), key=lambda p: p[0].key))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -594,22 +591,133 @@ class PackedSubstitution:
 
     def unpack(self, den: int, terms: Mapping[int, int]) -> Polynomial:
         """The Polynomial of a packed value; one shared pair per field value."""
-        mask = self.mask
-        fields = [(shift, v, {}) for v, shift in self.shifts.items()]
-        out: Dict[Monomial, Fraction] = {}
-        for code, c in terms.items():
-            if not c:
-                continue
-            mono = []
-            for shift, v, pairs in fields:
-                e = (code >> shift) & mask
-                if e:
-                    pair = pairs.get(e)
-                    if pair is None:
-                        pair = pairs[e] = (v, e)
-                    mono.append(pair)
-            out[tuple(mono)] = Fraction(c) if den == 1 else Fraction(c, den)
-        return Polynomial(_raw=out)
+        width = self.mask.bit_length()
+        fields = [None] * len(self.shifts)
+        for v, shift in self.shifts.items():
+            fields[shift // width] = (v, {})
+        codes = [code for code, c in terms.items() if c]
+        monos = _decode(codes, width, fields)
+        if den == 1:
+            return Polynomial(_raw={m: Fraction(terms[k]) for m, k in zip(monos, codes)})
+        return Polynomial(_raw={m: Fraction(terms[k], den) for m, k in zip(monos, codes)})
+
+
+def _decode(codes: Iterable[int], step: int, fields: Sequence) -> List[Monomial]:
+    """The monomials of packed exponent fields `step` bits apart.
+
+    fields[k] = (variable, {exponent: shared pair}) owns the field at bit
+    k * step, the most senior variable the top one, and no guard bit may be
+    set.  A code splits into its upper and lower half of the fields; each
+    half is decoded once per call, visiting only its set fields from the
+    top, and a monomial is the two halves' tuples joined.
+    """
+    half = (len(fields) // 2) * step
+    low = (1 << half) - 1
+    uppers: Dict[int, Monomial] = {}
+    lowers: Dict[int, Monomial] = {}
+
+    def walk(code: int, base: int) -> Monomial:
+        mono = []
+        while code:
+            k = (code.bit_length() - 1) // step
+            shift = k * step
+            e = code >> shift
+            code -= e << shift
+            v, pairs = fields[base + k]
+            pair = pairs.get(e)
+            if pair is None:
+                pair = pairs[e] = (v, e)
+            mono.append(pair)
+        return tuple(mono)
+
+    out = []
+    for code in codes:
+        hi = code >> half
+        lo = code & low
+        a = uppers.get(hi)
+        if a is None:
+            a = uppers[hi] = walk(hi, len(fields) // 2)
+        b = lowers.get(lo)
+        if b is None:
+            b = lowers[lo] = walk(lo, 0)
+        out.append(a + b)
+    return out
+
+
+class PackedOrder:
+    """Monomials over one variable universe packed into ints whose integer
+    order is one monomial order; the form Buchberger runs on.
+
+    The order gives integer weight rows over the universe (a matrix order,
+    Robbiano 1985): monomials compare as the dot products of the rows with
+    their exponent vectors, row by row.  A code holds, from the top down,
+    one field per row with that dot product as a signed (balanced) digit,
+    a total-degree field, then one field per variable, the most senior on
+    top, whose exponent sits under a guard bit (Monagan & Pearce, CASC
+    2007).  Every field holds any monomial of total degree up to `limit`,
+    so packing is linear: a product is `+` of codes and a quotient `-`.
+    Balanced digits of bounded size compare like their digit vectors, so
+    integer order is the monomial order.  `a` divides `b` exactly when
+    `((b | guards) - a) & guards == guards`: an exponent of `a` above the
+    one of `b` borrows its field's guard, and no borrow passes a guard.
+    `pack` raises ValueError on a monomial of degree over `limit`; code that
+    forms products checks their degree (`degree`) against it first.
+    """
+
+    def __init__(self, order: "MonomialOrder", variables: Iterable[Variable], limit: int):
+        ranked = sorted(variables, key=lambda v: v.key)
+        n = len(ranked)
+        width = max(limit, 1).bit_length()
+        self.limit = (1 << width) - 1
+        self._step = step = width + 1  # exponent bits and the guard bit
+        self.guards = sum(1 << (k * step + width) for k in range(n))
+        self._deg_shift = shift = n * step
+        self._exponents = (1 << shift) - 1
+        units = [(1 << ((n - 1 - j) * step)) + (1 << shift) for j in range(n)]
+        shift += width
+        for row in reversed(order.weight_rows(ranked)):
+            units = [u + (r << shift) for u, r in zip(units, row)]
+            shift += (max(map(abs, row), default=0) * self.limit).bit_length() + 1
+        self._unit = dict(zip(ranked, units))
+        # field k from the bottom belongs to ranked[n - 1 - k]
+        self._field_units = units[::-1]
+        self._fields = [(v, {}) for v in reversed(ranked)]
+
+    def pack(self, m: Monomial) -> int:
+        d = mono_degree(m)
+        if d > self.limit:
+            raise ValueError(f"a monomial of degree {d} overflows the packed fields "
+                             f"(limit {self.limit})")
+        unit = self._unit
+        return sum(e * unit[v] for v, e in m)
+
+    def pack_terms(self, terms: Mapping[Monomial, Fraction]) -> Dict[int, Fraction]:
+        """The terms keyed by code, in their order."""
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: Mapping[int, Fraction]) -> Dict[Monomial, Fraction]:
+        """The terms keyed by monomial, in their order."""
+        monos = _decode([k & self._exponents for k in terms], self._step, self._fields)
+        return dict(zip(monos, terms.values()))
+
+    def degree(self, code: int) -> int:
+        return (code >> self._deg_shift) & self.limit
+
+    def lcm(self, a: int, b: int) -> int:
+        """The code of the least common multiple."""
+        low, guards = self._exponents, self.guards
+        la, lb = a & low, b & low
+        a_wins = ((la | guards) - lb) & guards  # guards of fields where a >= b
+        b_fields = low & ~guards & ~(a_wins - (a_wins >> (self._step - 1)))
+        x = (lb & b_fields) - (la & b_fields)  # lcm / a, exponent fields only
+        step, units = self._step, self._field_units
+        while x:
+            k = (x.bit_length() - 1) // step
+            shift = k * step
+            e = x >> shift
+            x -= e << shift
+            a += e * units[k]
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +736,12 @@ class MonomialOrder:
     def sort_key(self, m: Monomial):
         raise NotImplementedError
 
+    def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
+        """Integer rows over the seniority-sorted variables `ranked` whose dot
+        products with two exponent vectors, compared row by row, rank the
+        monomials as `sort_key` does (a matrix order)."""
+        raise NotImplementedError
+
     def leading_monomial(self, p: Polynomial) -> Monomial:
         return max(p.terms, key=self.sort_key)
 
@@ -644,6 +758,10 @@ class Lex(MonomialOrder):
         # seniority keys ascend, so negate positionally: compare variable by
         # variable; a more senior variable with a positive exponent wins.
         return tuple((_NegKey(v.key), e) for v, e in m)
+
+    def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
+        n = len(ranked)
+        return [[int(k == j) for k in range(n)] for j in range(n)]
 
 
 class _NegKey:
@@ -664,7 +782,10 @@ class _NegKey:
         return self.key == other.key
 
     def __le__(self, other):
-        return not self < other  # pragma: no cover
+        return other.key <= self.key
+
+    def __ge__(self, other):
+        return other.key >= self.key
 
     def __hash__(self):
         return hash(self.key)
@@ -680,6 +801,12 @@ class DegRevLex(MonomialOrder):
         # wins; encode by scanning variables from least senior, negated.
         return (mono_degree(m), tuple((_NegKey(v.key), -e) for v, e in reversed(m)))
 
+    def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
+        # the degree, then -e from the least senior variable up; the most
+        # senior variable's row follows from the others and is left out
+        n = len(ranked)
+        return [[1] * n] + [[-int(k == j) for k in range(n)] for j in range(n - 1, 0, -1)]
+
 
 class WeightedDeg(MonomialOrder):
     """Weighted degree first (weights carried by variables), grevlex ties."""
@@ -688,6 +815,9 @@ class WeightedDeg(MonomialOrder):
 
     def sort_key(self, m: Monomial):
         return (mono_weight(m), DegRevLex.sort_key(self, m))
+
+    def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
+        return [[v.weight for v in ranked]] + DegRevLex.weight_rows(self, ranked)
 
 
 class Block(MonomialOrder):
@@ -710,6 +840,18 @@ class Block(MonomialOrder):
     def sort_key(self, m: Monomial):
         f, b = self.split(m)
         return (self.inner_front.sort_key(f), self.inner_back.sort_key(b))
+
+    def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
+        front = [k for k, v in enumerate(ranked) if v in self.front]
+        back = [k for k, v in enumerate(ranked) if v not in self.front]
+        rows = []
+        for inner, cols in ((self.inner_front, front), (self.inner_back, back)):
+            for part in inner.weight_rows([ranked[k] for k in cols]):
+                row = [0] * len(ranked)
+                for k, r in zip(cols, part):
+                    row[k] = r
+                rows.append(row)
+        return rows
 
 
 lex = Lex()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jetcalc.groebner import (
+    _DEGREE_HEADROOM,
     Budget,
     buchberger,
     jacobian_rank_certificate,
@@ -26,6 +27,7 @@ from jetcalc.polyring import (
     Block,
     DegRevLex,
     Lex,
+    PackedOrder,
     Polynomial,
     primitive_part,
     proportional,
@@ -74,6 +76,22 @@ def test_budget_exceeded_is_flagged():
     with_budget = buchberger(gens, Lex(), Budget(10))
     assert not with_budget.complete
     assert with_budget.steps_used <= 10 + max(len(g) for g in gens)
+
+
+def test_reduction_past_the_packing_limit_raises():
+    """Reducing x^k by x - y^50 in lex reaches y^(50 k): the packing holds
+    a fixed multiple of the largest input degree, and a product term past
+    it raises instead of carrying between fields."""
+    x, y = tag("x", 0, 0), tag("y", 0, 1)
+    X, Y = Polynomial.variable(x), Polynomial.variable(y)
+    gb = buchberger([X - Y ** 50], Lex())
+    limit = PackedOrder(Lex(), [x, y], _DEGREE_HEADROOM * 50).limit
+    k = limit // 50
+    assert normal_form(X ** k, gb) == Y ** (50 * k)
+    with pytest.raises(ValueError, match="overflows"):
+        normal_form(X ** (k + 1), gb)
+    with pytest.raises(ValueError, match="overflows"):
+        buchberger([X - Y ** 50, X ** (k + 1)], Lex())
 
 
 def _loop1_named():

@@ -1,5 +1,5 @@
-"""The packed substitution and products against the tuple-monomial
-expansion they replaced."""
+"""The packed substitution, products and monomial orders against the
+tuple-monomial routines they replaced."""
 
 import random
 from fractions import Fraction
@@ -9,9 +9,17 @@ import pytest
 from jetcalc import polyring
 from jetcalc.polyring import (
     PACKED_MUL_PAIRS,
+    Block,
+    DegRevLex,
+    Lex,
+    PackedOrder,
     PackedSubstitution,
     Polynomial,
+    WeightedDeg,
     jet,
+    mono_degree,
+    mono_div,
+    mono_divides,
     mono_mul,
     phi,
     tag,
@@ -260,3 +268,112 @@ def test_image_rejects_an_undeclared_over_degree_polynomial():
         packed.image(X ** 2)  # image degree 4
     with pytest.raises(ValueError, match="overflows"):
         packed.image(Z ** 4)  # a kept variable alone
+
+
+def test_unpack_sparse_codes_over_a_wide_universe():
+    """Codes that set a few fields of a 44-variable universe, among them
+    the top and the bottom field and fields at their largest exponent,
+    round-trip through pack and unpack, and so do their products."""
+    wide = sorted([jet(i, lam) for i in range(1, 9) for lam in range(1, 6)]
+                  + [phi(1), uni(3, 1), tag("Z", 2, 0), tag("Y", 1, 1)], key=lambda v: v.key)
+    rng = random.Random(11)
+    terms = {(): Fraction(1, 3), ((wide[0], 1),): Fraction(2), ((wide[-1], 1),): Fraction(-1)}
+    while len(terms) < 40:
+        chosen = sorted(rng.sample(wide, rng.randint(1, 3)), key=lambda v: v.key)
+        terms[tuple((v, rng.randint(1, 3)) for v in chosen)] = random_coeff(rng)
+    p = Polynomial(terms)
+    everything = Polynomial({((v, 1),): 1 for v in wide})
+    packed = PackedSubstitution({}, [(p, p, everything)])
+    assert packed.unpack(*packed.pack(p)) == p
+    top = Polynomial({((wide[0], packed.mask),): 1, ((wide[-1], packed.mask),): Fraction(5, 7)})
+    assert packed.unpack(*packed.pack(top)) == top
+    assert p * p == reference_mul(p, p)
+
+
+# ---------------------------------------------------------------------------
+# packed monomial orders: code arithmetic against the tuple monomials
+# ---------------------------------------------------------------------------
+
+
+def reference_lcm(a, b):
+    """The least common multiple of two tuple monomials."""
+    acc = dict(a)
+    for v, e in b:
+        if acc.get(v, 0) < e:
+            acc[v] = e
+    return tuple(sorted(acc.items(), key=lambda p: p[0].key))
+
+
+FRONT = {jet(1, 2), jet(2, 1), phi(2), uni(2, 1), tag("B", 5, 1)}
+ORDERS = {
+    "lex": Lex(),
+    "degrevlex": DegRevLex(),
+    "weighted": WeightedDeg(),
+    "block": Block(FRONT, DegRevLex(), DegRevLex()),
+    "block-lex-weighted": Block(FRONT, Lex(), WeightedDeg()),
+    "block-nested": Block({jet(1, 1), tag("A", 3, 0)}, WeightedDeg(),
+                          Block(FRONT, Lex(), DegRevLex())),
+}
+
+
+def random_monomials(rng, n, max_exp):
+    out = set()
+    while len(out) < n:
+        m = ()
+        for v in rng.sample(VARS, rng.randint(0, 4)):
+            m = mono_mul(m, ((v, rng.randint(1, max_exp)),))
+        out.add(m)
+    return sorted(out, key=str)
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_packed_order_sorts_as_sort_key(name):
+    """Integer order on codes is the order's `sort_key` order, on jet, phi,
+    uni and tag variables, and unpacking inverts packing."""
+    order = ORDERS[name]
+    rng = random.Random(len(name))
+    monos = random_monomials(rng, 300, 9)
+    packing = PackedOrder(order, VARS, 40)
+    codes = [packing.pack(m) for m in monos]
+    assert sorted(monos, key=packing.pack) == sorted(monos, key=order.sort_key)
+    assert list(packing.unpack_terms(dict.fromkeys(codes, 1))) == monos
+    assert [packing.degree(c) for c in codes] == [mono_degree(m) for m in monos]
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_packed_order_arithmetic_matches_tuples(name):
+    """Product, quotient, divisibility and lcm on codes against the tuple
+    routines, with exponents up to the field maximum."""
+    order = ORDERS[name]
+    rng = random.Random(100 + len(name))
+    packing = PackedOrder(order, VARS, 31)
+    half = random_monomials(rng, 60, 7)  # degree at most 28
+    pack, guards = packing.pack, packing.guards
+    assert pack(((jet(1, 1), 31),)) and pack(((tag("B", 5, 1), 31),))
+    divisible = lcms = 0
+    for _ in range(2000):
+        a, b = rng.choice(half), rng.choice(half)
+        if rng.random() < 0.3:
+            b = mono_mul(a, b) if mono_degree(a) + mono_degree(b) <= 31 else a
+        A, B = pack(a), pack(b)
+        divides = ((B | guards) - A) & guards == guards
+        assert divides == mono_divides(a, b), (a, b)
+        if divides:
+            divisible += 1
+            assert B - A == pack(mono_div(b, a))
+        lcm = reference_lcm(a, b)
+        if mono_degree(lcm) <= 31:
+            lcms += 1
+            assert packing.lcm(A, B) == packing.lcm(B, A) == pack(lcm)
+        if mono_degree(a) + mono_degree(b) <= 31:
+            assert A + B == pack(mono_mul(a, b))
+    assert 200 < divisible < 1800 and lcms > 1000
+
+
+def test_packed_order_rejects_monomials_past_its_limit():
+    x, y = jet(1, 1), tag("A", 3, 0)
+    packing = PackedOrder(DegRevLex(), [x, y], 5)
+    assert packing.limit == 7
+    assert packing.pack(((x, 7),)) and packing.pack(((x, 3), (y, 4)))
+    with pytest.raises(ValueError, match="overflows"):
+        packing.pack(((x, 4), (y, 4)))  # y^4 would carry into x's guard

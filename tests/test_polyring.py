@@ -183,6 +183,29 @@ def test_sort_key_matches_exponent_vector_orders(which):
             assert (ka > kb) - (ka < kb) == cmp(ea, eb), (a, b)
 
 
+@pytest.mark.parametrize("order", [
+    Lex(), DegRevLex(), WeightedDeg(),
+    Block({jet(1, 2), phi(1), tag("b", 1, 1)}, Lex(), WeightedDeg())])
+def test_sort_key_comparisons_agree(order):
+    """<, <=, >, >= and == on sort keys are one total order, also where the
+    monomials differ in a variable (f1' against f1'')."""
+    variables = VARS + [phi(1), uni(2, 1), tag("a", 2, 0), tag("b", 1, 1)]
+    rng = random.Random(31)
+    monos = [((jet(1, 1), 1),), ((jet(1, 2), 1),)]
+    for _ in range(60):
+        m = ()
+        for v in rng.sample(variables, rng.randint(0, 4)):
+            m = mono_mul(m, ((v, rng.randint(1, 3)),))
+        monos.append(m)
+    for a in monos:
+        for b in monos:
+            ka, kb = order.sort_key(a), order.sort_key(b)
+            lt, eq, gt = ka < kb, ka == kb, ka > kb
+            assert lt + eq + gt == 1 and eq == (a == b), (a, b)
+            assert (ka <= kb) == (lt or eq) and (ka >= kb) == (gt or eq), (a, b)
+            assert (kb > ka) == lt and (kb < ka) == gt, (a, b)
+
+
 def test_block_order_eliminates_front():
     front = {jet(1, 1), jet(1, 2)}
     order = Block(front)
