@@ -349,10 +349,7 @@ _SYZ_2K5_LOOP2 = [
     ("-8 L7.M8 + 5 L5.M10", 1, "-H14"),
     ("-L7.M8 + 3 L3.K12", 1, "-H14"),
     ("-8 L5.M8 + 3 L3.M10", 1, "-N12"),
-    ("-7 L7^2 + 5 L5.L9", 2, "-K12"),
-    ("-7 L5.L7 + 3 L3.L9", 2, "-M10"),
-    ("-5 L5^2 + 3 L3.L7", 2, "-M8"),
-]
+] + _SYZ_2K5_LOOP1
 
 _SYZ_2K5_LOOP3 = [
     ("-5 F16^2 + H14.X18", 1, "-K12.X19"),
@@ -377,17 +374,7 @@ _SYZ_2K5_LOOP3 = [
     ("-35 L9.N12 + 3 L3.X18", 1, "285/8 M10^2 - 7/8 f1.X19"),
     ("-7 L7.N12 + 3 L3.F16", 1, "8 M8.M10"),
     ("-5 L5.N12 + 3 L3.H14", 1, "8 M8^2"),
-    ("-5 M10^2 + 64 M8.K12", 1, "-X19"),
-    ("-5 L9.M10 + 56 L7.K12", 1, "-X18"),
-    ("-8 L9.M8 + 7 L7.M10", 1, "-F16"),
-    ("-L9.M8 + 7 L5.K12", 1, "-F16"),
-    ("-8 L7.M8 + 5 L5.M10", 1, "-H14"),
-    ("-L7.M8 + 3 L3.K12", 1, "-H14"),
-    ("-8 L5.M8 + 3 L3.M10", 1, "-N12"),
-    ("-7 L7^2 + 5 L5.L9", 2, "-K12"),
-    ("-7 L5.L7 + 3 L3.L9", 2, "-M10"),
-    ("-5 L5^2 + 3 L3.L7", 2, "-M8"),
-]
+] + _SYZ_2K5_LOOP2
 
 _SYZ_2K5_LOOP4 = [
     ("X18.X23 - 8 F16.X25 + 7 H14.Y27", None, "0"),

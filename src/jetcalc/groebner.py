@@ -1,13 +1,14 @@
 """Buchberger-style Groebner machinery: reduced bases, normal forms,
 relation ideals among named polynomials, and subalgebra membership.
 
-Buchberger and normal forms run on packed monomials (`polyring.PackedOrder`):
-each monomial is one `int` whose integer order is the monomial order, so a
-product is `+`, a quotient `-`, a leading term `max` and divisibility a
-guard-bit test.  Inputs are packed once and results unpacked once.  Pending
-pairs wait in a heap keyed by (sugar, lcm code, i, j), computed once, at
-insertion.  Budgets count single reduction steps; exhausting one returns a
-partial result flagged incomplete instead of raising.
+Buchberger and normal forms run on the engine's one packed encoding,
+packed with the monomial order (`polyring.Packing`): each monomial is one
+`int` whose integer order is the monomial order, so a product is `+`, a
+quotient `-`, a leading term `max` and divisibility a guard-bit test.
+Inputs are packed once and results unpacked once.  Pending pairs wait in a
+heap keyed by (sugar, lcm code, i, j), computed once, at insertion.  Budgets
+count single reduction steps; exhausting one returns a partial result
+flagged incomplete instead of raising.
 """
 
 from __future__ import annotations
@@ -24,18 +25,17 @@ from .polyring import (
     DegRevLex,
     Monomial,
     MonomialOrder,
-    PackedOrder,
+    Packing,
     Polynomial,
     Variable,
     is_tag,
-    mono_degree,
     mono_divides,
+    packing_over,
     primitive_part,
     tag,
 )
 
 Exps = Tuple[int, ...]
-Terms = Dict[Monomial, Fraction]
 
 
 class BudgetExceeded(Exception):
@@ -77,18 +77,8 @@ Gen = Tuple[Dict[int, Fraction], int, int]
 _DEGREE_HEADROOM = 16
 
 
-def _packing(order: MonomialOrder, polys: Sequence[Terms]) -> PackedOrder:
-    variables = set()
-    top = 0
-    for d in polys:
-        for m in d:
-            variables.update(v for v, _ in m)
-            top = max(top, mono_degree(m))
-    return PackedOrder(order, variables, _DEGREE_HEADROOM * top)
-
-
 def _mul_into(acc: Dict[int, Fraction], gen: Gen, shift: int, coeff: Fraction,
-              packing: PackedOrder):
+              packing: Packing):
     """acc += coeff * shift * gen's terms; a monomial product is a code `+`."""
     d, _, top = gen
     if packing.degree(shift) + top > packing.limit:
@@ -108,7 +98,7 @@ def _mul_into(acc: Dict[int, Fraction], gen: Gen, shift: int, coeff: Fraction,
                 del acc[m]
 
 
-def _reduce_full(p: Dict[int, Fraction], basis: List[Gen], packing: PackedOrder,
+def _reduce_full(p: Dict[int, Fraction], basis: List[Gen], packing: Packing,
                  budget: Budget) -> Dict[int, Fraction]:
     """Remainder of p modulo basis: no remaining term divisible by any lead.
 
@@ -148,7 +138,7 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-def _buchberger_loop(polys: List[Dict[int, Fraction]], packing: PackedOrder,
+def _buchberger_loop(polys: List[Dict[int, Fraction]], packing: Packing,
                      budget: Budget) -> Tuple[List[Gen], bool]:
     """Core loop with the Buchberger product/chain criteria, sugar selection.
 
@@ -208,7 +198,7 @@ def _buchberger_loop(polys: List[Dict[int, Fraction]], packing: PackedOrder,
     return basis, complete
 
 
-def _interreduce(basis: List[Gen], packing: PackedOrder,
+def _interreduce(basis: List[Gen], packing: Packing,
                  budget: Budget) -> List[Dict[int, Fraction]]:
     """Minimal then fully reduced basis, monic generators, sorted by lead.
 
@@ -238,7 +228,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     """
     budget = budget or Budget()
     polys = [g.terms for g in gens if g]
-    packing = _packing(order, polys)
+    packing = packing_over((m for d in polys for m in d), order, _DEGREE_HEADROOM)
     basis, complete = _buchberger_loop([packing.pack_terms(d) for d in polys], packing, budget)
     if complete:
         out = _interreduce(basis, packing, budget)
@@ -252,7 +242,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
                 budget: Optional[Budget] = None) -> Polynomial:
     """The unique remainder of p modulo the (reduced) basis."""
     polys = [g.terms for g in gb.generators]
-    packing = _packing(gb.order, polys + [p.terms])
+    packing = packing_over((m for d in polys + [p.terms] for m in d), gb.order,
+                           _DEGREE_HEADROOM)
     basis = []
     for g in polys:
         d = packing.pack_terms(g)

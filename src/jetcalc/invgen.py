@@ -204,9 +204,11 @@ def run_generation(ctx: JetContext, mode: str = "full",
         syzygies: List[Syzygy] = []
         taken = {g.name for g in gens}
         all_expressible = True
-        ordered = sorted(rid.relations,
-                         key=lambda r: (r.weighted_degree(),
-                                        tag_order.sort_key(tag_order.leading_monomial(r))))
+        # by weight, then by leading monomial, smallest first
+        leads = [tag_order.leading_monomial(r) for r in rid.relations]
+        rank = {m: -k for k, m in enumerate(tag_order.ranked(leads))}
+        ordered = [r for r, _ in sorted(zip(rid.relations, leads),
+                                        key=lambda p: (p[0].weighted_degree(), rank[p[1]]))]
         for k, rel in enumerate(ordered, start=1):
             rel = primitive_part(rel)
             w = rel.weighted_degree()

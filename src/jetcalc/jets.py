@@ -276,19 +276,15 @@ def delta_minor(components: Sequence[int], orders: Sequence[int]) -> Polynomial:
     return determinant([[poly_jet(i, alpha) for i in components] for alpha in orders])
 
 
-def wronskian(components: Sequence[int], orders: Optional[Sequence[int]] = None) -> Polynomial:
+def wronskian(components: Sequence[int]) -> Polynomial:
     """The Wronskian minor with derivative orders 1..lam (the invariant case).
 
-    Repeated component indices give the zero polynomial.  Passing explicit
-    `orders` exposes the general minor, which is reparametrization-invariant
-    only for the staircase 1..lam.
+    Repeated component indices give the zero polynomial; `delta_minor` is
+    the general minor.
     """
-    lam = len(components)
-    if orders is None:
-        orders = list(range(1, lam + 1))
     if len(set(components)) < len(components):
         return Polynomial.zero()
-    return delta_minor(components, orders)
+    return delta_minor(components, range(1, len(components) + 1))
 
 
 def bracket(p: Polynomial, q: Polynomial,

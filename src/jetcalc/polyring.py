@@ -9,23 +9,25 @@ Polynomials are immutable values (plain dicts wrapped in a thin class); all
 operations return new objects, so they are safe to share between tasks.
 Their monomials are tuples of (Variable, exponent) pairs.
 
-Substitution, the heaviest expansion (a syzygy check expands a few tag
-monomials into ~10k-term jet polynomials), runs on a transient packed form
-that never leaves the call (`PackedSubstitution`; Monagan & Pearce, CASC
-2007).  A monomial is one `int`: every variable of the call gets a bit field,
-the most senior variable the top one, wide enough for a total-degree bound
-on the result, so no field can overflow and a monomial product is an integer
-`+`.  A polynomial is `(den, {code: int numerator})` over one common
-denominator.  Image powers are cached per call, every term is accumulated
-into one dict, and the result is unpacked once at the end.  A product `a * b`
-of at least `PACKED_MUL_PAIRS` term pairs runs on the same packed form (an
-empty substitution), so the large products of the catalog recipes do too;
-smaller products, the bulk of every other computation, stay on tuples.
+Heavy work runs on one packed encoding that never leaves the call
+(`Packing`; Monagan & Pearce, CASC 2007).  A monomial is one `int`: a
+total-degree field, then one exponent field per variable under a guard bit,
+the most senior variable the top one, all wide enough for a degree limit, so
+a monomial product is an integer `+` and divisibility one subtraction.  Given
+a monomial order, the code also carries the order's integer weight rows in
+its top fields, so comparing codes compares monomials; each order is defined
+only by those rows.
 
-Groebner computations run on the second packed form, `PackedOrder`: its
-codes carry the monomial order's integer weight rows in their top fields,
-so comparing codes compares monomials, and a guard bit above each exponent
-field makes divisibility one subtraction.
+Substitution, the heaviest expansion (a syzygy check expands a few tag
+monomials into ~10k-term jet polynomials), packs over the call's variables
+(`PackedSubstitution`); a polynomial is `(den, {code: int numerator})` over
+one common denominator.  Image powers are cached per call, every term is
+accumulated into one dict, and the result is unpacked once at the end.  A
+product `a * b` of at least `PACKED_MUL_PAIRS` term pairs runs on the same
+packed form (an empty substitution), so the large products of the catalog
+recipes do too; smaller products, the bulk of every other computation, stay
+on tuples.  Groebner computations, exact division and every ranking of
+monomials (`MonomialOrder.ranked`, `leading_monomial`) pack with an order.
 """
 
 from __future__ import annotations
@@ -174,18 +176,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
             return False
         ib += 1
     return True
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a / b; caller guarantees divisibility."""
-    quot = dict(a)
-    for v, e in b:
-        r = quot[v] - e
-        if r:
-            quot[v] = r
-        else:
-            del quot[v]
-    return tuple(sorted(quot.items(), key=lambda p: p[0].key))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -356,37 +346,44 @@ class Polynomial:
         return packed.unpack(*packed.image(self))
 
     def divide_exact(self, q: "Polynomial") -> "Polynomial":
-        """Return r with self == q * r, raising NotDivisible otherwise."""
+        """Return r with self == q * r, raising NotDivisible otherwise.
+
+        Runs on grevlex codes: under a degree order no remainder or quotient
+        term outgrows the largest degree of self and q.
+        """
         if not q.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
             return Polynomial.zero()
-        order = grevlex
-        lt_q = max(q.terms, key=order.sort_key)
-        lc_q = q.terms[lt_q]
-        rem = dict(self.terms)
-        quot: Dict[Monomial, Fraction] = {}
+        packing = packing_over([*self.terms, *q.terms], grevlex)
+        guards = packing.guards
+        qt = packing.pack_terms(q.terms)
+        lt_q = max(qt)
+        lc_q = qt[lt_q]
+        rem = packing.pack_terms(self.terms)
+        quot: Dict[int, Fraction] = {}
         while rem:
-            lt_r = max(rem, key=order.sort_key)
-            if not mono_divides(lt_q, lt_r):
-                raise NotDivisible(f"no exact quotient (stuck at {format_monomial(lt_r)})")
-            m = mono_div(lt_r, lt_q)
+            lt_r = max(rem)
+            if ((lt_r | guards) - lt_q) & guards != guards:
+                stuck, = packing.unpack_terms({lt_r: 1})
+                raise NotDivisible(f"no exact quotient (stuck at {format_monomial(stuck)})")
+            m = lt_r - lt_q
             c = rem[lt_r] / lc_q
             quot[m] = c
-            for mq, cq in q.terms.items():
-                key = mono_mul(m, mq)
-                s = rem.get(key, Fraction(0)) - c * cq
+            for mq, cq in qt.items():
+                key = m + mq
+                s = rem.get(key, 0) - c * cq
                 if s:
                     rem[key] = s
                 else:
                     rem.pop(key, None)
-        return Polynomial(_raw=quot)
+        return Polynomial(_raw=packing.unpack_terms(quot))
 
     # -- presentation ----------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
         """Terms from the degrevlex-largest monomial down."""
-        for m in sorted(self.terms, key=grevlex.sort_key, reverse=True):
+        for m in grevlex.ranked(self.terms):
             yield m, self.terms[m]
 
     def __str__(self) -> str:
@@ -447,6 +444,140 @@ def tuple_product(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+class Packing:
+    """Monomials over one variable universe packed into ints (Monagan &
+    Pearce, CASC 2007); the one packed encoding of the engine.
+
+    A code holds, from the top down, one field per weight row of `order`
+    (none without an order) with that row's dot product with the exponent
+    vector as a signed (balanced) digit, a total-degree field, then one
+    field per variable, the most senior on top, whose exponent sits under a
+    guard bit.  Every field holds any monomial of total degree up to `limit`
+    (rounded up to 2^w - 1), so packing is linear: a product is `+` of
+    codes and a quotient `-`.  Balanced digits of bounded size compare like
+    their digit vectors, so with an order the integer order of codes is the
+    monomial order.  `a` divides `b` exactly when
+    `((b | guards) - a) & guards == guards`: an exponent of `a` above the
+    one of `b` borrows its field's guard, and no borrow passes a guard.
+    `pack` raises ValueError on a monomial of degree over `limit`; code that
+    forms products checks their degree (`degree`) against it first.
+    """
+
+    def __init__(self, variables: Iterable[Variable], limit: int,
+                 order: Optional["MonomialOrder"] = None):
+        ranked = sorted(variables, key=lambda v: v.key)
+        n = len(ranked)
+        width = max(limit, 1).bit_length()
+        self.limit = (1 << width) - 1
+        self._step = step = width + 1  # exponent bits and the guard bit
+        self.guards = sum(1 << (k * step + width) for k in range(n))
+        self._deg_shift = shift = n * step
+        self._exponents = (1 << shift) - 1
+        units = [(1 << ((n - 1 - j) * step)) + (1 << shift) for j in range(n)]
+        shift += width
+        for row in reversed(order.weight_rows(ranked) if order else []):
+            top = 0  # the largest |entry| sizes the row's field
+            for k, r in enumerate(row):
+                if r:
+                    units[k] += r << shift
+                    top = max(top, abs(r))
+            shift += (top * self.limit).bit_length() + 1
+        self._unit = dict(zip(ranked, units))
+        # field k from the bottom belongs to ranked[n - 1 - k]
+        self._field_units = units[::-1]
+        self._fields = [(v, {}) for v in reversed(ranked)]
+
+    def pack(self, m: Monomial) -> int:
+        d = mono_degree(m)
+        if d > self.limit:
+            raise ValueError(f"a monomial of degree {d} overflows the packed fields "
+                             f"(limit {self.limit})")
+        unit = self._unit
+        return sum(e * unit[v] for v, e in m)
+
+    def pack_terms(self, terms: Mapping[Monomial, Coeff]) -> Dict[int, Coeff]:
+        """The terms keyed by code, in their order."""
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: Mapping[int, Coeff]) -> Dict[Monomial, Coeff]:
+        """The terms keyed by monomial, in their order; one shared
+        (variable, exponent) pair per field value.
+
+        The exponent fields of a code split into an upper and a lower half;
+        each distinct half is decoded once per call, visiting only its set
+        fields from the top, and a monomial is the two halves' tuples joined.
+        """
+        step, fields = self._step, self._fields
+        half = (len(fields) // 2) * step
+        low = (1 << half) - 1
+        uppers: Dict[int, Monomial] = {}
+        lowers: Dict[int, Monomial] = {}
+
+        def walk(code: int, base: int) -> Monomial:
+            mono = []
+            while code:
+                k = (code.bit_length() - 1) // step
+                shift = k * step
+                e = code >> shift
+                code -= e << shift
+                v, pairs = fields[base + k]
+                pair = pairs.get(e)
+                if pair is None:
+                    pair = pairs[e] = (v, e)
+                mono.append(pair)
+            return tuple(mono)
+
+        exponents = self._exponents
+        monos = []
+        for code in terms:
+            hi = (code & exponents) >> half
+            lo = code & low
+            a = uppers.get(hi)
+            if a is None:
+                a = uppers[hi] = walk(hi, len(fields) // 2)
+            b = lowers.get(lo)
+            if b is None:
+                b = lowers[lo] = walk(lo, 0)
+            monos.append(a + b)
+        return dict(zip(monos, terms.values()))
+
+    def degree(self, code: int) -> int:
+        return (code >> self._deg_shift) & self.limit
+
+    def lcm(self, a: int, b: int) -> int:
+        """The code of the least common multiple."""
+        low, guards = self._exponents, self.guards
+        la, lb = a & low, b & low
+        a_wins = ((la | guards) - lb) & guards  # guards of fields where a >= b
+        b_fields = low & ~guards & ~(a_wins - (a_wins >> (self._step - 1)))
+        x = (lb & b_fields) - (la & b_fields)  # lcm / a, exponent fields only
+        step, units = self._step, self._field_units
+        while x:
+            k = (x.bit_length() - 1) // step
+            shift = k * step
+            e = x >> shift
+            x -= e << shift
+            a += e * units[k]
+        return a
+
+
+def packing_over(monomials: Iterable[Monomial], order: Optional["MonomialOrder"] = None,
+                 headroom: int = 1) -> Packing:
+    """The packing of the variables of `monomials` whose limit is `headroom`
+    times their largest total degree."""
+    variables = set()
+    top = 0
+    for m in monomials:
+        variables.update(v for v, _ in m)
+        top = max(top, mono_degree(m))
+    return Packing(variables, headroom * top, order)
+
+
+# ---------------------------------------------------------------------------
 # packed substitution
 # ---------------------------------------------------------------------------
 
@@ -483,14 +614,12 @@ class PackedSubstitution:
 
     `products` lists every image the caller will form, each as the tuple of
     polynomials whose images get multiplied together; it fixes the variable
-    universe and the field width.  A monomial is one `int`: each variable of
-    the universe owns a field of `width` bits, the most senior variable the
-    top field, so a monomial product is one integer addition.  The width
-    holds the largest total degree any requested product can reach, so no
-    field can carry into its neighbour; `pack` and `image` raise ValueError
-    on a polynomial whose degree does not fit.  Powers of the images are
-    cached for the life of the object.  With an empty sigma it packs plain
-    products (`Polynomial.__mul__`).
+    universe and the degree limit of `packing`, the order-free `Packing` of
+    that universe.  The limit is the largest total degree any requested
+    product can reach, so no field can carry into its neighbour; `pack` and
+    `image` raise ValueError on a polynomial whose degree does not fit.
+    Powers of the images are cached for the life of the object.  With an
+    empty sigma it packs plain products (`Polynomial.__mul__`).
     """
 
     def __init__(self, sigma: Mapping[Variable, Polynomial],
@@ -507,11 +636,7 @@ class PackedSubstitution:
             universe |= img.variables()
         bound = max((sum(_degree_bound(p, degree) for p in factors) for factors in products),
                     default=0)
-        width = max(bound, 1).bit_length()
-        self.mask = (1 << width) - 1
-        ranked = sorted(universe, key=lambda v: v.key)
-        top = (len(ranked) - 1) * width
-        self.shifts = {v: top - k * width for k, v in enumerate(ranked)}
+        self.packing = Packing(universe, bound)
         self._powers: Dict[Variable, list] = {}
         self._dens: Dict[Variable, int] = {}
         for v, img in self.images.items():
@@ -521,14 +646,11 @@ class PackedSubstitution:
 
     def pack(self, p: Polynomial) -> Packed:
         """p over its least common denominator; its variables must be in the universe."""
-        if max(map(mono_degree, p.terms), default=0) > self.mask:
-            raise ValueError(f"a term of degree over {self.mask} overflows the packed fields")
         den = 1
         for c in p.terms.values():
             den = lcm(den, c.denominator)
-        shifts = self.shifts
-        return den, {sum(e << shifts[v] for v, e in m): c.numerator * (den // c.denominator)
-                     for m, c in p.terms.items()}
+        pack = self.packing.pack
+        return den, {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
 
     def _power(self, v: Variable, e: int) -> Dict[int, int]:
         powers = self._powers[v]
@@ -539,7 +661,8 @@ class PackedSubstitution:
 
     def image(self, p: Polynomial) -> Packed:
         """p under sigma, packed, with no zero numerators."""
-        images, shifts, dens, degree = self.images, self.shifts, self._dens, self._degree
+        images, dens, degree = self.images, self._dens, self._degree
+        limit, pack = self.packing.limit, self.packing.pack
         den = 1
         top: Dict[Variable, int] = {}
         for m, c in p.terms.items():
@@ -552,13 +675,13 @@ class PackedSubstitution:
                         top[v] = e
                 else:
                     d += e
-            if d > self.mask:
+            if d > limit:
                 raise ValueError(f"a term's image of degree {d} overflows the packed fields")
         for v, e in top.items():
             den *= dens[v] ** e
         acc: Dict[int, int] = {}
         for m, c in p.terms.items():
-            kept = 0
+            kept = ()
             scale = den // c.denominator
             factors = []
             for v, e in m:
@@ -570,11 +693,11 @@ class PackedSubstitution:
                     if dens[v] != 1:
                         scale //= dens[v] ** e
                 else:
-                    kept += e << shifts[v]
+                    kept += ((v, e),)
             else:
                 # smallest factors first; the largest goes straight into acc
                 factors.sort(key=len)
-                part = {kept: c.numerator * scale}
+                part = {pack(kept) if kept else 0: c.numerator * scale}
                 for f in factors[:-1]:
                     part = _packed_mul(part, f)
                 _add_packed_product(acc, part, factors[-1] if factors else {0: 1})
@@ -590,134 +713,12 @@ class PackedSubstitution:
         return dx * dy * dz, {k: c for k, c in acc.items() if c}
 
     def unpack(self, den: int, terms: Mapping[int, int]) -> Polynomial:
-        """The Polynomial of a packed value; one shared pair per field value."""
-        width = self.mask.bit_length()
-        fields = [None] * len(self.shifts)
-        for v, shift in self.shifts.items():
-            fields[shift // width] = (v, {})
-        codes = [code for code, c in terms.items() if c]
-        monos = _decode(codes, width, fields)
+        """The Polynomial of a packed value."""
         if den == 1:
-            return Polynomial(_raw={m: Fraction(terms[k]) for m, k in zip(monos, codes)})
-        return Polynomial(_raw={m: Fraction(terms[k], den) for m, k in zip(monos, codes)})
-
-
-def _decode(codes: Iterable[int], step: int, fields: Sequence) -> List[Monomial]:
-    """The monomials of packed exponent fields `step` bits apart.
-
-    fields[k] = (variable, {exponent: shared pair}) owns the field at bit
-    k * step, the most senior variable the top one, and no guard bit may be
-    set.  A code splits into its upper and lower half of the fields; each
-    half is decoded once per call, visiting only its set fields from the
-    top, and a monomial is the two halves' tuples joined.
-    """
-    half = (len(fields) // 2) * step
-    low = (1 << half) - 1
-    uppers: Dict[int, Monomial] = {}
-    lowers: Dict[int, Monomial] = {}
-
-    def walk(code: int, base: int) -> Monomial:
-        mono = []
-        while code:
-            k = (code.bit_length() - 1) // step
-            shift = k * step
-            e = code >> shift
-            code -= e << shift
-            v, pairs = fields[base + k]
-            pair = pairs.get(e)
-            if pair is None:
-                pair = pairs[e] = (v, e)
-            mono.append(pair)
-        return tuple(mono)
-
-    out = []
-    for code in codes:
-        hi = code >> half
-        lo = code & low
-        a = uppers.get(hi)
-        if a is None:
-            a = uppers[hi] = walk(hi, len(fields) // 2)
-        b = lowers.get(lo)
-        if b is None:
-            b = lowers[lo] = walk(lo, 0)
-        out.append(a + b)
-    return out
-
-
-class PackedOrder:
-    """Monomials over one variable universe packed into ints whose integer
-    order is one monomial order; the form Buchberger runs on.
-
-    The order gives integer weight rows over the universe (a matrix order,
-    Robbiano 1985): monomials compare as the dot products of the rows with
-    their exponent vectors, row by row.  A code holds, from the top down,
-    one field per row with that dot product as a signed (balanced) digit,
-    a total-degree field, then one field per variable, the most senior on
-    top, whose exponent sits under a guard bit (Monagan & Pearce, CASC
-    2007).  Every field holds any monomial of total degree up to `limit`,
-    so packing is linear: a product is `+` of codes and a quotient `-`.
-    Balanced digits of bounded size compare like their digit vectors, so
-    integer order is the monomial order.  `a` divides `b` exactly when
-    `((b | guards) - a) & guards == guards`: an exponent of `a` above the
-    one of `b` borrows its field's guard, and no borrow passes a guard.
-    `pack` raises ValueError on a monomial of degree over `limit`; code that
-    forms products checks their degree (`degree`) against it first.
-    """
-
-    def __init__(self, order: "MonomialOrder", variables: Iterable[Variable], limit: int):
-        ranked = sorted(variables, key=lambda v: v.key)
-        n = len(ranked)
-        width = max(limit, 1).bit_length()
-        self.limit = (1 << width) - 1
-        self._step = step = width + 1  # exponent bits and the guard bit
-        self.guards = sum(1 << (k * step + width) for k in range(n))
-        self._deg_shift = shift = n * step
-        self._exponents = (1 << shift) - 1
-        units = [(1 << ((n - 1 - j) * step)) + (1 << shift) for j in range(n)]
-        shift += width
-        for row in reversed(order.weight_rows(ranked)):
-            units = [u + (r << shift) for u, r in zip(units, row)]
-            shift += (max(map(abs, row), default=0) * self.limit).bit_length() + 1
-        self._unit = dict(zip(ranked, units))
-        # field k from the bottom belongs to ranked[n - 1 - k]
-        self._field_units = units[::-1]
-        self._fields = [(v, {}) for v in reversed(ranked)]
-
-    def pack(self, m: Monomial) -> int:
-        d = mono_degree(m)
-        if d > self.limit:
-            raise ValueError(f"a monomial of degree {d} overflows the packed fields "
-                             f"(limit {self.limit})")
-        unit = self._unit
-        return sum(e * unit[v] for v, e in m)
-
-    def pack_terms(self, terms: Mapping[Monomial, Fraction]) -> Dict[int, Fraction]:
-        """The terms keyed by code, in their order."""
-        return {self.pack(m): c for m, c in terms.items()}
-
-    def unpack_terms(self, terms: Mapping[int, Fraction]) -> Dict[Monomial, Fraction]:
-        """The terms keyed by monomial, in their order."""
-        monos = _decode([k & self._exponents for k in terms], self._step, self._fields)
-        return dict(zip(monos, terms.values()))
-
-    def degree(self, code: int) -> int:
-        return (code >> self._deg_shift) & self.limit
-
-    def lcm(self, a: int, b: int) -> int:
-        """The code of the least common multiple."""
-        low, guards = self._exponents, self.guards
-        la, lb = a & low, b & low
-        a_wins = ((la | guards) - lb) & guards  # guards of fields where a >= b
-        b_fields = low & ~guards & ~(a_wins - (a_wins >> (self._step - 1)))
-        x = (lb & b_fields) - (la & b_fields)  # lcm / a, exponent fields only
-        step, units = self._step, self._field_units
-        while x:
-            k = (x.bit_length() - 1) // step
-            shift = k * step
-            e = x >> shift
-            x -= e << shift
-            a += e * units[k]
-        return a
+            nonzero = {k: Fraction(c) for k, c in terms.items() if c}
+        else:
+            nonzero = {k: Fraction(c, den) for k, c in terms.items() if c}
+        return Polynomial(_raw=self.packing.unpack_terms(nonzero))
 
 
 # ---------------------------------------------------------------------------
@@ -726,95 +727,61 @@ class PackedOrder:
 
 
 class MonomialOrder:
-    """A total order on monomials compatible with multiplication.
+    """A total order on monomials compatible with multiplication, defined by
+    integer weight rows (a matrix order, Robbiano 1985).
 
-    Orders are exposed via `sort_key`: bigger key = bigger monomial.
+    Monomials compare as the dot products of the rows with their exponent
+    vectors, row by row.  `ranked` and `leading_monomial` pack their inputs
+    over the inputs' variables (`Packing`) and compare codes.
     """
 
     name = "order"
 
-    def sort_key(self, m: Monomial):
+    def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
+        """Integer rows over the seniority-sorted variables `ranked`; with
+        the order restricted to monomials in those variables, they must
+        rank every pair of such monomials apart."""
         raise NotImplementedError
 
-    def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
-        """Integer rows over the seniority-sorted variables `ranked` whose dot
-        products with two exponent vectors, compared row by row, rank the
-        monomials as `sort_key` does (a matrix order)."""
-        raise NotImplementedError
+    def ranked(self, monomials: Iterable[Monomial]) -> List[Monomial]:
+        """The monomials, largest first."""
+        monomials = list(monomials)
+        return sorted(monomials, key=packing_over(monomials, self).pack, reverse=True)
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
-        return max(p.terms, key=self.sort_key)
+        return max(p.terms, key=packing_over(p.terms, self).pack)
 
     def __repr__(self) -> str:
         return f"<{self.name}>"
 
 
 class Lex(MonomialOrder):
-    """Lexicographic order on the seniority-sorted variable tuple."""
+    """Lexicographic order: the more senior variable decides first."""
 
     name = "lex"
 
-    def sort_key(self, m: Monomial):
-        # seniority keys ascend, so negate positionally: compare variable by
-        # variable; a more senior variable with a positive exponent wins.
-        return tuple((_NegKey(v.key), e) for v, e in m)
-
     def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
         n = len(ranked)
-        return [[int(k == j) for k in range(n)] for j in range(n)]
-
-
-class _NegKey:
-    """Wrapper inverting comparison of a variable key (senior = large)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __gt__(self, other):
-        return other.key > self.key
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-    def __le__(self, other):
-        return other.key <= self.key
-
-    def __ge__(self, other):
-        return other.key >= self.key
-
-    def __hash__(self):
-        return hash(self.key)
+        return [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
 
 
 class DegRevLex(MonomialOrder):
-    """Total degree first, ties broken reverse-lexicographically."""
+    """Total degree first, ties broken reverse-lexicographically: the smaller
+    exponent on the least senior variable where two monomials differ wins."""
 
     name = "degrevlex"
-
-    def sort_key(self, m: Monomial):
-        # revlex tie-break: smaller exponent on the least senior variable
-        # wins; encode by scanning variables from least senior, negated.
-        return (mono_degree(m), tuple((_NegKey(v.key), -e) for v, e in reversed(m)))
 
     def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
         # the degree, then -e from the least senior variable up; the most
         # senior variable's row follows from the others and is left out
         n = len(ranked)
-        return [[1] * n] + [[-int(k == j) for k in range(n)] for j in range(n - 1, 0, -1)]
+        return [[1] * n] + [[0] * j + [-1] + [0] * (n - 1 - j) for j in range(n - 1, 0, -1)]
 
 
 class WeightedDeg(MonomialOrder):
     """Weighted degree first (weights carried by variables), grevlex ties."""
 
     name = "weighted"
-
-    def sort_key(self, m: Monomial):
-        return (mono_weight(m), DegRevLex.sort_key(self, m))
 
     def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
         return [[v.weight for v in ranked]] + DegRevLex.weight_rows(self, ranked)
@@ -832,15 +799,6 @@ class Block(MonomialOrder):
         self.inner_back = inner_back or DegRevLex()
         self.name = f"block({self.inner_front.name}|{self.inner_back.name})"
 
-    def split(self, m: Monomial) -> Tuple[Monomial, Monomial]:
-        f = tuple(p for p in m if p[0] in self.front)
-        b = tuple(p for p in m if p[0] not in self.front)
-        return f, b
-
-    def sort_key(self, m: Monomial):
-        f, b = self.split(m)
-        return (self.inner_front.sort_key(f), self.inner_back.sort_key(b))
-
     def weight_rows(self, ranked: Sequence[Variable]) -> List[List[int]]:
         front = [k for k, v in enumerate(ranked) if v in self.front]
         back = [k for k, v in enumerate(ranked) if v not in self.front]
@@ -854,9 +812,7 @@ class Block(MonomialOrder):
         return rows
 
 
-lex = Lex()
 grevlex = DegRevLex()
-weighted = WeightedDeg()
 
 
 # ---------------------------------------------------------------------------
@@ -1037,7 +993,7 @@ def primitive_part(p: Polynomial) -> Polynomial:
         return p
     c = content(p)
     q = p * (1 / c)
-    if q.terms[max(q.terms, key=grevlex.sort_key)] < 0:
+    if q.terms[grevlex.leading_monomial(q)] < 0:
         q = -q
     return q
 

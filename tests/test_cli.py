@@ -1,10 +1,13 @@
 """Command-line front end: exit codes, determinism, catalog overrides."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+
+import pytest
 
 from jetcalc.cli import EX_BUDGET, EX_INTEGRITY, EX_OK, EX_USAGE, main
 
@@ -47,6 +50,20 @@ def test_derive_report_independent_of_hash_seed():
         assert proc.returncode == EX_OK, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and json.loads(outs[0])["terminated"]
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (("--kappa", "3", "--order", "lex"), EX_OK,
+     "6d1151db4ee751691fb7798a8daa3a44e414779ca81d1c237e649cea43a29e3a"),
+    (("--kappa", "4", "--budget-steps", "3000"), EX_BUDGET,
+     "7181feb477dce8581ab17f2b02aec7f35a427da33c072fd8cf760274d809d671"),
+], ids=["e23-lex", "e24-budget-3000"])
+def test_derive_report_digest_pinned(capsys, argv, code, digest):
+    """The E23 lex report and the E24 report cut by the step budget, byte
+    for byte."""
+    got, out, _ = run_cli(capsys, "derive", "--n", "2", *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_derive_bi_mode(capsys):

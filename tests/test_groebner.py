@@ -27,7 +27,7 @@ from jetcalc.polyring import (
     Block,
     DegRevLex,
     Lex,
-    PackedOrder,
+    Packing,
     Polynomial,
     primitive_part,
     proportional,
@@ -85,7 +85,7 @@ def test_reduction_past_the_packing_limit_raises():
     x, y = tag("x", 0, 0), tag("y", 0, 1)
     X, Y = Polynomial.variable(x), Polynomial.variable(y)
     gb = buchberger([X - Y ** 50], Lex())
-    limit = PackedOrder(Lex(), [x, y], _DEGREE_HEADROOM * 50).limit
+    limit = Packing([x, y], _DEGREE_HEADROOM * 50).limit
     k = limit // 50
     assert normal_form(X ** k, gb) == Y ** (50 * k)
     with pytest.raises(ValueError, match="overflows"):

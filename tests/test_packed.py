@@ -3,6 +3,7 @@ tuple-monomial routines they replaced."""
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -12,13 +13,12 @@ from jetcalc.polyring import (
     Block,
     DegRevLex,
     Lex,
-    PackedOrder,
+    Packing,
     PackedSubstitution,
     Polynomial,
     WeightedDeg,
     jet,
     mono_degree,
-    mono_div,
     mono_divides,
     mono_mul,
     phi,
@@ -285,13 +285,14 @@ def test_unpack_sparse_codes_over_a_wide_universe():
     everything = Polynomial({((v, 1),): 1 for v in wide})
     packed = PackedSubstitution({}, [(p, p, everything)])
     assert packed.unpack(*packed.pack(p)) == p
-    top = Polynomial({((wide[0], packed.mask),): 1, ((wide[-1], packed.mask),): Fraction(5, 7)})
+    top = Polynomial({((wide[0], packed.packing.limit),): 1, ((wide[-1], packed.packing.limit),): Fraction(5, 7)})
     assert packed.unpack(*packed.pack(top)) == top
     assert p * p == reference_mul(p, p)
 
 
 # ---------------------------------------------------------------------------
-# packed monomial orders: code arithmetic against the tuple monomials
+# packed monomial orders: code order against the textbook definitions, code
+# arithmetic against the tuple monomials
 # ---------------------------------------------------------------------------
 
 
@@ -304,6 +305,72 @@ def reference_lcm(a, b):
     return tuple(sorted(acc.items(), key=lambda p: p[0].key))
 
 
+def reference_div(a, b):
+    """The quotient a / b of two tuple monomials; b divides a."""
+    quot = dict(a)
+    for v, e in b:
+        quot[v] -= e
+    return tuple(sorted(((v, e) for v, e in quot.items() if e), key=lambda p: p[0].key))
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def _lex_cmp(a, b):
+    """Textbook lex on exponent vectors (most senior variable first)."""
+    for x, y in zip(a, b):
+        if x != y:
+            return _sign(x, y)
+    return 0
+
+
+def _degrevlex_cmp(a, b):
+    """Textbook degrevlex: total degree, then the smaller exponent on the
+    least senior variable where the vectors differ wins."""
+    if sum(a) != sum(b):
+        return _sign(sum(a), sum(b))
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return _sign(y, x)
+    return 0
+
+
+def textbook_cmp(order, variables):
+    """The comparison of exponent vectors over the seniority-sorted
+    `variables` that defines `order`, written out from its definition."""
+    if isinstance(order, Lex):
+        return _lex_cmp
+    if isinstance(order, DegRevLex):
+        return _degrevlex_cmp
+    if isinstance(order, WeightedDeg):
+        weights = [v.weight for v in variables]
+
+        def weighted(a, b):
+            wa, wb = (sum(w * x for w, x in zip(weights, e)) for e in (a, b))
+            return _sign(wa, wb) or _degrevlex_cmp(a, b)
+        return weighted
+    # a block order: the front sub-vector first, the back one breaks ties
+    front = [v in order.front for v in variables]
+    cmp_front = textbook_cmp(order.inner_front, [v for v, f in zip(variables, front) if f])
+    cmp_back = textbook_cmp(order.inner_back, [v for v, f in zip(variables, front) if not f])
+
+    def block(a, b):
+        return (cmp_front([x for x, f in zip(a, front) if f], [x for x, f in zip(b, front) if f])
+                or cmp_back([x for x, f in zip(a, front) if not f],
+                            [x for x, f in zip(b, front) if not f]))
+    return block
+
+
+def textbook_key(order, monomials):
+    """A sort key for `monomials` by the textbook definition of `order` over
+    the union of their variables."""
+    variables = sorted({v for m in monomials for v, _ in m}, key=lambda v: v.key)
+    cmp = textbook_cmp(order, variables)
+    return cmp_to_key(lambda a, b: cmp([dict(a).get(v, 0) for v in variables],
+                                       [dict(b).get(v, 0) for v in variables]))
+
+
 FRONT = {jet(1, 2), jet(2, 1), phi(2), uni(2, 1), tag("B", 5, 1)}
 ORDERS = {
     "lex": Lex(),
@@ -314,6 +381,7 @@ ORDERS = {
     "block-nested": Block({jet(1, 1), tag("A", 3, 0)}, WeightedDeg(),
                           Block(FRONT, Lex(), DegRevLex())),
 }
+F1, F1PP = ((jet(1, 1), 1),), ((jet(1, 2), 1),)
 
 
 def random_monomials(rng, n, max_exp):
@@ -327,17 +395,37 @@ def random_monomials(rng, n, max_exp):
 
 
 @pytest.mark.parametrize("name", ORDERS)
-def test_packed_order_sorts_as_sort_key(name):
-    """Integer order on codes is the order's `sort_key` order, on jet, phi,
-    uni and tag variables, and unpacking inverts packing."""
+def test_packed_order_sorts_as_textbook_order(name):
+    """Integer order on codes is the textbook order on exponent vectors, on
+    jet, phi, uni and tag variables and on f1' against f1'', and unpacking
+    inverts packing."""
     order = ORDERS[name]
     rng = random.Random(len(name))
-    monos = random_monomials(rng, 300, 9)
-    packing = PackedOrder(order, VARS, 40)
+    monos = sorted(set(random_monomials(rng, 300, 9)) | {F1, F1PP}, key=str)
+    packing = Packing(VARS, 40, order)
     codes = [packing.pack(m) for m in monos]
-    assert sorted(monos, key=packing.pack) == sorted(monos, key=order.sort_key)
+    assert sorted(monos, key=packing.pack) == sorted(monos, key=textbook_key(order, monos))
     assert list(packing.unpack_terms(dict.fromkeys(codes, 1))) == monos
     assert [packing.degree(c) for c in codes] == [mono_degree(m) for m in monos]
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_ranked_and_leading_monomial_across_supports(name):
+    """`ranked` and `leading_monomial` pack over their inputs' variables
+    only; on monomials with different variable supports they still agree
+    with the textbook order over the union of the supports."""
+    order = ORDERS[name]
+    rng = random.Random(7 + len(name))
+    supports = set()
+    for _ in range(150):
+        monos = random_monomials(rng, rng.randint(2, 5), 4)
+        supports.add(len({frozenset(v for v, _ in m) for m in monos}))
+        expected = sorted(monos, key=textbook_key(order, monos), reverse=True)
+        assert order.ranked(monos) == expected
+        assert order.leading_monomial(Polynomial(dict.fromkeys(monos, 1))) == expected[0]
+    assert order.ranked([F1, F1PP]) == sorted([F1, F1PP], key=textbook_key(order, [F1, F1PP]),
+                                             reverse=True)
+    assert max(supports) >= 4
 
 
 @pytest.mark.parametrize("name", ORDERS)
@@ -346,7 +434,7 @@ def test_packed_order_arithmetic_matches_tuples(name):
     routines, with exponents up to the field maximum."""
     order = ORDERS[name]
     rng = random.Random(100 + len(name))
-    packing = PackedOrder(order, VARS, 31)
+    packing = Packing(VARS, 31, order)
     half = random_monomials(rng, 60, 7)  # degree at most 28
     pack, guards = packing.pack, packing.guards
     assert pack(((jet(1, 1), 31),)) and pack(((tag("B", 5, 1), 31),))
@@ -360,7 +448,7 @@ def test_packed_order_arithmetic_matches_tuples(name):
         assert divides == mono_divides(a, b), (a, b)
         if divides:
             divisible += 1
-            assert B - A == pack(mono_div(b, a))
+            assert B - A == pack(reference_div(b, a))
         lcm = reference_lcm(a, b)
         if mono_degree(lcm) <= 31:
             lcms += 1
@@ -372,7 +460,7 @@ def test_packed_order_arithmetic_matches_tuples(name):
 
 def test_packed_order_rejects_monomials_past_its_limit():
     x, y = jet(1, 1), tag("A", 3, 0)
-    packing = PackedOrder(DegRevLex(), [x, y], 5)
+    packing = Packing([x, y], 5, DegRevLex())
     assert packing.limit == 7
     assert packing.pack(((x, 7),)) and packing.pack(((x, 3), (y, 4)))
     with pytest.raises(ValueError, match="overflows"):
