@@ -395,10 +395,10 @@ def random_monomials(rng, n, max_exp):
 
 
 @pytest.mark.parametrize("name", ORDERS)
-def test_packed_order_sorts_as_textbook_order(name):
-    """Integer order on codes is the textbook order on exponent vectors, on
-    jet, phi, uni and tag variables and on f1' against f1'', and unpacking
-    inverts packing."""
+def test_packed_order_sorts_as_sort_key(name):
+    """A packed code is an integer sort key: sorting by code is the textbook
+    order on exponent vectors, on jet, phi, uni and tag variables and on f1'
+    against f1'', and unpacking inverts packing."""
     order = ORDERS[name]
     rng = random.Random(len(name))
     monos = sorted(set(random_monomials(rng, 300, 9)) | {F1, F1PP}, key=str)

@@ -26,6 +26,7 @@ from jetcalc.polyring import (
     tag,
     uni,
 )
+from test_packed import textbook_cmp
 
 VARS = [jet(1, 1), jet(1, 2), jet(2, 1), jet(2, 2), jet(1, 3)]
 
@@ -124,6 +125,36 @@ def test_order_multiplicative_and_unit_minimal(order):
         if _less(order, a, b):
             assert _less(order, mono_mul(a, c), mono_mul(b, c))
     assert order.ranked(set(monos) | {()})[-1] == ()
+
+
+@pytest.mark.parametrize("which", ["lex", "degrevlex", "block", "block-lex"])
+def test_sort_key_matches_exponent_vector_orders(which):
+    """`ranked` on each pair of monomials, packed over the pair's own
+    variables as a sort key, orders it as the exponent-vector definition of
+    its order over all variables does."""
+    variables = sorted(VARS + [phi(1), phi(2), uni(2, 1), tag("a", 2, 0), tag("b", 1, 1)],
+                       key=lambda v: v.key)
+    front = {jet(1, 2), jet(2, 1), phi(1), tag("b", 1, 1)}
+    order = {
+        "lex": Lex(),
+        "degrevlex": DegRevLex(),
+        "block": Block(front),
+        "block-lex": Block(front, Lex(), DegRevLex()),
+    }[which]
+    cmp = textbook_cmp(order, variables)
+    rng = random.Random(29)
+    monos = [((jet(1, 1), 1),), ((jet(1, 2), 1),)]
+    for _ in range(80):
+        m = ()
+        for v in rng.sample(variables, rng.randint(0, 4)):
+            m = mono_mul(m, ((v, rng.randint(1, 3)),))
+        monos.append(m)
+    for a in monos:
+        ea = [dict(a).get(v, 0) for v in variables]
+        for b in monos:
+            eb = [dict(b).get(v, 0) for v in variables]
+            ranked = 0 if a == b else (1 if order.ranked([a, b])[0] == a else -1)
+            assert ranked == cmp(ea, eb), (a, b)
 
 
 def test_block_order_eliminates_front():
