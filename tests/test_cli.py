@@ -53,15 +53,21 @@ def test_derive_report_independent_of_hash_seed():
 
 
 @pytest.mark.parametrize("argv, code, digest", [
-    (("--kappa", "3", "--order", "lex"), EX_OK,
+    (("--n", "2", "--kappa", "3"), EX_OK,
+     "6560edaa6722665fe387987d01c140ecc311a0cfef676a88328f0dd00766dc7d"),
+    (("--n", "2", "--kappa", "3", "--order", "lex"), EX_OK,
      "6d1151db4ee751691fb7798a8daa3a44e414779ca81d1c237e649cea43a29e3a"),
-    (("--kappa", "4", "--budget-steps", "3000"), EX_BUDGET,
+    (("--n", "2", "--kappa", "4"), EX_OK,
+     "dd39a8e6917c3fd309a0f64fee60a88d33b3ef6854210bb49290f0b43e97a265"),
+    (("--n", "2", "--kappa", "4", "--budget-steps", "3000"), EX_BUDGET,
      "7181feb477dce8581ab17f2b02aec7f35a427da33c072fd8cf760274d809d671"),
-], ids=["e23-lex", "e24-budget-3000"])
+    (("--n", "3", "--kappa", "3", "--mode", "bi"), EX_OK,
+     "dddeaf3e8db9e65bd9c3773a723326202e24d6ed43f6584492154490eb74e07e"),
+], ids=["e23", "e23-lex", "e24", "e24-budget-3000", "ue33-bi"])
 def test_derive_report_digest_pinned(capsys, argv, code, digest):
-    """The E23 lex report and the E24 report cut by the step budget, byte
-    for byte."""
-    got, out, _ = run_cli(capsys, "derive", "--n", "2", *argv)
+    """The derive reports (E23, E23 lex, E24, E24 cut by the step budget,
+    UE33 bi-invariant), byte for byte."""
+    got, out, _ = run_cli(capsys, "derive", *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
