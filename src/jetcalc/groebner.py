@@ -5,7 +5,9 @@ Buchberger and normal forms run on the engine's one packed encoding,
 packed with the monomial order (`polyring.Packing`): each monomial is one
 `int` whose integer order is the monomial order, so a product is `+`, a
 quotient `-`, a leading term `max` and divisibility a guard-bit test.
-Inputs are packed once and results unpacked once.  Pending pairs wait in a
+Inputs are packed once and results unpacked once.  Coefficients are
+integers, fraction-free like the exact eliminator: basis elements are
+primitive and only results become monic `Fraction`s.  Pending pairs wait in a
 heap keyed by (sugar, lcm code, i, j), computed once, at insertion.  Budgets
 count single reduction steps; exhausting one returns a partial result
 flagged incomplete instead of raising.
@@ -17,6 +19,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import derivation
@@ -28,6 +31,7 @@ from .polyring import (
     Packing,
     Polynomial,
     Variable,
+    clear_denominators,
     is_tag,
     mono_divides,
     packing_over,
@@ -69,7 +73,8 @@ class Budget:
 
 
 # A basis element on packed monomials: (terms, lead code, largest degree).
-Gen = Tuple[Dict[int, Fraction], int, int]
+# The terms are integers; Buchberger keeps them primitive, lead positive.
+Gen = Tuple[Dict[int, int], int, int]
 
 # Buchberger's intermediate terms outgrow its inputs (up to about 3 times:
 # degree 7 to 22 in `derive --n 3 --kappa 4 --mode bi`); the packing holds
@@ -77,8 +82,18 @@ Gen = Tuple[Dict[int, Fraction], int, int]
 _DEGREE_HEADROOM = 16
 
 
-def _mul_into(acc: Dict[int, Fraction], gen: Gen, shift: int, coeff: Fraction,
-              packing: Packing):
+def _content_out(a: Dict, b: Dict, lead=None) -> Tuple[Dict, Dict, int]:
+    """(a/g, b/g, g) on integers, g the gcd of all values of a and b,
+    negated when a[lead] < 0."""
+    g = gcd(*a.values(), *b.values())
+    if lead is not None and a[lead] < 0:
+        g = -g
+    if g in (0, 1):
+        return a, b, 1
+    return {k: c // g for k, c in a.items()}, {k: c // g for k, c in b.items()}, g
+
+
+def _mul_into(acc: Dict[int, int], gen: Gen, shift: int, coeff: int, packing: Packing):
     """acc += coeff * shift * gen's terms; a monomial product is a code `+`."""
     d, _, top = gen
     if packing.degree(shift) + top > packing.limit:
@@ -98,30 +113,44 @@ def _mul_into(acc: Dict[int, Fraction], gen: Gen, shift: int, coeff: Fraction,
                 del acc[m]
 
 
-def _reduce_full(p: Dict[int, Fraction], basis: List[Gen], packing: Packing,
-                 budget: Budget) -> Dict[int, Fraction]:
-    """Remainder of p modulo basis: no remaining term divisible by any lead.
+def _reduce_full(p: Dict[int, int], basis: List[Gen], packing: Packing,
+                 budget: Budget) -> Tuple[Dict[int, int], int, int]:
+    """(rem, num, den): the remainder of the integer terms p modulo basis
+    (no term divisible by any lead) is rem * den / num.
 
-    The remainder's terms arrive in decreasing order, so its first code is
-    its lead.
+    A term c*m under a lead coefficient lc is cancelled by cross-multiplying
+    (g = gcd(c, lc)): work and remainder are scaled by lc/g, (c/g) times
+    the element subtracted, and the content taken out.  Each step is the
+    rational step times a scalar, so the same terms meet the same elements.
+    The remainder's terms arrive in decreasing order; its first is its lead.
     """
     guards = packing.guards
-    rem = {}
+    rem: Dict[int, int] = {}
     work = dict(p)
+    num = den = 1
     while work:
         m = max(work)
         mg = m | guards
         for gen in basis:
             lt = gen[1]
             if (mg - lt) & guards == guards:
-                g = gen[0]
-                budget.spend(len(g))
+                budget.spend(len(gen[0]))
+                c = work[m]
+                g = gcd(c, gen[0][lt])
+                a = gen[0][lt] // g
+                if a != 1:
+                    work = {t: v * a for t, v in work.items()}
+                    rem = {t: v * a for t, v in rem.items()}
+                    num *= a
                 # cancels the term at m exactly
-                _mul_into(work, gen, m - lt, -work[m] / g[lt], packing)
+                _mul_into(work, gen, m - lt, -(c // g), packing)
+                if a != 1:
+                    work, rem, g = _content_out(work, rem)
+                    den *= g
                 break
         else:
             rem[m] = work.pop(m)
-    return rem
+    return rem, num, den
 
 
 @dataclass
@@ -131,21 +160,16 @@ class GroebnerBasis:
     complete: bool = True
     steps_used: int = 0
 
-    def __len__(self):
-        return len(self.generators)
 
-    def __iter__(self):
-        return iter(self.generators)
-
-
-def _buchberger_loop(polys: List[Dict[int, Fraction]], packing: Packing,
+def _buchberger_loop(polys: List[Dict[int, int]], packing: Packing,
                      budget: Budget) -> Tuple[List[Gen], bool]:
     """Core loop with the Buchberger product/chain criteria, sugar selection.
 
     Returns the basis and whether the loop completed.  Every pair's
     selection key (sugar, lcm code, i, j) is fixed once its two leads
     exist, so it is computed at insertion into a heap; the pending set
-    `pairs` mirrors the heap for the chain criterion.
+    `pairs` mirrors the heap for the chain criterion.  S-polynomials take
+    the cofactors lc_j/g and lc_i/g, g = gcd(lc_i, lc_j).
     """
     degree, guards = packing.degree, packing.guards
     basis: List[Gen] = []
@@ -153,11 +177,9 @@ def _buchberger_loop(polys: List[Dict[int, Fraction]], packing: Packing,
     pairs = set()
     heap = []
 
-    def add_poly(d: Dict[int, Fraction], lt: int, sugar: int):
-        lc = d[lt]
-        if lc != 1:
-            d = {m: c / lc for m, c in d.items()}
+    def add_poly(d: Dict[int, int], lt: int, sugar: int):
         t = len(basis)
+        d = _content_out(d, {}, lt)[0]
         basis.append((d, lt, max(map(degree, d))))
         sugars.append(sugar)
         deg_t = degree(lt)
@@ -187,10 +209,12 @@ def _buchberger_loop(polys: List[Dict[int, Fraction]], packing: Packing,
                    and (min(j, k), max(j, k)) not in pairs
                    for k in range(len(basis))):
                 continue
-            s: Dict[int, Fraction] = {}  # the S-polynomial; add_poly keeps the basis monic
-            _mul_into(s, basis[i], l - li, Fraction(1), packing)
-            _mul_into(s, basis[j], l - lj, Fraction(-1), packing)
-            rem = _reduce_full(s, basis, packing, budget)
+            lci, lcj = basis[i][0][li], basis[j][0][lj]
+            g = gcd(lci, lcj)
+            s: Dict[int, int] = {}  # the S-polynomial
+            _mul_into(s, basis[i], l - li, lcj // g, packing)
+            _mul_into(s, basis[j], l - lj, -(lci // g), packing)
+            rem, _, _ = _reduce_full(s, basis, packing, budget)
             if rem:
                 add_poly(rem, next(iter(rem)), sugar)
     except BudgetExceeded:
@@ -203,7 +227,7 @@ def _interreduce(basis: List[Gen], packing: Packing,
     """Minimal then fully reduced basis, monic generators, sorted by lead.
 
     A kept generator's lead is divisible by no other kept lead, so it stays
-    the lead of its remainder, with coefficient 1.
+    the lead of its remainder.
     """
     guards = packing.guards
     leads = [lt for _, lt, _ in basis]
@@ -212,8 +236,9 @@ def _interreduce(basis: List[Gen], packing: Packing,
                        and (leads[j] != lt or j < i) for j in range(len(basis)))]
     out = []
     for i in keep:
-        rem = _reduce_full(basis[i][0], [basis[k] for k in keep if k != i], packing, budget)
-        out.append((leads[i], rem))
+        rem, _, _ = _reduce_full(basis[i][0], [basis[k] for k in keep if k != i],
+                                 packing, budget)
+        out.append((leads[i], {m: Fraction(c, rem[leads[i]]) for m, c in rem.items()}))
     out.sort(key=lambda pair: pair[0])
     return [rem for _, rem in out]
 
@@ -229,11 +254,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     budget = budget or Budget()
     polys = [g.terms for g in gens if g]
     packing = packing_over((m for d in polys for m in d), order, _DEGREE_HEADROOM)
-    basis, complete = _buchberger_loop([packing.pack_terms(d) for d in polys], packing, budget)
+    basis, complete = _buchberger_loop(
+        [clear_denominators(packing.pack_terms(d))[1] for d in polys], packing, budget)
     if complete:
         out = _interreduce(basis, packing, budget)
     else:
-        out = [d for d, _, _ in basis]
+        out = [{m: Fraction(c, d[lt]) for m, c in d.items()} for d, lt, _ in basis]
     return GroebnerBasis([Polynomial(_raw=packing.unpack_terms(d)) for d in out], order,
                          complete=complete, steps_used=budget.used)
 
@@ -246,10 +272,13 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
                            _DEGREE_HEADROOM)
     basis = []
     for g in polys:
-        d = packing.pack_terms(g)
+        d = clear_denominators(packing.pack_terms(g))[1]
         basis.append((d, max(d), max(map(packing.degree, d))))
-    rem = _reduce_full(packing.pack_terms(p.terms), basis, packing, budget or Budget())
-    return Polynomial(_raw=packing.unpack_terms(rem))
+    p_den, p_num = clear_denominators(packing.pack_terms(p.terms))
+    rem, num, den = _reduce_full(p_num, basis, packing, budget or Budget())
+    num *= p_den  # the remainder of p is rem * den / num
+    return Polynomial(_raw=packing.unpack_terms({m: Fraction(c * den, num)
+                                                 for m, c in rem.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +423,7 @@ def _relations_by_elimination(tags, defining, tag_order, budget) -> Optional[Rel
     only_tags = [g for g in gb.generators if all(is_tag(v) for v in g.variables())]
     tag_gb = buchberger(only_tags, tag_order, budget) if only_tags else \
         GroebnerBasis([], tag_order)
-    rid = RelationIdeal(list(tags), dict(defining), tag_gb, method="elimination")
-    return rid
+    return RelationIdeal(list(tags), dict(defining), tag_gb, method="elimination")
 
 
 def weight_tuples(weights: Sequence[int], total: int) -> List[Exps]:
@@ -494,9 +522,16 @@ class _IncrementalKernel:
     eliminator (membership, the graded relation kernel, the Jacobian
     certificate and the invariant-dimension oracle).
 
-    Columns are offered one at a time as {row: coeff} with nonzero coeffs;
-    a column that reduces to zero returns its combination {label: coeff}
-    over the offered labels, otherwise None (it became a new pivot).
+    Columns are offered one at a time as {row: coeff} with nonzero rational
+    coeffs; a column that reduces to zero returns its combination
+    {label: Fraction} over the offered labels, with coefficient 1 on the
+    offered one, otherwise None (it became a new pivot).
+
+    Fraction-free: an offered column is cleared of denominators once, and
+    stored columns and combinations are integer (primitive, positive pivot).
+    Clearing an entry f by a pivot entry pv scales by pv/g, subtracts f/g
+    times the stored pair (g = gcd(f, pv)) and takes out the content.  A
+    dependent column's combination over the earlier pivots is unique.
 
     Invariant: every stored column's pivot is its smallest row under one
     fixed total order, plain `<` on the rows (ints, or monomial tuples,
@@ -511,32 +546,38 @@ class _IncrementalKernel:
         self.pivots: Dict = {}  # pivot row -> (column dict, combo dict)
 
     def offer(self, column: Dict, label) -> Optional[Dict]:
-        col = dict(column)
-        combo = {label: Fraction(1)}
+        den, col = clear_denominators(column)
+        combo = {label: den}
         while col:
             row = min(col)
             hit = self.pivots.get(row)
             if hit is None:
-                pv = col[row]
-                norm_col = {r: c / pv for r, c in col.items()}
-                norm_combo = {l: c / pv for l, c in combo.items()}
-                self.pivots[row] = (norm_col, norm_combo)
+                self.pivots[row] = _content_out(col, combo, row)[:2]
                 return None
             pcol, pcombo = hit
             f = col[row]
-            for r, c in pcol.items():
-                s = col.get(r, Fraction(0)) - f * c
-                if s:
-                    col[r] = s
-                else:
-                    col.pop(r, None)
-            for l, c in pcombo.items():
-                s = combo.get(l, Fraction(0)) - f * c
-                if s:
-                    combo[l] = s
-                else:
-                    combo.pop(l, None)
-        return combo
+            g = gcd(f, pcol[row])
+            a = pcol[row] // g
+            if a != 1:
+                col = {r: c * a for r, c in col.items()}
+                combo = {l: c * a for l, c in combo.items()}
+            _subtract(col, pcol, f // g)
+            _subtract(combo, pcombo, f // g)
+            if a != 1:
+                col, combo, _ = _content_out(col, combo)
+        k = combo[label]
+        return {l: Fraction(c, k) for l, c in combo.items()}
+
+
+def _subtract(acc: Dict, terms: Dict, f: int):
+    """acc -= f * terms, on integers, for a nonzero f; zeros leave acc."""
+    get = acc.get
+    for r, c in terms.items():
+        s = get(r, 0) - f * c
+        if s:
+            acc[r] = s
+        else:
+            del acc[r]
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +631,6 @@ def subalgebra_membership(p: Polynomial,
     combo = elim.offer(p.terms, sentinel)
     if combo is None:
         return MembershipResult(False)
-    pivot = combo.pop(sentinel)
-    expr = _tag_polynomial(tags, {a: -c / pivot for a, c in combo.items()})
+    del combo[sentinel]  # its coefficient is 1
+    expr = _tag_polynomial(tags, {a: -c for a, c in combo.items()})
     return MembershipResult(True, expr)

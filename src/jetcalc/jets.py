@@ -372,24 +372,6 @@ def component_degrees(p: Polynomial, n: int) -> Optional[Tuple[int, ...]]:
     return result
 
 
-def diagonal_weights(factors: Sequence[Tuple[Polynomial, int]], n: int) -> Tuple[int, ...]:
-    """Schur weight (ell_1 >= ... >= ell_n) of a monomial in bi-invariants.
-
-    `factors` lists (bi-invariant polynomial, exponent) pairs; each factor
-    must be a diagonal eigenvector (constant per-component degrees).
-    """
-    total = [0] * n
-    for poly, exp in factors:
-        row = component_degrees(poly, n)
-        if row is None:
-            raise ValueError("factor is not a diagonal eigenvector")
-        for k in range(n):
-            total[k] += row[k] * exp
-    if any(total[k] < total[k + 1] for k in range(n - 1)):
-        raise ValueError(f"diagonal weights not weakly decreasing: {total}")
-    return tuple(total)
-
-
 # ---------------------------------------------------------------------------
 # named invariants and the initial families
 # ---------------------------------------------------------------------------

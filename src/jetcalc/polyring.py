@@ -2,8 +2,9 @@
 
 Variables come in four kinds: jet derivatives f_i^(lam), formal
 reparametrization derivatives phi^(lam), formal unipotent matrix entries
-u[r][c], and named tag variables standing for invariants.  Coefficients are
-`fractions.Fraction` throughout; no floating point enters any computation.
+u[r][c], and named tag variables standing for invariants.  A `Polynomial`
+holds `fractions.Fraction` coefficients, its heavy loops integer numerators;
+no floating point enters any computation.
 
 Polynomials are immutable values (plain dicts wrapped in a thin class); all
 operations return new objects, so they are safe to share between tasks.
@@ -34,17 +35,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
 
 _JET, _PHI, _UNI, _TAG = 0, 1, 2, 3
 _KIND_NAMES = ("jet", "phi", "uni", "tag")
-
-
-class RingMismatch(Exception):
-    """A polynomial uses variables outside the ring it is handed to."""
 
 
 class NotDivisible(Exception):
@@ -586,6 +583,13 @@ def packing_over(monomials: Iterable[Monomial], order: Optional["MonomialOrder"]
 Packed = Tuple[int, Dict[int, int]]
 
 
+def clear_denominators(terms: Mapping) -> Tuple[int, Dict]:
+    """(den, {key: numerator}): the rational terms over their least common
+    denominator, with integer numerators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
 def _degree_bound(p: Polynomial, degree: Mapping[Variable, int]) -> int:
     """Largest total degree of a term's image, `degree` giving each mapped
     variable's image degree (1 for kept variables)."""
@@ -646,11 +650,9 @@ class PackedSubstitution:
 
     def pack(self, p: Polynomial) -> Packed:
         """p over its least common denominator; its variables must be in the universe."""
-        den = 1
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
+        den, num = clear_denominators(p.terms)
         pack = self.packing.pack
-        return den, {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+        return den, {pack(m): c for m, c in num.items()}
 
     def _power(self, v: Variable, e: int) -> Dict[int, int]:
         powers = self._powers[v]
@@ -816,38 +818,6 @@ grevlex = DegRevLex()
 
 
 # ---------------------------------------------------------------------------
-# ring context
-# ---------------------------------------------------------------------------
-
-
-class PolyRing:
-    """A fixed, ordered variable universe with a monomial order.
-
-    Only the Groebner layer genuinely needs a ring; plain arithmetic treats
-    polynomials as living in one big implicit ring.  `check` raises
-    RingMismatch for polynomials mentioning foreign variables.
-    """
-
-    def __init__(self, variables: Sequence[Variable], order: MonomialOrder = None):
-        self.variables = tuple(sorted(set(variables), key=lambda v: v.key))
-        self.var_set = set(self.variables)
-        self.order = order or grevlex
-
-    def check(self, p: Polynomial) -> Polynomial:
-        extra = p.variables() - self.var_set
-        if extra:
-            names = ", ".join(sorted(str(v) for v in extra))
-            raise RingMismatch(f"polynomial uses variables outside the ring: {names}")
-        return p
-
-    def __contains__(self, p: Polynomial) -> bool:
-        return not (p.variables() - self.var_set)
-
-    def __repr__(self) -> str:
-        return f"PolyRing({len(self.variables)} vars, {self.order.name})"
-
-
-# ---------------------------------------------------------------------------
 # canonical text form and JSON serialization
 # ---------------------------------------------------------------------------
 
@@ -975,16 +945,8 @@ def poly_from_json(data: Iterable, tags: Optional[Mapping[str, Variable]] = None
 
 def content(p: Polynomial) -> Fraction:
     """The positive rational content (gcd of coefficients), 0 for zero."""
-    if not p.terms:
-        return Fraction(0)
-    from math import gcd
-
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den)
+    den, num = clear_denominators(p.terms)
+    return Fraction(gcd(*num.values()), den)
 
 
 def primitive_part(p: Polynomial) -> Polynomial:

@@ -10,8 +10,10 @@ to an exact polynomial in d.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -356,23 +358,26 @@ def syzygy_lead_vertices_lex() -> List[Dict[str, int]]:
     return verts
 
 
+@lru_cache(maxsize=None)
+def _family_words() -> Tuple[Tuple[str, int], ...]:
+    """(vanishing letters, multiplicity) per family, sorted by letters; the
+    input is fixed, so this is worked out once per process."""
+    words = quadrant_complement_words(syzygy_lead_vertices_lex())
+    return tuple(sorted(Counter(w.letters() for w in words).items()))
+
+
 def enumerate_families() -> List[FamilySpec]:
-    """The 24 families with multiplicities from the quadrant-word computation."""
+    """The 24 families with multiplicities from the quadrant-word computation;
+    every call returns new lists and dicts."""
     counts = generator_schur_counts()
     letter_of = {name: FAMILY_LETTERS[k] for k, name in enumerate(GENERATOR_ORDER)}
     weights = {letter_of[n]: GENERATOR_WEIGHTS[n] for n in GENERATOR_ORDER}
     lcounts = {letter_of[n]: counts[n] for n in GENERATOR_ORDER}
-    words = quadrant_complement_words(syzygy_lead_vertices_lex())
-    groups: Dict[str, List[ConstraintWord]] = {}
-    for w in words:
-        groups.setdefault(w.letters(), []).append(w)
-    base_words = sorted(groups)
-    if len(base_words) > 26:
+    if len(_family_words()) > 26:
         raise AssertionError("unexpected family count")
     out = []
-    for idx, word in enumerate(base_words):
+    for idx, (word, multiplicity) in enumerate(_family_words()):
         fam_id = chr(ord("A") + idx)
         free = [x for x in FAMILY_LETTERS[:14] if x not in word] + ["o", "p"]
-        out.append(FamilySpec(fam_id, word, len(groups[word]), free,
-                              weights, lcounts))
+        out.append(FamilySpec(fam_id, word, multiplicity, free, weights, lcounts))
     return out

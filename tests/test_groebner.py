@@ -230,12 +230,35 @@ def test_incremental_kernel_matches_brute_force_rank():
         _check_kernel_on_random_matrix(seed)
 
 
-def _check_kernel_on_random_matrix(seed):
+def test_incremental_kernel_on_rational_columns():
+    """The fraction-free eliminator against the same rank oracle, on
+    rational entries whose pivots are not units: every returned combination
+    has coefficient 1 on the offered label and annihilates the columns."""
+    non_unit = 0
+    for seed in range(300):
+        non_unit += _check_kernel_on_random_matrix(seed, rational=True)
+    assert non_unit > 100  # stored pivots with an entry other than 1
+
+
+def _check_kernel_on_random_matrix(seed, rational=False):
+    """Offer random columns to one kernel and check its answers against
+    `_brute_force_rank`; returns the number of pivots stored with an entry
+    other than 1."""
     import random
 
     from jetcalc.groebner import _IncrementalKernel
 
     rng = random.Random(seed)
+
+    def entry():
+        top = rng.randint(1, 9)
+        x = Fraction(top, rng.randint(1, 7)) if rational else top
+        return rng.choice([0, x, -x])
+
+    def multiplier():
+        x = rng.randint(-3, 3)
+        return Fraction(x, rng.randint(1, 5)) if rational else x
+
     nrows, ncols = rng.randint(2, 5), rng.randint(2, 6)
     cols = []
     for _ in range(ncols):
@@ -244,11 +267,10 @@ def _check_kernel_on_random_matrix(seed):
             cols.append([0] * nrows)
         elif kind < 0.45 and cols:
             a, b = rng.choice(cols), rng.choice(cols)
-            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            p, q = multiplier(), multiplier()
             cols.append([p * x + q * y for x, y in zip(a, b)])
         else:
-            cols.append([rng.choice([0, rng.randint(1, 9), rng.randint(-9, -1)])
-                         for _ in range(nrows)])
+            cols.append([entry() for _ in range(nrows)])
     # rows under a shuffled labelling, so pivot order differs from listing order
     labels = rng.sample(range(100), nrows)
     kernel = _IncrementalKernel()
@@ -258,9 +280,72 @@ def _check_kernel_on_random_matrix(seed):
         if combo is None:
             pivots += 1
             continue
+        assert combo[j] == 1 and all(type(c) is Fraction for c in combo.values()), seed
         for i in range(nrows):
             assert sum(c * cols[l][i] for l, c in combo.items()) == 0, seed
     assert pivots == _brute_force_rank(cols, nrows), seed
+    return sum(col[row] != 1 for row, (col, _) in kernel.pivots.items())
+
+
+def _textbook_remainder(p, gens, order):
+    """Division of p by gens on rational tuple-monomial terms, leading term
+    first: the remainder modulo a reduced basis, whatever the divisor order."""
+    from jetcalc.polyring import mono_divides
+    from test_packed import reference_div
+
+    leads = [order.leading_monomial(g) for g in gens]
+    rem = Polynomial.zero()
+    while p:
+        m = order.leading_monomial(p)
+        term = Polynomial({m: p.terms[m]})
+        for g, lt in zip(gens, leads):
+            if mono_divides(lt, m):
+                p = p - Polynomial({reference_div(m, lt): p.terms[m] / g.terms[lt]}) * g
+                break
+        else:
+            rem, p = rem + term, p - term
+    return rem
+
+
+def test_buchberger_on_scaled_rational_generators():
+    """Non-monic generators with rational coefficients, scaled by integers
+    and by fractions: both copies give the same monic basis, the same steps
+    (those of the rational reduction with monic elements) and the same
+    normal forms, which match a textbook rational division."""
+    x, y, z = (Polynomial.variable(tag(n, 0, k)) for k, n in enumerate("xyz"))
+    base = [Fraction(3, 2) * x * x * y - 5 * y * z + Fraction(7, 3) * z,
+            4 * x * y * y - Fraction(2, 5) * x * z * z + 6 * y,
+            Fraction(9, 4) * y * y * z - Fraction(1, 6) * x * x + 10 * z * z]
+    probes = [x ** 4 * y + Fraction(5, 3) * y ** 3 * z - 7,
+              Fraction(11, 13) * x * y * z * z + Fraction(2, 9) * x ** 3,
+              Fraction(3, 8) * z ** 5 - x * y]
+    for order, steps, cut_steps in ((Lex(), 11890, 45), (DegRevLex(), 406, 43)):
+        copies = [[g * c for g, c in zip(base, scales)] for scales in
+                  ([6, -14, 9], [Fraction(5, 7), Fraction(-3, 11), Fraction(13, 4)])]
+        gbs = [buchberger(gens, order) for gens in copies]
+        assert all(gb.complete for gb in gbs)
+        assert gbs[0].generators == gbs[1].generators
+        assert gbs[0].steps_used == gbs[1].steps_used == steps
+        for g in gbs[0].generators:
+            assert g.terms[order.leading_monomial(g)] == 1
+            assert all(type(c) is Fraction for c in g.terms.values())
+        for p in probes:
+            nf = normal_form(p, gbs[0])
+            assert nf == normal_form(p, gbs[1])
+            assert nf == _textbook_remainder(p, gbs[0].generators, order)
+            assert normal_form(p * Fraction(-4, 15), gbs[0]) == nf * Fraction(-4, 15)
+        # cut by the budget: the unreduced bases agree as well, monic
+        cut = [buchberger(gens, order, Budget(40)) for gens in copies]
+        assert not cut[0].complete and not cut[1].complete
+        assert cut[0].generators == cut[1].generators
+        assert cut[0].steps_used == cut[1].steps_used == cut_steps
+        for g in cut[0].generators:
+            assert g.terms[order.leading_monomial(g)] == 1
+    # an overflowing product still raises on rational, non-monic input
+    X, Y = x, y
+    k = Packing([tag("x", 0, 0), tag("y", 0, 1)], _DEGREE_HEADROOM * 50).limit // 50
+    with pytest.raises(ValueError, match="overflows"):
+        buchberger([Fraction(2, 3) * X - 5 * Y ** 50, Fraction(7, 4) * X ** (k + 1)], Lex())
 
 
 def test_membership_examples():

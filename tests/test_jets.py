@@ -12,7 +12,6 @@ from jetcalc.jets import (
     check_unipotent_invariance,
     component_degrees,
     delta_minor,
-    diagonal_weights,
     divide_f1_power,
     faa_di_bruno,
     initial_bi_invariants,
@@ -209,6 +208,24 @@ def test_f1_power_helpers():
     assert divide_f1_power(p, 2) == wronskian([1, 2])
     with pytest.raises(ValueError):
         divide_f1_power(wronskian([1, 2]), 1)
+
+
+def diagonal_weights(factors: list, n: int):
+    """Schur weight (ell_1 >= ... >= ell_n) of a monomial in bi-invariants.
+
+    `factors` lists (bi-invariant polynomial, exponent) pairs; each factor
+    must be a diagonal eigenvector (constant per-component degrees).
+    """
+    total = [0] * n
+    for poly, exp in factors:
+        row = component_degrees(poly, n)
+        if row is None:
+            raise ValueError("factor is not a diagonal eigenvector")
+        for k in range(n):
+            total[k] += row[k] * exp
+    if any(total[k] < total[k + 1] for k in range(n - 1)):
+        raise ValueError(f"diagonal weights not weakly decreasing: {total}")
+    return tuple(total)
 
 
 def test_diagonal_weights_examples():

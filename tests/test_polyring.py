@@ -12,8 +12,6 @@ from jetcalc.polyring import (
     Lex,
     NotDivisible,
     Polynomial,
-    PolyRing,
-    RingMismatch,
     WeightedDeg,
     format_polynomial,
     jet,
@@ -163,13 +161,6 @@ def test_block_order_eliminates_front():
     with_front = ((jet(1, 1), 1),)
     only_back = ((jet(2, 1), 5),)
     assert order.ranked([only_back, with_front]) == [with_front, only_back]
-
-
-def test_ring_mismatch():
-    ring = PolyRing([jet(1, 1), jet(2, 1)])
-    ring.check(Polynomial.variable(jet(1, 1)))
-    with pytest.raises(RingMismatch):
-        ring.check(Polynomial.variable(jet(1, 3)))
 
 
 def test_variable_identity_structural():

@@ -163,6 +163,22 @@ def test_word_computation_thirty_words_24_families():
     assert mult["A"] == 2 and mult["D"] == 4 and mult["E"] == 2 and mult["F"] == 2
 
 
+def test_families_are_fresh_on_every_call():
+    """The families are worked out once per process, but no call shares a
+    mutable list or dict with another."""
+    first, second = enumerate_families(), enumerate_families()
+    assert first == second and first is not second
+    first[0].weights["j"] = -1
+    first[0].counts["j"] = (0, 0, 0, 0)
+    first[0].free.append("z")
+    first[1].multiplicity = 99
+    first.pop()
+    third = enumerate_families()
+    assert second == third and len(third) == 24
+    assert third[0].weights["j"] == 14 and "z" not in third[0].free
+    assert {f.word: f.multiplicity for f in third} == PRINTED_WORDS
+
+
 def test_family_a_forms():
     fam = next(f for f in enumerate_families() if f.id == "A")
     assert fam.free == ["j", "k", "l", "m", "n", "o", "p"]
