@@ -342,10 +342,9 @@ def test_buchberger_on_scaled_rational_generators():
         for g in cut[0].generators:
             assert g.terms[order.leading_monomial(g)] == 1
     # an overflowing product still raises on rational, non-monic input
-    X, Y = x, y
     k = Packing([tag("x", 0, 0), tag("y", 0, 1)], _DEGREE_HEADROOM * 50).limit // 50
     with pytest.raises(ValueError, match="overflows"):
-        buchberger([Fraction(2, 3) * X - 5 * Y ** 50, Fraction(7, 4) * X ** (k + 1)], Lex())
+        buchberger([Fraction(2, 3) * x - 5 * y ** 50, Fraction(7, 4) * x ** (k + 1)], Lex())
 
 
 def test_membership_examples():
