@@ -10,8 +10,8 @@ ell_1..ell_n, so each chi path expands it once over abstract ell-symbols and
 takes the moments of prod ell_i^(a_i) from `simplex_moments`: the vertex
 generating function of Baldoni, Berline, De Loera, Koeppe and Vergne, "How to
 integrate a polynomial over a simplex" (Math. Comp. 80, 2011), evaluated by
-one integer recurrence.  The iterated antiderivative (`simplex_integral`,
-`top_coefficient`) stays as the independent oracle the tests check it by.
+one integer recurrence.  The tests check it against an independent oracle,
+the iterated antiderivative.
 No floating point enters any decision path; float approximations of roots
 are provided for display only.
 """
@@ -36,62 +36,12 @@ from .schur import (
 
 
 # ---------------------------------------------------------------------------
-# exact simplex integration: the iterated oracle and the moment recurrence
+# exact simplex integration: the moment recurrence
 # ---------------------------------------------------------------------------
 
 
 def _var(name: str, index: int) -> Variable:
     return tag(name, 0, index)
-
-
-def antiderivative(p: Polynomial, x: Variable) -> Polynomial:
-    """Power-rule antiderivative in x (constant of integration zero)."""
-    terms = {}
-    for m, c in p.terms.items():
-        mono = []
-        e = 0
-        for v, ee in m:
-            if v is x:
-                e = ee
-            else:
-                mono.append((v, ee))
-        mono.append((x, e + 1))
-        mono.sort(key=lambda pr: pr[0].key)
-        terms[tuple(mono)] = c / (e + 1)
-    return Polynomial(_raw=terms)
-
-
-def simplex_integral(integrand: Polynomial, nesting: Sequence[Tuple[Variable, int]],
-                     m_var: Variable) -> Polynomial:
-    """Iterated integral over the weighted simplex {sum w_i x_i <= m, x >= 0}.
-
-    Variables are integrated in list order (first = innermost); the upper
-    bound of x_i is (m - sum of the later weighted variables) / w_i and the
-    lower bound is 0.  Returns the exact polynomial in m.
-    """
-    acc = integrand
-    remaining = list(nesting)
-    while remaining:
-        (x, w), remaining = remaining[0], remaining[1:]
-        bound = Polynomial.variable(m_var)
-        for y, wy in remaining:
-            bound = bound - wy * Polynomial.variable(y)
-        bound = bound * Fraction(1, w)
-        acc = antiderivative(acc, x).substitute({x: bound})
-    return acc
-
-
-def top_coefficient(p: Polynomial, m_var: Variable, expected_degree: int) -> Fraction:
-    """Coefficient of m^expected_degree in a univariate polynomial in m."""
-    total = Fraction(0)
-    for mono, c in p.terms.items():
-        if not mono:
-            continue
-        if len(mono) != 1 or mono[0][0] is not m_var:
-            raise ValueError("polynomial is not univariate in m")
-        if mono[0][1] == expected_degree:
-            total += c
-    return total
 
 
 def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
@@ -395,11 +345,6 @@ def _sign_changes(chain: List[DegreePolynomial], x: Fraction) -> int:
 
 def _root_count(chain: List[DegreePolynomial], lo: Fraction, hi: Fraction) -> int:
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def real_root_count(p: DegreePolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    return _root_count(_sturm_chain(p), lo, hi)
 
 
 def cauchy_bound(p: DegreePolynomial) -> int:

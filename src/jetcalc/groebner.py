@@ -266,7 +266,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
 
 def normal_form(p: Polynomial, gb: GroebnerBasis,
                 budget: Optional[Budget] = None) -> Polynomial:
-    """The unique remainder of p modulo the (reduced) basis."""
+    """The unique remainder of p modulo the (reduced) basis.
+
+    No program path calls it: it is the reference check the acceptance tests
+    compare ideals with (a relation lies in an ideal when it reduces to 0).
+    """
     polys = [g.terms for g in gb.generators]
     packing = packing_over((m for d in polys + [p.terms] for m in d), gb.order,
                            _DEGREE_HEADROOM)
@@ -301,7 +305,10 @@ class RelationIdeal:
         return self.basis.generators
 
     def verify_vanishing(self) -> bool:
-        """Each relation must be identically zero on the defining polynomials."""
+        """Each relation must be identically zero on the defining polynomials.
+
+        A reference check for the tests; no program path calls it.
+        """
         for rel in self.relations:
             if rel.substitute(self.defining):
                 return False
@@ -315,6 +322,9 @@ def make_tags(named: Sequence[Tuple[str, int]]) -> List[Variable]:
 
 # random evaluation points tried by jacobian_rank_certificate
 _JACOBIAN_TRIALS = 4
+# steps relations_ideal risks on elimination before the graded kernel;
+# elimination orders blow up quickly
+_ELIMINATION_SLICE = 400_000
 
 
 def jacobian_rank_certificate(polys: Sequence[Polynomial]) -> bool:
@@ -352,31 +362,39 @@ def _evaluated_row(row: Sequence[Polynomial], point) -> Dict[int, Fraction]:
     return out
 
 
-_ENGINES = ("auto", "elimination", "graded")
-
-
 def relations_ideal(named: Sequence[Tuple[str, int, Polynomial]],
                     tag_order: Optional[MonomialOrder] = None,
-                    budget: Optional[Budget] = None,
-                    engine: str = "auto") -> RelationIdeal:
+                    budget: Optional[Budget] = None) -> RelationIdeal:
     """Groebner basis of the kernel of tags -> polynomials.
 
-    Inputs must be weighted homogeneous of the stated weights.  Engines:
+    Inputs must be weighted homogeneous of the stated weights.  One policy:
 
-    - "elimination": the textbook tag-elimination construction (complete);
-    - "graded": weight-by-weight linear algebra up to weight 2 max(w) + 2,
-      returned with complete=False unless the ideal is empty (fast, but
-      blind to relations above that weight);
-    - "auto": a Jacobian independence certificate (empty ideal), then
-      elimination on a bounded slice of the budget, then graded.
+    - a Jacobian independence certificate returns the empty ideal;
+    - else the textbook tag elimination runs on a slice of the budget
+      (`_ELIMINATION_SLICE` steps) and, when it finishes, is complete;
+    - else the graded kernel finds the relations weight by weight up to
+      weight 2 max(w) + 2, flagged complete=False (it is blind above that).
 
-    Both the step count and the deadline of `budget` hold in every engine.
-    Every returned relation is weighted homogeneous in the tag weights.
+    The caller's budget is charged the steps the slice spent, capped at the
+    slice; its deadline holds throughout.  Every returned relation is
+    weighted homogeneous in the tag weights.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown relation engine {engine!r} "
-                         f"(engines: {', '.join(_ENGINES)})")
     budget = budget or Budget()
+    tags, defining = _tagged(named)
+    tag_order = tag_order or DegRevLex()
+    if jacobian_rank_certificate([p for _, _, p in named]):
+        empty = GroebnerBasis([], tag_order)
+        return RelationIdeal(tags, defining, empty, method="jacobian-independence")
+    trial = Budget(min(budget.steps, _ELIMINATION_SLICE), budget.deadline)
+    result = _relations_by_elimination(tags, defining, tag_order, trial)
+    budget.spend(min(trial.used, trial.steps))
+    if result is not None:
+        return result
+    return _relations_by_graded_kernel(tags, defining, tag_order, budget)
+
+
+def _tagged(named: Sequence[Tuple[str, int, Polynomial]]):
+    """(tags, {tag: polynomial}), checking each declared weight."""
     tags = make_tags([(n, w) for n, w, _ in named])
     defining = {}
     for t, (n, w, p) in zip(tags, named):
@@ -386,28 +404,7 @@ def relations_ideal(named: Sequence[Tuple[str, int, Polynomial]],
         if got != w:
             raise ValueError(f"{n}: weighted degree {got} != declared {w}")
         defining[t] = p
-    tag_order = tag_order or DegRevLex()
-
-    if engine == "auto" and jacobian_rank_certificate([p for _, _, p in named]):
-        empty = GroebnerBasis([], tag_order)
-        return RelationIdeal(tags, defining, empty, method="jacobian-independence")
-
-    if engine in ("auto", "elimination"):
-        # elimination orders blow up quickly; under "auto" only a bounded
-        # slice of the main budget is risked before falling back
-        trial = budget if engine == "elimination" else Budget(
-            min(budget.steps, 400_000), budget.deadline)
-        result = _relations_by_elimination(tags, defining, tag_order, trial)
-        budget.spend(min(trial.used, trial.steps))
-        if result is not None:
-            return result
-        if engine == "elimination":
-            empty = GroebnerBasis([], tag_order, complete=False,
-                                  steps_used=budget.used)
-            return RelationIdeal(tags, defining, empty, method="elimination",
-                                 complete=False)
-
-    return _relations_by_graded_kernel(tags, defining, tag_order, budget)
+    return tags, defining
 
 
 def _relations_by_elimination(tags, defining, tag_order, budget) -> Optional[RelationIdeal]:
@@ -494,13 +491,8 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
             relations.extend(new_at_mu)
             current = buchberger(relations, tag_order, budget)
             leads = [tag_order.leading_monomial(r) for r in current.generators]
-    rid = RelationIdeal(list(tags), dict(defining), current,
-                        method="graded-kernel", complete=False)
-    if not relations:
-        rid.complete = jacobian_rank_certificate(gens)
-        if rid.complete:
-            rid.method = "graded-kernel+jacobian"
-    return rid
+    return RelationIdeal(list(tags), dict(defining), current,
+                         method="graded-kernel", complete=False)
 
 
 def _tag_monomial(tags: Sequence[Variable], a: Exps) -> Monomial:

@@ -39,7 +39,6 @@ from .polyring import (
     Variable,
     is_tag,
     jet,
-    mono_weight,
     primitive_part,
     proportional,
 )
@@ -61,14 +60,6 @@ class Syzygy:
     nu: Optional[int]
     remainder: Polynomial
     leading_term: Optional[tuple] = None
-
-
-def homogeneous_split(s: Polynomial) -> List[Polynomial]:
-    """Decompose a tag polynomial into weighted-homogeneous components."""
-    buckets: Dict[int, dict] = {}
-    for m, c in s.terms.items():
-        buckets.setdefault(mono_weight(m), {})[m] = c
-    return [Polynomial(_raw=buckets[w]) for w in sorted(buckets)]
 
 
 def extract_remainder(s: Polynomial,
@@ -163,11 +154,12 @@ def run_generation(ctx: JetContext, mode: str = "full",
     Starts from the initial invariants (full mode) or the Wronskian-minor
     bi-invariants (bi mode); terminates when a loop adds no generator and
     every remainder lies in the algebra of the current ones, or gives up
-    after 12 loops.  Each loop takes the relation ideal from the "auto"
-    engine of `relations_ideal`, under `budget`.  Tags enter the relation
-    ideal sorted by weight (paper-style listing), which keeps the reduced
-    bases small; `normalizer` may rename/rescale a discovered invariant (e.g.
-    to its catalogued form).
+    after 12 loops.  Each loop takes the relation ideal from
+    `relations_ideal`, under `budget`; a graded-kernel ideal is not
+    certified complete, so a loop that closes on one leaves `terminated`
+    unset.  Tags enter the relation ideal sorted by weight (paper-style
+    listing), which keeps the reduced bases small; `normalizer` may
+    rename/rescale a discovered invariant (e.g. to its catalogued form).
     """
     if mode not in ("full", "bi"):
         raise ValueError(f"unknown mode: {mode}")
@@ -195,8 +187,6 @@ def run_generation(ctx: JetContext, mode: str = "full",
         state.relation_method = rid.method
         state.transcript.append(
             f"loop {state.loop_count}: {len(rid.relations)} relations ({rid.method})")
-        if not rid.complete and rid.method != "graded-kernel":
-            state.budget_exceeded = True
 
         defining_unrestricted = {t: g.poly for t, g in zip(rid.tags, active)}
 

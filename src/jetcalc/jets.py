@@ -19,7 +19,9 @@ E_i: f_(i+1)^(lam) -> f_i^(lam).  All of them are first order and linear, so
 `derivation` applies them without expanding a power; the dimension oracle
 (`invgen.invariant_space_dimension`) uses them.  The invariance checks of
 single polynomials apply the group actions themselves, by substitution, and
-return the residual as the witness of a failure.
+return the residual as the witness of a failure.  The bracket identities
+(Jacobi, Pluecker) and the Bell-number count that check this calculus are
+oracles of the tests and live there.
 """
 
 from __future__ import annotations
@@ -316,40 +318,6 @@ def restrict_f1(p: Polynomial) -> Polynomial:
     return p.substitute({jet(1, 1): Polynomial.zero()})
 
 
-# ---------------------------------------------------------------------------
-# automatic syzygy families (bracket calculus identities)
-# ---------------------------------------------------------------------------
-
-Weighted = Tuple[int, Polynomial]
-
-
-def jacobi(p: Weighted, q: Weighted, r: Weighted) -> Polynomial:
-    """[[P,Q],R] + [[R,P],Q] + [[Q,R],P]: identically zero for invariants."""
-    (wp, P), (wq, Q), (wr, R) = p, q, r
-    pq = bracket(P, Q, weights=(wp, wq))
-    rp = bracket(R, P, weights=(wr, wp))
-    qr = bracket(Q, R, weights=(wq, wr))
-    return (bracket(pq, R, weights=(wp + wq + 1, wr))
-            + bracket(rp, Q, weights=(wr + wp + 1, wq))
-            + bracket(qr, P, weights=(wq + wr + 1, wp)))
-
-
-def plucker1(p: Weighted, q: Weighted, r: Weighted) -> Polynomial:
-    """wp*P*[Q,R] + wr*R*[P,Q] + wq*Q*[R,P]: identically zero."""
-    (wp, P), (wq, Q), (wr, R) = p, q, r
-    return (wp * P * bracket(Q, R, weights=(wq, wr))
-            + wr * R * bracket(P, Q, weights=(wp, wq))
-            + wq * Q * bracket(R, P, weights=(wr, wp)))
-
-
-def plucker2(p: Weighted, q: Weighted, r: Weighted, s: Weighted) -> Polynomial:
-    """[P,Q][R,S] + [S,P][R,Q] + [Q,S][R,P]: identically zero."""
-    (wp, P), (wq, Q), (wr, R), (ws, S) = p, q, r, s
-    return (bracket(P, Q, weights=(wp, wq)) * bracket(R, S, weights=(wr, ws))
-            + bracket(S, P, weights=(ws, wp)) * bracket(R, Q, weights=(wr, wq))
-            + bracket(Q, S, weights=(wq, ws)) * bracket(R, P, weights=(wr, wp)))
-
-
 def component_degrees(p: Polynomial, n: int) -> Optional[Tuple[int, ...]]:
     """Per-component jet degree vector when constant across terms, else None.
 
@@ -392,14 +360,6 @@ class Invariant:
         if self._restriction is None:
             self._restriction = restrict_f1(self.poly)
         return self._restriction
-
-    def verified(self) -> "Invariant":
-        rep = check_reparam_invariance(self.poly)
-        if not rep:
-            raise ValueError(f"{self.name}: not reparametrization-invariant")
-        if rep.weight != self.weight:
-            raise ValueError(f"{self.name}: weight {rep.weight} != declared {self.weight}")
-        return self
 
 
 def lambda_chain(i: int, kappa: int) -> List[Invariant]:
@@ -494,27 +454,3 @@ def initial_bi_invariants(ctx: JetContext) -> List[Invariant]:
             label = "".join(str(r) for r in rows)
             out.append(Invariant(f"Pi[{label}]^{w}", w, reduced, "wronskian-minor"))
     return out
-
-
-def bell_number_by_set_partitions(k: int) -> int:
-    """Independent oracle: count the set partitions of {1..k} by enumeration."""
-    def count(elems: int) -> int:
-        # recurrence-free direct enumeration
-        parts: List[List[int]] = []
-
-        def place(x: int) -> int:
-            if x == elems:
-                return 1
-            total = 0
-            for block in parts:
-                block.append(x)
-                total += place(x + 1)
-                block.pop()
-            parts.append([x])
-            total += place(x + 1)
-            parts.pop()
-            return total
-
-        return place(0)
-
-    return count(k)

@@ -27,8 +27,8 @@ accumulated into one dict, and the result is unpacked once at the end.  A
 product `a * b` of at least `PACKED_MUL_PAIRS` term pairs runs on the same
 packed form (an empty substitution), so the large products of the catalog
 recipes do too; smaller products, the bulk of every other computation, stay
-on tuples.  Groebner computations, exact division and every ranking of
-monomials (`MonomialOrder.ranked`, `leading_monomial`) pack with an order.
+on tuples.  Groebner computations and every ranking of monomials
+(`MonomialOrder.ranked`, `leading_monomial`) pack with an order.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ Coeff = Union[int, Fraction]
 
 _JET, _PHI, _UNI, _TAG = 0, 1, 2, 3
 _KIND_NAMES = ("jet", "phi", "uni", "tag")
-
-
-class NotDivisible(Exception):
-    """Raised by divide_exact when no exact quotient exists."""
 
 
 class Variable:
@@ -331,7 +327,7 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    # -- substitution and division -------------------------------------------
+    # -- substitution ----------------------------------------------------------
 
     def substitute(self, sigma: Mapping[Variable, "Polynomial"]) -> "Polynomial":
         """Image under variable -> polynomial, identity off the map's support."""
@@ -341,40 +337,6 @@ class Polynomial:
         if not packed.images:
             return self
         return packed.unpack(*packed.image(self))
-
-    def divide_exact(self, q: "Polynomial") -> "Polynomial":
-        """Return r with self == q * r, raising NotDivisible otherwise.
-
-        Runs on grevlex codes: under a degree order no remainder or quotient
-        term outgrows the largest degree of self and q.
-        """
-        if not q.terms:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self.terms:
-            return Polynomial.zero()
-        packing = packing_over([*self.terms, *q.terms], grevlex)
-        guards = packing.guards
-        qt = packing.pack_terms(q.terms)
-        lt_q = max(qt)
-        lc_q = qt[lt_q]
-        rem = packing.pack_terms(self.terms)
-        quot: Dict[int, Fraction] = {}
-        while rem:
-            lt_r = max(rem)
-            if ((lt_r | guards) - lt_q) & guards != guards:
-                stuck, = packing.unpack_terms({lt_r: 1})
-                raise NotDivisible(f"no exact quotient (stuck at {format_monomial(stuck)})")
-            m = lt_r - lt_q
-            c = rem[lt_r] / lc_q
-            quot[m] = c
-            for mq, cq in qt.items():
-                key = m + mq
-                s = rem.get(key, 0) - c * cq
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
-        return Polynomial(_raw=packing.unpack_terms(quot))
 
     # -- presentation ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from conftest import record_criterion
+from test_jets import bell_number_by_set_partitions, jacobi, plucker1, plucker2
 
 from jetcalc.catalog import load_catalog, polarized_count
 from jetcalc.degpoly import DegreePolynomial
@@ -26,17 +27,7 @@ from jetcalc.invgen import (
     state_normal_form_monomials,
     verify_syzygies,
 )
-from jetcalc.jets import (
-    JetContext,
-    bell_number_by_set_partitions,
-    faa_di_bruno,
-    jacobi,
-    plucker1,
-    plucker2,
-    poly_jet,
-    restrict_f1,
-    wronskian,
-)
+from jetcalc.jets import JetContext, faa_di_bruno, poly_jet, restrict_f1, wronskian
 from jetcalc.polyring import Polynomial, phi, proportional
 from jetcalc import euler, schur
 
@@ -379,8 +370,10 @@ def test_criterion_13_polarized_counts():
                      f"{clock.done():.2f}s")
 
 
-def test_criterion_14_stretch_runs():
+def test_criterion_14_stretch_runs(monkeypatch):
     """Non-gating: order-5 first loop reproduces; deeper loops may budget out."""
+    import jetcalc.groebner as groebner
+
     clock = Clock(600)
     data = load_catalog("UE2k5")
     G = data.generator_map()
@@ -388,11 +381,13 @@ def test_criterion_14_stretch_runs():
              for k in ("L3", "L5", "L7", "L9")]
     rid = relations_ideal(named, budget=Budget(2_000_000))
     assert len(rid.relations) == 3
-    # second loop under a raised budget; budget exhaustion is acceptable
+    # second loop on the graded kernel (elimination gets a one-step slice),
+    # under a raised budget; budget exhaustion is acceptable
     named2 = [(k, G[k].weighted_degree(), restrict_f1(G[k]))
               for k in ("L3", "L5", "L7", "L9", "M8", "M10", "K12")]
+    monkeypatch.setattr(groebner, "_ELIMINATION_SLICE", 1)
     try:
-        rid2 = relations_ideal(named2, budget=Budget(4_000_000), engine="graded")
+        rid2 = relations_ideal(named2, budget=Budget(4_000_000))
         outcome = f"loop 2: {len(rid2.relations)} relations ({rid2.method})"
         ok2 = len(rid2.relations) == 10
     except Exception as exc:  # BudgetExceeded is an acceptable recorded outcome

@@ -98,6 +98,18 @@ def test_derive_budget_seconds(capsys):
     assert json.loads(out)["terminated"] is False
 
 
+def test_derive_budget_gate_stops_the_ambitious_run(capsys):
+    """(3, 4, bi) runs far past 2 s; the deadline must stop it within a
+    second of the budget, whichever loop it is in."""
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "derive", "--n", "3", "--kappa", "4", "--mode", "bi",
+                           "--budget-seconds", "2")
+    elapsed = time.monotonic() - start
+    assert code == EX_BUDGET
+    assert "time budget exhausted" in json.loads(out)["transcript"][-1]
+    assert elapsed < 2 + 1, f"{elapsed:.2f}s for a 2 s budget"
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--catalog", "E2k4")
     assert code == EX_OK

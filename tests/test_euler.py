@@ -3,27 +3,26 @@
 import random
 from fractions import Fraction
 from math import factorial
+from typing import Sequence, Tuple
 
 import pytest
 
 from jetcalc.degpoly import DegreePolynomial
 from jetcalc.euler import (
     NonPositiveLeading,
-    antiderivative,
+    _root_count,
+    _sturm_chain,
     cauchy_bound,
     chi_e43_leading,
     chi_rousseau_e33,
     h0_minorant_e43,
     positivity_threshold,
-    real_root_count,
     real_roots_approx,
     reversal_sign,
     scaled_numerator,
-    simplex_integral,
     simplex_moments,
-    top_coefficient,
 )
-from jetcalc.polyring import Polynomial, tag
+from jetcalc.polyring import Polynomial, Variable, tag
 
 M = tag("m", 0, 0)
 X = tag("x", 0, 1)
@@ -33,6 +32,61 @@ Z = tag("z", 0, 3)
 
 def V(v):
     return Polynomial.variable(v)
+
+
+# ---------------------------------------------------------------------------
+# the independent oracle: iterated antiderivatives over the simplex
+# ---------------------------------------------------------------------------
+
+
+def antiderivative(p: Polynomial, x: Variable) -> Polynomial:
+    """Power-rule antiderivative in x (constant of integration zero)."""
+    terms = {}
+    for m, c in p.terms.items():
+        mono = []
+        e = 0
+        for v, ee in m:
+            if v is x:
+                e = ee
+            else:
+                mono.append((v, ee))
+        mono.append((x, e + 1))
+        mono.sort(key=lambda pr: pr[0].key)
+        terms[tuple(mono)] = c / (e + 1)
+    return Polynomial(_raw=terms)
+
+
+def simplex_integral(integrand: Polynomial, nesting: Sequence[Tuple[Variable, int]],
+                     m_var: Variable) -> Polynomial:
+    """Iterated integral over the weighted simplex {sum w_i x_i <= m, x >= 0}.
+
+    Variables are integrated in list order (first = innermost); the upper
+    bound of x_i is (m - sum of the later weighted variables) / w_i and the
+    lower bound is 0.  Returns the exact polynomial in m.
+    """
+    acc = integrand
+    remaining = list(nesting)
+    while remaining:
+        (x, w), remaining = remaining[0], remaining[1:]
+        bound = Polynomial.variable(m_var)
+        for y, wy in remaining:
+            bound = bound - wy * Polynomial.variable(y)
+        bound = bound * Fraction(1, w)
+        acc = antiderivative(acc, x).substitute({x: bound})
+    return acc
+
+
+def top_coefficient(p: Polynomial, m_var: Variable, expected_degree: int) -> Fraction:
+    """Coefficient of m^expected_degree in a univariate polynomial in m."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        if not mono:
+            continue
+        if len(mono) != 1 or mono[0][0] is not m_var:
+            raise ValueError("polynomial is not univariate in m")
+        if mono[0][1] == expected_degree:
+            total += c
+    return total
 
 
 def test_unit_simplex_area():
@@ -179,6 +233,11 @@ def test_positivity_threshold_cases():
     # factor of d as in the chi numerators
     s = DegreePolynomial([0, 22, -13, 1])
     assert positivity_threshold(s) == 12
+
+
+def real_root_count(p, lo, hi):
+    """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
+    return _root_count(_sturm_chain(p), lo, hi)
 
 
 def test_positivity_threshold_contract():

@@ -132,9 +132,16 @@ def test_buchberger_independent_of_input_order(case):
         assert buchberger(shuffled, order).generators == expected
 
 
-@pytest.mark.parametrize("engine", ["elimination", "graded"])
-def test_relations_ideal_first_loop(engine):
-    rid = relations_ideal(_loop1_named(), engine=engine)
+@pytest.mark.parametrize("method", ["elimination", "graded"])
+def test_relations_ideal_first_loop(monkeypatch, method):
+    """Elimination finishes on the E24 first loop; with its slice cut to a
+    few steps the graded kernel finds the same three relations."""
+    import jetcalc.groebner as groebner
+
+    if method == "graded":
+        monkeypatch.setattr(groebner, "_ELIMINATION_SLICE", 10)
+    rid = relations_ideal(_loop1_named())
+    assert rid.method == ("graded-kernel" if method == "graded" else "elimination")
     rels = [primitive_part(r) for r in rid.relations]
     assert len(rels) == 3
     tags = {t.name[2:]: Polynomial.variable(t) for t in rid.tags}
@@ -150,10 +157,36 @@ def test_relations_ideal_first_loop(engine):
         assert r.weighted_degree() is not None
 
 
-@pytest.mark.parametrize("engine", ["gradded", "jacobian"])
-def test_relations_ideal_rejects_unknown_engine(engine):
-    with pytest.raises(ValueError, match="unknown relation engine"):
-        relations_ideal(_loop1_named(), engine=engine)
+def test_relations_ideal_policy(monkeypatch):
+    """The one policy: a Jacobian certificate, else elimination on a slice
+    of the budget, else the graded kernel; the caller's budget is charged
+    the steps the slice spent, capped at the slice."""
+    import jetcalc.groebner as groebner
+    from jetcalc.groebner import _relations_by_elimination, _relations_by_graded_kernel, _tagged
+
+    f2, l3 = (restrict_f1(p) for p in (poly_jet(2, 1), wronskian([1, 2])))
+    budget = Budget()
+    rid = relations_ideal([("F2", 1, f2), ("L3", 3, l3)], budget=budget)
+    assert (rid.method, rid.complete, rid.relations, budget.used) == \
+        ("jacobian-independence", True, [], 0)
+
+    named = _loop1_named()
+    alone = Budget()
+    direct = _relations_by_elimination(*_tagged(named), DegRevLex(), alone)
+    assert direct is not None and 10 < alone.used
+    budget = Budget()
+    rid = relations_ideal(named, budget=budget)
+    assert (rid.method, rid.complete) == ("elimination", True)
+    assert rid.relations == direct.relations and budget.used == alone.used
+
+    monkeypatch.setattr(groebner, "_ELIMINATION_SLICE", 10)
+    alone = Budget()
+    direct = _relations_by_graded_kernel(*_tagged(named), DegRevLex(), alone)
+    budget = Budget()
+    rid = relations_ideal(named, budget=budget)
+    assert (rid.method, rid.complete) == ("graded-kernel", False)
+    assert rid.relations == direct.relations and len(rid.relations) == 3
+    assert budget.used == 10 + alone.used
 
 
 def test_relations_ideal_kappa5_first_loop():
@@ -425,8 +458,9 @@ def test_product_loops_read_the_clock_before_each_product(monkeypatch, loop):
     def run(budget):
         if loop == "membership":
             return subalgebra_membership(f1 * f2, [("a", f1), ("b", f2)], budget)
-        return relations_ideal([("a", 1, f1), ("b", 1, f2), ("c", 2, f1 * f2)],
-                               budget=budget, engine="graded")
+        named = [("a", 1, f1), ("b", 1, f2), ("c", 2, f1 * f2)]
+        return groebner._relations_by_graded_kernel(*groebner._tagged(named), DegRevLex(),
+                                                    budget)
 
     assert run(Budget()) and products
     products.clear()

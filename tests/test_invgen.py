@@ -5,7 +5,6 @@ import pytest
 from jetcalc.catalog import load_catalog
 from jetcalc.invgen import (
     extract_remainder,
-    homogeneous_split,
     invariant_space_dimension,
     normal_form_monomials,
     run_generation,
@@ -42,17 +41,6 @@ def test_extract_remainder_examples():
     bad = V["L3"]
     with pytest.raises(ValueError):
         extract_remainder(bad, defining)
-
-
-def test_homogeneous_split():
-    t6 = Polynomial.variable(tag("A", 6, 0))
-    t8 = Polynomial.variable(tag("B", 8, 1))
-    s = 2 * t6 + 5 * t8
-    parts = homogeneous_split(s)
-    assert [p.weighted_degree() for p in parts] == [6, 8]
-    assert homogeneous_split(t6) == [t6]
-    back = parts[0] + parts[1]
-    assert back == s
 
 
 def test_run_generation_e23():

@@ -10,7 +10,6 @@ from jetcalc.polyring import (
     Block,
     DegRevLex,
     Lex,
-    NotDivisible,
     Polynomial,
     WeightedDeg,
     format_polynomial,
@@ -24,6 +23,7 @@ from jetcalc.polyring import (
     tag,
     uni,
 )
+from jetcalc.jets import divide_f1_power, maximal_f1_power
 from test_packed import textbook_cmp
 
 VARS = [jet(1, 1), jet(1, 2), jet(2, 1), jet(2, 2), jet(1, 3)]
@@ -69,21 +69,14 @@ def test_additive_identity():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_divide_exact_roundtrip(seed):
+    """The program's exact division, by a power of f_1', undoes the product
+    and finds the power."""
     rng = random.Random(100 + seed)
-    p = random_poly(rng)
-    q = random_poly(rng)
-    if q.is_zero():
-        q = Polynomial.variable(jet(1, 1))
-    assert (p * q).divide_exact(q) == p
-
-
-def test_divide_exact_failure():
-    f1 = Polynomial.variable(jet(1, 1))
-    lam3 = f1 * Polynomial.variable(jet(2, 2)) \
-        - Polynomial.variable(jet(1, 2)) * Polynomial.variable(jet(2, 1))
-    with pytest.raises(NotDivisible):
-        lam3.divide_exact(f1)
-    assert ((f1 ** 2) * lam3).divide_exact(f1) == f1 * lam3
+    p = random_poly(rng) or Polynomial.constant(1)
+    k = rng.randint(1, 3)
+    q = p * Polynomial.variable(jet(1, 1)) ** k
+    assert maximal_f1_power(q) == maximal_f1_power(p) + k
+    assert divide_f1_power(q, k) == p
 
 
 @pytest.mark.parametrize("seed", range(6))

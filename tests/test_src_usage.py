@@ -1,0 +1,56 @@
+"""`src/jetcalc` holds what the program runs, plus the API the paper names.
+
+Every public top-level function or class of a `src/jetcalc` module must be
+referenced somewhere in `src/` or `perfbench/` outside its own definition,
+or be listed below with its reason.  A helper only the tests call belongs
+in the tests.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ALLOWED = {
+    "polarized_count": "paper-facing API: the polarized generator counts",
+    "h0_minorant_e43": "paper-facing API: the dimension-3 section minorant",
+    "format_chern_combo": "paper-facing API: Chern combinations as printed",
+    "normal_form": "reference check the acceptance tests compare ideals with",
+    "WeightedDeg": "the order tests use it for weight rows beyond 0 and +-1",
+}
+
+
+def _references(tree):
+    """Identifiers a tree uses, counted: names, attributes, imported names
+    and the dotted parts of string constants (the benchmark wraps spans by
+    name)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules = sorted((ROOT / "src" / "jetcalc").glob("*.py"))
+    everywhere = Counter()
+    for path in modules + sorted((ROOT / "perfbench").glob("*.py")):
+        everywhere += _references(ast.parse(path.read_text()))
+    defined, unused = set(), []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(node.name)
+            if not node.name.startswith("_") and node.name not in ALLOWED and \
+                    everywhere[node.name] == _references(node)[node.name]:
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+    assert set(ALLOWED) <= defined, "allowlisted names must exist"
