@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,7 +59,8 @@ def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
     over the vertices v = 0, e_j / w_j of the m = 1 simplex.  The vertex
     values are scaled to integers by W = lcm(w_j), and each factor of the
     generating function is applied by the recurrence
-    h[a] = h[a] + sum_i W ell_i(v) h[a - e_i] over the box prod [0, max a_i].
+    h[a] = h[a] + sum_i W ell_i(v) h[a - e_i] over the exponent vectors below
+    some member of `needed`, the only ones the recurrence reads.
     """
     k = len(weights)
     for w in weights:
@@ -73,8 +73,8 @@ def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
             if not isinstance(c, int):
                 raise ValueError(f"form coefficient {c!r} is not an integer")
     needed = list(needed)
-    if any(len(a) != len(forms) for a in needed):
-        raise ValueError("each exponent vector needs one exponent per form")
+    if any(len(a) != len(forms) or min(a, default=0) < 0 for a in needed):
+        raise ValueError("each exponent vector needs one nonnegative exponent per form")
     if not needed:
         return {}
     scale = lcm(*weights)
@@ -82,30 +82,39 @@ def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
     for j, w in enumerate(weights, start=1):
         vertices.append([scale * f[0] + scale // w * f[j] for f in forms])
 
-    # the box prod [0, top_i], flattened with the last exponent fastest
-    top = [max(a[i] for a in needed) for i in range(len(forms))]
-    strides = [1] * len(top)
-    for i in range(len(top) - 2, -1, -1):
-        strides[i] = strides[i + 1] * (top[i + 1] + 1)
-    box = list(product(*(range(t + 1) for t in top)))
-    h = [0] * len(box)
+    index, preds = _down_closure(tuple(needed))
+    h = [0] * len(preds)
     h[0] = 1
     for values in vertices:
-        steps = [(i, strides[i], v) for i, v in enumerate(values) if v]
-        for idx in range(1, len(box)):
-            a = box[idx]
-            acc = h[idx]
-            for i, stride, v in steps:
-                if a[i]:
-                    acc += v * h[idx - stride]
-            h[idx] = acc
+        for n in range(1, len(preds)):
+            acc = h[n]
+            for i, j in preds[n]:
+                acc += values[i] * h[j]
+            h[n] = acc
 
     out = {}
     for a in needed:
         size = sum(a)
-        numer = h[sum(e * s for e, s in zip(a, strides))] * prod(map(factorial, a))
+        numer = h[index[a]] * prod(map(factorial, a))
         out[a] = Fraction(numer, factorial(size + k) * prod(weights) * scale ** size)
     return out
+
+
+@lru_cache(maxsize=16)
+def _down_closure(needed: Tuple[Tuple[int, ...], ...]):
+    """The exponent vectors below some member of `needed`, in lex order so
+    that every a - e_i precedes a: each one's position, and for each position
+    the pairs (i, position of a - e_i)."""
+    closure, frontier = set(needed), set(needed)
+    while frontier:
+        frontier = {a[:i] + (a[i] - 1,) + a[i + 1:]
+                    for a in frontier for i in range(len(a)) if a[i]} - closure
+        closure |= frontier
+    cells = sorted(closure)
+    index = {a: n for n, a in enumerate(cells)}
+    preds = [[(i, index[a[:i] + (a[i] - 1,) + a[i + 1:]]) for i in range(len(a)) if a[i]]
+             for a in cells]
+    return index, preds
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +343,29 @@ def _sturm_chain(p: DegreePolynomial) -> List[DegreePolynomial]:
     return [q for q in chain if q]
 
 
-def _sign_changes(chain: List[DegreePolynomial], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _integer_coeffs(q: DegreePolynomial) -> Tuple[int, ...]:
+    """The coefficients of q, highest first, times the lcm of their
+    denominators; the positive factor keeps the sign of q at every point."""
+    scale = lcm(*(c.denominator for c in q.coeffs))
+    return tuple(int(c * scale) for c in reversed(q.coeffs))
+
+
+def _sign(q: Sequence[int], u: int, w: int) -> int:
+    """Sign of q at u / w (w > 0): the homogeneous Horner sum of c_k u^k w^(n-k)."""
+    acc, wk = 0, 1
+    for c in q:
+        acc = acc * u + c * wk
+        wk *= w
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(chain: List[Tuple[int, ...]], u: int, w: int = 1) -> int:
+    signs = [s for s in (_sign(q, u, w) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _root_count(chain: List[DegreePolynomial], lo: Fraction, hi: Fraction) -> int:
+def _root_count(chain: List[Tuple[int, ...]], lo: int, hi: int) -> int:
+    """Distinct real roots in (lo, hi] of the head of an integer Sturm chain."""
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
@@ -365,26 +387,27 @@ def positivity_threshold(p: DegreePolynomial) -> int:
         raise NonPositiveLeading("positivity threshold needs a positive leading coefficient")
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(p)
+    chain = [_integer_coeffs(q) for q in _sturm_chain(p)]
+    ints = _integer_coeffs(p)
     bound = cauchy_bound(p)
-    lo, hi = Fraction(-bound - 1), Fraction(bound)
+    lo, hi = -bound - 1, bound
     if _root_count(chain, lo, hi) == 0:
         return -bound
     # bisect for the integer ceiling of the largest real root
     a, b = lo, hi
     while b - a > 1:
-        mid = Fraction(int((a + b) // 2))
+        mid = (a + b) // 2
         if _root_count(chain, mid, hi) >= 1:
             a = mid
         else:
             b = mid
     # scan down for the largest integer with p <= 0; stop once no roots remain
     cand = None
-    for x in range(int(b), -bound - 2, -1):
-        if p(x) <= 0:
+    for x in range(b, -bound - 2, -1):
+        if _sign(ints, x, 1) <= 0:
             cand = x
             break
-        if _root_count(chain, lo, Fraction(x)) == 0:
+        if _root_count(chain, lo, x) == 0:
             break
     if cand is None:
         return -bound
@@ -398,23 +421,36 @@ _ROOT_WIDTH = Fraction(1, 10 ** 6)
 
 
 def real_roots_approx(p: DegreePolynomial) -> List[float]:
-    """Float approximations of the distinct real roots (display only)."""
-    chain = _sturm_chain(p)
-    bound = cauchy_bound(chain[0])
+    """Float approximations of the distinct real roots (display only).
+
+    Bisects (-B - 1, B] by Sturm counts until each root sits alone in an
+    interval narrower than _ROOT_WIDTH and prints the midpoint.  Points
+    are integer numerators over a common power-of-two denominator w; once an
+    interval holds exactly one root, the sign of the square-free head picks
+    the half that keeps it.
+    """
+    sturm = _sturm_chain(p)
+    chain = [_integer_coeffs(q) for q in sturm]
+    bound = cauchy_bound(sturm[0])
     roots = []
-
-    def isolate(a: Fraction, b: Fraction):
-        k = _root_count(chain, a, b)
-        if k == 0:
-            return
-        if k == 1 and b - a < _ROOT_WIDTH:
-            roots.append(float((a + b) / 2))
-            return
-        mid = (a + b) / 2
-        isolate(a, mid)
-        isolate(mid, b)
-
-    isolate(Fraction(-bound - 1), Fraction(bound))
+    stack = [(-bound - 1, bound, 1, _sign_changes(chain, -bound - 1),
+              _sign_changes(chain, bound))]
+    while stack:
+        a, b, w, va, vb = stack.pop()
+        if va - vb == 1:
+            # the root is in (a, mid] iff head(mid) is 0 or has the sign of head
+            # at this first b (0 when that b is the root itself)
+            sb = _sign(chain[0], b, w)
+            while (b - a) * _ROOT_WIDTH.denominator >= w * _ROOT_WIDTH.numerator:
+                mid, a, b, w = a + b, 2 * a, 2 * b, 2 * w
+                if _sign(chain[0], mid, w) in (0, sb):
+                    b = mid
+                else:
+                    a = mid
+            roots.append((a + b) / (2 * w))
+        elif va > vb:
+            vm = _sign_changes(chain, a + b, 2 * w)
+            stack += [(2 * a, a + b, 2 * w, va, vm), (a + b, 2 * b, 2 * w, vm, vb)]
     return sorted(roots)
 
 

@@ -433,13 +433,18 @@ def weight_tuples(weights: Sequence[int], total: int) -> List[Exps]:
                 out.append(tuple(acc))
             return
         w = weights[i]
-        top = left // w
-        for e in range(top + 1):
+        if i == len(weights) - 1:
+            # the last exponent is forced
+            if left % w == 0:
+                out.append(tuple(acc) + (left // w,))
+            return
+        for e in range(left // w + 1):
             acc.append(e)
             rec(i + 1, left - e * w, acc)
             acc.pop()
 
-    rec(0, total, [])
+    if total >= 0:
+        rec(0, total, [])
     return out
 
 

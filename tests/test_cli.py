@@ -72,6 +72,20 @@ def test_derive_report_digest_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--target", "E43", "--with-h2"),
+     "276d028ddc035c6552149dda07dd5e7a01d3dd803665dfd296d68b63c0d80f85"),
+    (("--target", "rousseau-E33"),
+     "116639d4bef358d6a6aee1192cfb9c6c2cd4c9511e7b51ae6a08ec5e22eae2ae"),
+], ids=["e43-h2", "rousseau-e33"])
+def test_chi_report_digest_pinned(capsys, argv, digest):
+    """The chi reports of E43 with the h^2 majorant and of Rousseau's E33,
+    approximate roots included, byte for byte."""
+    got, out, _ = run_cli(capsys, "chi", *argv)
+    assert got == EX_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derive_bi_mode(capsys):
     code, out, _ = run_cli(capsys, "derive", "--n", "3", "--kappa", "3",
                            "--mode", "bi")
@@ -171,3 +185,6 @@ def test_chi_e44_ignores_jobs(capsys):
     assert code == EX_OK
     assert out1 == out3
     assert json.loads(out1)["positivity_threshold"] == 96
+    # the whole report, approximate roots included, byte for byte
+    assert hashlib.sha256(out1.encode()).hexdigest() == \
+        "1d4fb7265f412719e5ee73ee626a5ec50d336192e1352cb5701e8912042b3421"

@@ -9,8 +9,12 @@ import pytest
 
 from jetcalc.degpoly import DegreePolynomial
 from jetcalc.euler import (
+    _ROOT_WIDTH,
     NonPositiveLeading,
+    _integer_coeffs,
     _root_count,
+    _sign,
+    _sign_changes,
     _sturm_chain,
     cauchy_bound,
     chi_e43_leading,
@@ -157,9 +161,13 @@ def _form_polynomial(form, variables):
     return acc
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(14))
 def test_simplex_moments_match_iterated_integral(seed):
-    """The vertex generating function against the iterated antiderivative."""
+    """The vertex generating function against the iterated antiderivative.
+
+    From seed 8 on, `needed` holds the zero vector and vectors of unequal
+    total degree, keeps one exponent at 0 throughout, and its downward
+    closure is not a box."""
     rng = random.Random(700 + seed)
     k = 1 + seed % 4
     variables = [tag(f"w{i}", 0, 20 + i) for i in range(k)]
@@ -171,8 +179,22 @@ def test_simplex_moments_match_iterated_integral(seed):
     # an o-elimination form: o = m - sum w_j x_j
     forms.append([1] + [rng.randint(0, 2) - w for w in weights])
     needed = set()
-    while len(needed) < 4:
-        needed.add(tuple(rng.randint(0, 2) for _ in forms))
+    if seed < 8:
+        while len(needed) < 4:
+            needed.add(tuple(rng.randint(0, 2) for _ in forms))
+    else:
+        # two exponents besides the one kept at 0, so the closure can be no box
+        while len(forms) < 3:
+            forms.insert(0, [rng.randint(-3, 3) for _ in range(k + 1)])
+        zero = rng.randrange(len(forms))
+        # redraw until no member is the corner of the bounding box
+        while not needed or tuple(map(max, *needed)) in needed:
+            needed = {(0,) * len(forms)}
+            while len(needed) < 4:
+                a = [rng.randint(0, 3) for _ in forms]
+                a[zero] = 0
+                needed.add(tuple(a))
+        assert len({sum(a) for a in needed}) > 1
     needed = sorted(needed)
     moments = simplex_moments(forms, weights, needed)
     assert sorted(moments) == needed
@@ -197,6 +219,8 @@ def test_simplex_moments_rejects_non_integer_forms():
         simplex_moments([[1, 1, 1]], [2], [(1,)])
     with pytest.raises(ValueError):
         simplex_moments([[1, 1]], [2], [(1, 1)])
+    with pytest.raises(ValueError):
+        simplex_moments([[1, 1]], [2], [(-1,)])
 
 
 def test_antiderivative_power_rule():
@@ -235,22 +259,165 @@ def test_positivity_threshold_cases():
     assert positivity_threshold(s) == 12
 
 
+# ---------------------------------------------------------------------------
+# the slow oracle: Fraction evaluation of the Fraction Sturm chain
+# ---------------------------------------------------------------------------
+
+
+def fraction_sign_changes(chain, x: Fraction) -> int:
+    signs = []
+    for q in chain:
+        v = q(x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def bisection_roots(p: DegreePolynomial):
+    """Float midpoints of the isolating intervals, bisecting by full-chain
+    Sturm counts at every step."""
+    chain = _sturm_chain(p)
+    bound = cauchy_bound(chain[0])
+    roots = []
+
+    def isolate(a: Fraction, b: Fraction):
+        k = fraction_sign_changes(chain, a) - fraction_sign_changes(chain, b)
+        if k == 0:
+            return
+        if k == 1 and b - a < _ROOT_WIDTH:
+            roots.append(float((a + b) / 2))
+            return
+        mid = (a + b) / 2
+        isolate(a, mid)
+        isolate(mid, b)
+
+    isolate(Fraction(-bound - 1), Fraction(bound))
+    return sorted(roots)
+
+
+def integer_chain(p):
+    return [_integer_coeffs(q) for q in _sturm_chain(p)]
+
+
 def real_root_count(p, lo, hi):
     """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    return _root_count(_sturm_chain(p), lo, hi)
+    return _root_count(integer_chain(p), lo, hi)
+
+
+def from_roots(roots, factor=(1,)):
+    p = DegreePolynomial(factor)
+    for r in roots:
+        p = p * DegreePolynomial([-Fraction(r), 1])
+    return p
+
+
+def bisection_depth(p, x):
+    """The depth at which x is a midpoint of the bisection of (-B - 1, B],
+    or None."""
+    bound = cauchy_bound(_sturm_chain(p)[0])
+    t = (Fraction(x) + bound + 1) / (2 * bound + 1)
+    if not 0 < t < 1 or t.denominator & (t.denominator - 1):
+        return None
+    return t.denominator.bit_length() - 1
+
+
+CLOSE = Fraction(1, 3) + Fraction(1, 3 * 10 ** 7)  # 10^-7 / 3 above 1/3
+
+# name: (rational roots, with multiplicity; the factor without rational roots)
+STURM_CASES = {
+    "simple": ([2, 3], (1,)),
+    "repeated": ([1, 1, 1, -2, -2, Fraction(5, 3)], (1,)),
+    "zero": ([0, 0, -7, Fraction(9, 4)], (1,)),
+    "halves": ([Fraction(1, 2), Fraction(-3, 4), Fraction(1, 2)], (1,)),
+    "first-midpoint": ([Fraction(-1, 2)], (1, 0, 1)),
+    "deep-midpoint": ([3, Fraction(7, 8)], (1,)),
+    "deep-midpoint-quadratic": ([3, Fraction(11, 8)], (1, 0, 1)),
+    "close": ([Fraction(1, 3), CLOSE, -5], (1,)),
+    "close-repeated": ([CLOSE, CLOSE, Fraction(1, 3)], (2, 1, 1)),
+    "irreducible": ([], (2, 1, 3, 1, 1)),  # (x^2 + x + 1)(x^2 + 2)
+}
+CASE_IDS = sorted(STURM_CASES) + [f"random-{seed}" for seed in range(8)]
+
+
+def sturm_case(name):
+    """A test polynomial and its rational roots."""
+    if name in STURM_CASES:
+        roots, factor = STURM_CASES[name]
+        return from_roots(roots, factor), roots
+    rng = random.Random(900 + int(name.split("-")[1]))
+    roots = [Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 4, 7, 8]))
+             for _ in range(rng.randint(1, 5))]
+    roots += roots[:rng.randint(0, 2)]
+    factor = rng.choice([(1,), (1, 0, 1), (5, -2, 1), (-2, 0, 3)])
+    return from_roots(roots, factor) * rng.choice([1, Fraction(2, 3), 7]), roots
+
+
+def test_sturm_cases_cover_the_refinement_branches():
+    """Roots on bisection midpoints (head(mid) == 0, then the kept right
+    end is the root) and two roots closer than the reporting width."""
+    assert bisection_depth(sturm_case("first-midpoint")[0], Fraction(-1, 2)) == 1
+    assert bisection_depth(sturm_case("deep-midpoint")[0], Fraction(7, 8)) == 3
+    assert bisection_depth(sturm_case("deep-midpoint-quadratic")[0], Fraction(11, 8)) == 3
+    assert CLOSE - Fraction(1, 3) < _ROOT_WIDTH
+
+
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_integer_sign_changes_match_fraction_oracle(case):
+    p, roots = sturm_case(case)
+    rng = random.Random(case)
+    fractions = _sturm_chain(p)
+    chain = [_integer_coeffs(q) for q in fractions]
+    bound = cauchy_bound(fractions[0])
+    points = [Fraction(rng.randint(-bound - 1, bound)) for _ in range(20)]
+    points += [Fraction(-bound - 1), Fraction(bound)] + list(map(Fraction, roots))
+    points += [Fraction(rng.randint(-bound << 20, bound << 20), 2 ** rng.randint(0, 20))
+               for _ in range(40)]
+    points += [Fraction(rng.randint(-bound * 99, bound * 99), rng.randint(1, 99))
+               for _ in range(40)]
+    for x in points:
+        assert _sign_changes(chain, x.numerator, x.denominator) == \
+            fraction_sign_changes(fractions, x)
+        assert _sign(chain[0], x.numerator, x.denominator) == \
+            (fractions[0](x) > 0) - (fractions[0](x) < 0)
+
+
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_real_roots_approx_matches_full_chain_bisection(case):
+    p = sturm_case(case)[0]
+    assert real_roots_approx(p) == bisection_roots(p)
+
+
+def test_real_roots_approx_of_the_rousseau_chi_matches_the_oracle():
+    chi = chi_rousseau_e33()
+    assert real_roots_approx(chi) == bisection_roots(chi)
 
 
 def test_positivity_threshold_contract():
+    """Draws with integer roots, with non-integer rational roots, and with
+    an irreducible quadratic factor, which leaves p(D - 1) > 0 when there
+    are no other roots.  Each draw keeps an odd number of real roots or
+    none: a polynomial positive at every integer yet with real roots has no
+    least threshold, and the contract leaves its value open."""
     rng = random.Random(3)
+    draws = []
     for _ in range(20):
-        roots = sorted(rng.randint(-30, 30) for _ in range(3))
-        p = DegreePolynomial([1])
-        for r in roots:
-            p = p * DegreePolynomial([-r, 1])
+        draws.append(from_roots(sorted(rng.randint(-30, 30) for _ in range(3))))
+    for _ in range(20):
+        draws.append(from_roots([Fraction(rng.randint(-90, 90), rng.randint(2, 9))
+                                 for _ in range(3)]))
+    for _ in range(20):
+        b = rng.randint(-9, 9)
+        quadratic = DegreePolynomial([rng.randint(b * b // 4 + 1, 99), b, 1])
+        draws.append(from_roots([Fraction(rng.randint(-90, 90), rng.randint(1, 9))
+                                 for _ in range(rng.choice([0, 1, 3]))]) * quadratic)
+    vacuous = 0
+    for p in draws:
         D = positivity_threshold(p)
         assert p(D) > 0
         assert all(p(D + k) > 0 for k in range(1, 40))
-        assert p(D - 1) <= 0 or real_root_count(p, Fraction(D - 1), Fraction(10 ** 6)) == 0
+        assert p(D - 1) <= 0 or real_root_count(p, D - 1, 10 ** 6) == 0
+        vacuous += p(D - 1) > 0
+    assert vacuous  # the last clause is reached
 
 
 def test_real_roots_approx():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from jetcalc.groebner import (
     normal_form,
     relations_ideal,
     subalgebra_membership,
+    weight_tuples,
 )
 from jetcalc.jets import (
     JetContext,
@@ -254,6 +256,25 @@ def _brute_force_rank(cols, nrows):
                 if det([[cols[c][i] for c in cs] for i in rs]):
                     return r
     return 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_weight_tuples_match_brute_force(seed):
+    """Every tuple of the given weighted total, in the order of the
+    brute-force product (first exponent slowest); pivots depend on it."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 7) for _ in range(rng.randint(1, 5))]
+    for total in rng.sample(range(40), 8):
+        brute = [a for a in product(*(range(total // w + 1) for w in weights))
+                 if sum(e * w for e, w in zip(a, weights)) == total]
+        assert weight_tuples(weights, total) == brute
+
+
+def test_weight_tuples_edge_cases():
+    assert weight_tuples([], 0) == [()]
+    assert weight_tuples([], 3) == []
+    assert weight_tuples([2], -2) == []
+    assert weight_tuples([3, 2], 1) == []
 
 
 def test_incremental_kernel_matches_brute_force_rank():
