@@ -10,8 +10,10 @@ ell_1..ell_n, so each chi path expands it once over abstract ell-symbols and
 takes the moments of prod ell_i^(a_i) from `simplex_moments`: the vertex
 generating function of Baldoni, Berline, De Loera, Koeppe and Vergne, "How to
 integrate a polynomial over a simplex" (Math. Comp. 80, 2011), evaluated by
-one integer recurrence.  The tests check it against an independent oracle,
-the iterated antiderivative.
+one integer recurrence over the exponent vectors below the needed ones.  The
+tests check it against an independent oracle, the iterated antiderivative.
+Sturm chains are scaled once to integer coefficients, so each sign the root
+isolation takes is an integer Horner sum.
 No floating point enters any decision path; float approximations of roots
 are provided for display only.
 """

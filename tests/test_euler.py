@@ -295,13 +295,9 @@ def bisection_roots(p: DegreePolynomial):
     return sorted(roots)
 
 
-def integer_chain(p):
-    return [_integer_coeffs(q) for q in _sturm_chain(p)]
-
-
 def real_root_count(p, lo, hi):
     """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    return _root_count(integer_chain(p), lo, hi)
+    return _root_count([_integer_coeffs(q) for q in _sturm_chain(p)], lo, hi)
 
 
 def from_roots(roots, factor=(1,)):
@@ -334,7 +330,7 @@ STURM_CASES = {
     "deep-midpoint-quadratic": ([3, Fraction(11, 8)], (1, 0, 1)),
     "close": ([Fraction(1, 3), CLOSE, -5], (1,)),
     "close-repeated": ([CLOSE, CLOSE, Fraction(1, 3)], (2, 1, 1)),
-    "irreducible": ([], (2, 1, 3, 1, 1)),  # (x^2 + x + 1)(x^2 + 2)
+    "irreducible": ([], (2, 2, 3, 1, 1)),  # (x^2 + x + 1)(x^2 + 2)
 }
 CASE_IDS = sorted(STURM_CASES) + [f"random-{seed}" for seed in range(8)]
 
@@ -393,11 +389,11 @@ def test_real_roots_approx_of_the_rousseau_chi_matches_the_oracle():
 
 
 def test_positivity_threshold_contract():
-    """Draws with integer roots, with non-integer rational roots, and with
-    an irreducible quadratic factor, which leaves p(D - 1) > 0 when there
-    are no other roots.  Each draw keeps an odd number of real roots or
-    none: a polynomial positive at every integer yet with real roots has no
-    least threshold, and the contract leaves its value open."""
+    """Draws with integer roots, with rational roots of denominators 2 to 9,
+    and with an irreducible quadratic factor, which leaves p(D - 1) > 0 when
+    there are no other roots.  Each draw keeps an odd number of real roots
+    or none: a polynomial positive at every integer yet with real roots has
+    no least threshold, and the contract leaves its value open."""
     rng = random.Random(3)
     draws = []
     for _ in range(20):
