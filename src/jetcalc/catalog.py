@@ -28,6 +28,7 @@ from .jets import (
     check_unipotent_invariance,
     component_degrees,
     divide_f1_power,
+    lambda_chain,
     poly_jet,
     wronskian,
 )
@@ -142,20 +143,9 @@ def _make_syzygies(rows: Sequence[Tuple[str, Optional[int], str]],
 # ---------------------------------------------------------------------------
 
 
-def _chain_1i(i: int, kappa: int) -> List[Polynomial]:
-    """Lambda_{1,i}, Lambda_{1,i;1}, ... up to jet order kappa."""
-    f1 = poly_jet(1, 1)
-    out = [wronskian([1, i])]
-    w = 3
-    for _ in range(3, kappa + 1):
-        out.append(bracket(out[-1], f1, weights=(w, 1)))
-        w += 2
-    return out
-
-
 def _entries_2k5() -> Dict[str, Polynomial]:
     f1 = poly_jet(1, 1)
-    L3, L5, L7, L9 = _chain_1i(2, 5)
+    L3, L5, L7, L9 = [inv.poly for inv in lambda_chain(2, 5)]
     M8 = divide_f1_power(3 * L3 * L7 - 5 * L5 * L5, 2)
     M10 = divide_f1_power(3 * L3 * L9 - 7 * L5 * L7, 2)
     K12 = divide_f1_power(5 * L5 * L9 - 7 * L7 * L7, 2)
@@ -199,8 +189,8 @@ def _entries_4k4() -> Mapping[str, Polynomial]:
     """The UE4k4 generators, built once per process and shared read-only:
     UE3k4 is UE4k4 without W10."""
     f1 = poly_jet(1, 1)
-    L3, L5, L7 = _chain_1i(2, 4)
-    L3c, L5c, L7c = _chain_1i(3, 4)
+    L3, L5, L7 = [inv.poly for inv in lambda_chain(2, 4)]
+    L3c, L5c, L7c = [inv.poly for inv in lambda_chain(3, 4)]
     D6 = wronskian([1, 2, 3])
     D8 = bracket(D6, f1, weights=(6, 1))
     N10 = divide_f1_power(L5 * L7c - L5c * L7, 2)
@@ -239,7 +229,7 @@ _RECIPES_4K4 = {
 
 def _entries_2k4() -> Dict[str, Polynomial]:
     f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
-    L3, L5a, L7aa = _chain_1i(2, 4)
+    L3, L5a, L7aa = [inv.poly for inv in lambda_chain(2, 4)]
     L5b = bracket(L3, f2, weights=(3, 1))
     L7ab = bracket(L5a, f2, weights=(5, 1))
     L7bb = bracket(L5b, f2, weights=(5, 1))
@@ -259,7 +249,7 @@ _RECIPES_2K4 = {
 def _entries_2k5_brackets() -> Dict[str, Polynomial]:
     """The 24 bracket-generated invariants of E^2_5 (full mode)."""
     f = {i: poly_jet(i, 1) for i in (1, 2)}
-    L3, L5a, L7aa, _ = _chain_1i(2, 5)
+    L3, L5a, L7aa, _ = [inv.poly for inv in lambda_chain(2, 5)]
     L5 = {1: L5a, 2: bracket(L3, f[2], weights=(3, 1))}
     L7 = {(1, 1): L7aa,
           (1, 2): bracket(L5[1], f[2], weights=(5, 1)),
@@ -645,7 +635,7 @@ def build_catalog(catalog_id: str) -> CatalogData:
                            _as_entries(polys, recipes, 3))
     if catalog_id == "UE3k3":
         f1 = poly_jet(1, 1)
-        L3, L5 = _chain_1i(2, 3)
+        L3, L5 = [inv.poly for inv in lambda_chain(2, 3)]
         polys = {"f1": f1, "L3": L3, "L5": L5, "D6": wronskian([1, 2, 3])}
         recipes = {"f1": "f[1]'", "L3": "Delta(1,2)", "L5": "[L3, f1]",
                    "D6": "Delta(1,2,3)"}

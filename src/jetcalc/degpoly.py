@@ -92,9 +92,6 @@ class DegreePolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "DegreePolynomial":
-        return DegreePolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

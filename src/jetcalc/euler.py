@@ -12,8 +12,9 @@ generating function of Baldoni, Berline, De Loera, Koeppe and Vergne, "How to
 integrate a polynomial over a simplex" (Math. Comp. 80, 2011), evaluated by
 one integer recurrence over the exponent vectors below the needed ones.  The
 tests check it against an independent oracle, the iterated antiderivative.
-Sturm chains are scaled once to integer coefficients, so each sign the root
-isolation takes is an integer Horner sum.
+Sturm chains are built on integer coefficients by primitive
+pseudo-remainders, so each sign the root isolation takes is an integer
+Horner sum.
 No floating point enters any decision path; float approximations of roots
 are provided for display only.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .degpoly import DegreePolynomial
@@ -223,13 +224,6 @@ def slot_totals(contributions: Iterable[FamilyContribution]) -> Dict[str, Fracti
     return totals
 
 
-def coefficient_slots(n: int = 4,
-                      families: Optional[List[FamilySpec]] = None) -> Dict[str, Fraction]:
-    """Multiplicity-weighted totals of the per-family slot coefficients."""
-    families = families if families is not None else enumerate_families()
-    return slot_totals(family_contributions(families, n))
-
-
 # ---------------------------------------------------------------------------
 # leading Euler characteristics in dimensions 4 and 3
 # ---------------------------------------------------------------------------
@@ -249,7 +243,8 @@ def assemble_chi(coeffs: Dict[str, Fraction], n: int,
 
 def chi_e43_leading(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
     """Coefficient of m^11 in chi of the dimension-3 order-4 jet bundle."""
-    return assemble_chi(coefficient_slots(3, families), 3)
+    families = families if families is not None else enumerate_families()
+    return assemble_chi(slot_totals(family_contributions(families, 3)), 3)
 
 
 H2_FACTOR = Fraction(3, 2)
@@ -312,36 +307,56 @@ class NonPositiveLeading(Exception):
     pass
 
 
-def _poly_divmod(a: DegreePolynomial,
-                 b: DegreePolynomial) -> Tuple[DegreePolynomial, DegreePolynomial]:
-    """Quotient and remainder of a by a nonzero b."""
-    quot = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
-    r = a
-    while r and r.degree >= b.degree:
-        shift = r.degree - b.degree
-        factor = r.coeffs[-1] / b.coeffs[-1]
-        quot[shift] = factor
-        r = r - DegreePolynomial([0] * shift + list(b.coeffs)) * factor
-    return DegreePolynomial(quot), r
+def _primitive(q: Sequence[int]) -> Tuple[int, ...]:
+    """q divided by its positive content."""
+    g = gcd(*q)
+    return tuple(c // g for c in q)
 
 
-def _poly_gcd(a: DegreePolynomial, b: DegreePolynomial) -> DegreePolynomial:
+def _derivative(q: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(c * k for c, k in zip(q, range(len(q) - 1, 0, -1)))
+
+
+def _pseudo_divmod(a: Sequence[int],
+                   b: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(q, r) with |lc(b)|^(deg a - deg b + 1) a = q b + r and deg r < deg b,
+    for deg a >= deg b.
+
+    The scale is positive, so r is a positive multiple of the rational
+    remainder of a by b; lc(b)^delta would flip it when lc(b) < 0 and delta
+    is odd."""
+    s, sg = abs(b[0]), (b[0] > 0) - (b[0] < 0)
+    r, q = list(a), []
+    steps = len(a) - len(b) + 1
+    for i in range(steps):
+        c = r[i] * sg
+        q = [x * s for x in q] + [c]
+        r = [x * s for x in r]
+        for j, bj in enumerate(b):
+            r[i + j] -= c * bj
+    r = r[steps:]
+    while r and not r[0]:
+        r.pop(0)
+    return tuple(q), tuple(r)
+
+
+def _sturm_chain(p: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Sturm chain of the square-free part of p, which heads the chain.
+
+    Integer coefficients, highest first, built by primitive pseudo-remainders
+    (Collins 1967, Brown 1971): each member is a positive multiple of the
+    classical rational member, so every sign count is the same."""
+    a, b = _primitive(p), _primitive(_derivative(p))
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
-
-
-def _sturm_chain(p: DegreePolynomial) -> List[DegreePolynomial]:
-    """Sturm chain of the square-free part of p, which heads the chain."""
-    g = _poly_gcd(p, p.derivative())
-    if g.degree > 0:
-        p = _poly_divmod(p, g)[0]
-    chain = [p, p.derivative()]
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    if len(a) > 1:
+        p = _pseudo_divmod(p, a)[0]
+    chain = [_primitive(p), _primitive(_derivative(p))]
     while chain[-1]:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
-        chain.append(-rem)
+        chain.append(tuple(-c for c in _primitive(rem)))
     return [q for q in chain if q]
 
 
@@ -371,11 +386,9 @@ def _root_count(chain: List[Tuple[int, ...]], lo: int, hi: int) -> int:
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
-def cauchy_bound(p: DegreePolynomial) -> int:
-    lead = abs(p.coeffs[-1])
-    mx = max(abs(c) for c in p.coeffs)
-    bound = 1 + mx / lead
-    return int(bound) + 1
+def cauchy_bound(q: Sequence[int]) -> int:
+    """An integer above every |root| of q (integer coefficients, highest first)."""
+    return 2 + max(abs(c) for c in q) // abs(q[0])
 
 
 def positivity_threshold(p: DegreePolynomial) -> int:
@@ -389,9 +402,9 @@ def positivity_threshold(p: DegreePolynomial) -> int:
         raise NonPositiveLeading("positivity threshold needs a positive leading coefficient")
     if p.degree == 0:
         return 0
-    chain = [_integer_coeffs(q) for q in _sturm_chain(p)]
     ints = _integer_coeffs(p)
-    bound = cauchy_bound(p)
+    chain = _sturm_chain(ints)
+    bound = cauchy_bound(ints)
     lo, hi = -bound - 1, bound
     if _root_count(chain, lo, hi) == 0:
         return -bound
@@ -431,9 +444,8 @@ def real_roots_approx(p: DegreePolynomial) -> List[float]:
     interval holds exactly one root, the sign of the square-free head picks
     the half that keeps it.
     """
-    sturm = _sturm_chain(p)
-    chain = [_integer_coeffs(q) for q in sturm]
-    bound = cauchy_bound(sturm[0])
+    chain = _sturm_chain(_integer_coeffs(p))
+    bound = cauchy_bound(chain[0])
     roots = []
     stack = [(-bound - 1, bound, 1, _sign_changes(chain, -bound - 1),
               _sign_changes(chain, bound))]

@@ -244,9 +244,6 @@ class Polynomial:
                 return None
         return w
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self.terms.get(ONE_MONOMIAL, Fraction(0))
 

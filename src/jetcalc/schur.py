@@ -262,11 +262,6 @@ class FamilySpec:
     weights: Dict[str, int]        # letter -> jet weight
     counts: Dict[str, Tuple[int, int, int, int]]  # letter -> Schur index counts
 
-    def ell_forms(self) -> List[Dict[str, int]]:
-        """The four linear forms ell_1..ell_4 over the free exponents."""
-        return [{x: self.counts[x][i] for x in self.free if self.counts[x][i]}
-                for i in range(4)]
-
 
 class ConstraintWord:
     """A conjunction of per-letter constraints: letter -> 0 or 1."""

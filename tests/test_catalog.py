@@ -249,6 +249,6 @@ def test_parse_tag_expression_errors():
     tags = {"A": tag("A", 3, 0)}
     assert parse_tag_expression("0", tags).is_zero()
     p = parse_tag_expression("-7/3 A^2", tags)
-    assert p.coefficient(((tags["A"], 2),)) == Fraction(-7, 3)
+    assert p.terms.get(((tags["A"], 2),), 0) == Fraction(-7, 3)
     with pytest.raises(KeyError):
         parse_tag_expression("B", tags)

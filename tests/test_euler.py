@@ -12,21 +12,26 @@ from jetcalc.euler import (
     _ROOT_WIDTH,
     NonPositiveLeading,
     _integer_coeffs,
+    _pseudo_divmod,
     _root_count,
     _sign,
     _sign_changes,
     _sturm_chain,
+    assemble_chi,
     cauchy_bound,
     chi_e43_leading,
     chi_rousseau_e33,
+    family_contributions,
     h0_minorant_e43,
     positivity_threshold,
     real_roots_approx,
     reversal_sign,
     scaled_numerator,
     simplex_moments,
+    slot_totals,
 )
 from jetcalc.polyring import Polynomial, Variable, tag
+from jetcalc.schur import enumerate_families
 
 M = tag("m", 0, 0)
 X = tag("x", 0, 1)
@@ -257,11 +262,55 @@ def test_positivity_threshold_cases():
     # factor of d as in the chi numerators
     s = DegreePolynomial([0, 22, -13, 1])
     assert positivity_threshold(s) == 12
+    # x^4 + x - 2: root 1, and a chain divisor -3x + 8 at an odd exponent
+    assert positivity_threshold(DegreePolynomial([-2, 1, 0, 0, 1])) == 2
 
 
 # ---------------------------------------------------------------------------
-# the slow oracle: Fraction evaluation of the Fraction Sturm chain
+# the slow oracle: the rational Sturm chain, evaluated in Fraction arithmetic
 # ---------------------------------------------------------------------------
+
+
+def fraction_divmod(a: DegreePolynomial, b: DegreePolynomial):
+    """Quotient and remainder of a by a nonzero b, over the rationals."""
+    quot = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
+    r = a
+    while r and r.degree >= b.degree:
+        shift = r.degree - b.degree
+        factor = r.coeffs[-1] / b.coeffs[-1]
+        quot[shift] = factor
+        r = r - DegreePolynomial([0] * shift + list(b.coeffs)) * factor
+    return DegreePolynomial(quot), r
+
+
+def fraction_derivative(p: DegreePolynomial) -> DegreePolynomial:
+    return DegreePolynomial([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def fraction_sturm_chain(p: DegreePolynomial):
+    """The classical Sturm chain of the square-free part of p over Q: p / gcd(p, p'),
+    its derivative, then the negated remainders."""
+    a, b = p, fraction_derivative(p)
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    if a.degree > 0:
+        p = fraction_divmod(p, a)[0]
+    chain = [p, fraction_derivative(p)]
+    while chain[-1]:
+        rem = fraction_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(-rem)
+    return [q for q in chain if q]
+
+
+def descending(ints) -> DegreePolynomial:
+    """The polynomial with integer coefficients ints, highest first."""
+    return DegreePolynomial(list(reversed(ints)))
+
+
+def integer_sturm_chain(p: DegreePolynomial):
+    return _sturm_chain(_integer_coeffs(p))
 
 
 def fraction_sign_changes(chain, x: Fraction) -> int:
@@ -276,8 +325,8 @@ def fraction_sign_changes(chain, x: Fraction) -> int:
 def bisection_roots(p: DegreePolynomial):
     """Float midpoints of the isolating intervals, bisecting by full-chain
     Sturm counts at every step."""
-    chain = _sturm_chain(p)
-    bound = cauchy_bound(chain[0])
+    chain = fraction_sturm_chain(p)
+    bound = cauchy_bound(_integer_coeffs(chain[0]))
     roots = []
 
     def isolate(a: Fraction, b: Fraction):
@@ -297,7 +346,7 @@ def bisection_roots(p: DegreePolynomial):
 
 def real_root_count(p, lo, hi):
     """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    return _root_count([_integer_coeffs(q) for q in _sturm_chain(p)], lo, hi)
+    return _root_count(integer_sturm_chain(p), lo, hi)
 
 
 def from_roots(roots, factor=(1,)):
@@ -310,7 +359,7 @@ def from_roots(roots, factor=(1,)):
 def bisection_depth(p, x):
     """The depth at which x is a midpoint of the bisection of (-B - 1, B],
     or None."""
-    bound = cauchy_bound(_sturm_chain(p)[0])
+    bound = cauchy_bound(integer_sturm_chain(p)[0])
     t = (Fraction(x) + bound + 1) / (2 * bound + 1)
     if not 0 < t < 1 or t.denominator & (t.denominator - 1):
         return None
@@ -331,6 +380,7 @@ STURM_CASES = {
     "close": ([Fraction(1, 3), CLOSE, -5], (1,)),
     "close-repeated": ([CLOSE, CLOSE, Fraction(1, 3)], (2, 1, 1)),
     "irreducible": ([], (2, 2, 3, 1, 1)),  # (x^2 + x + 1)(x^2 + 2)
+    "gap": ([1], (2, 1, 1, 1)),  # x^4 + x - 2: chain degrees 4, 3, 1, 0
 }
 CASE_IDS = sorted(STURM_CASES) + [f"random-{seed}" for seed in range(8)]
 
@@ -361,9 +411,9 @@ def test_sturm_cases_cover_the_refinement_branches():
 def test_integer_sign_changes_match_fraction_oracle(case):
     p, roots = sturm_case(case)
     rng = random.Random(case)
-    fractions = _sturm_chain(p)
-    chain = [_integer_coeffs(q) for q in fractions]
-    bound = cauchy_bound(fractions[0])
+    fractions = fraction_sturm_chain(p)
+    chain = integer_sturm_chain(p)
+    bound = cauchy_bound(chain[0])
     points = [Fraction(rng.randint(-bound - 1, bound)) for _ in range(20)]
     points += [Fraction(-bound - 1), Fraction(bound)] + list(map(Fraction, roots))
     points += [Fraction(rng.randint(-bound << 20, bound << 20), 2 ** rng.randint(0, 20))
@@ -375,6 +425,39 @@ def test_integer_sign_changes_match_fraction_oracle(case):
             fraction_sign_changes(fractions, x)
         assert _sign(chain[0], x.numerator, x.denominator) == \
             (fractions[0](x) > 0) - (fractions[0](x) < 0)
+
+
+def is_positive_multiple(ints, q: DegreePolynomial) -> bool:
+    """ints (highest coefficient first) is c * q for some rational c > 0."""
+    c = ints[0] / q.coeffs[-1]
+    return c > 0 and descending(ints) == q * c
+
+
+def test_integer_chain_members_are_positive_multiples_of_the_oracle():
+    """On every case and on the four report polynomials: chi(E43), h0,
+    chi(E44) and rousseau-E33."""
+    chi44 = assemble_chi(slot_totals(family_contributions(enumerate_families(), 4)), 4)
+    polys = [sturm_case(case)[0] for case in CASE_IDS]
+    polys += [chi_e43_leading(), h0_minorant_e43(), chi44, chi_rousseau_e33()]
+    for p in polys:
+        chain, oracle = integer_sturm_chain(p), fraction_sturm_chain(p)
+        assert len(chain) == len(oracle)
+        assert all(is_positive_multiple(a, q) for a, q in zip(chain, oracle))
+
+
+def test_sturm_cases_cover_a_negative_divisor_at_an_odd_exponent():
+    """Some divisor of a chain sits two degrees below its dividend with a
+    negative leading coefficient, so lc^3 < 0 would flip the remainder."""
+    def odd_negative(chain):
+        return any(len(a) - len(b) == 2 and b[0] < 0
+                   for a, b in zip(chain, chain[1:-1]))
+    assert [case for case in CASE_IDS
+            if odd_negative(integer_sturm_chain(sturm_case(case)[0]))] == ["gap"]
+    gap = integer_sturm_chain(sturm_case("gap")[0])
+    assert [len(q) - 1 for q in gap] == [4, 3, 1, 0] and gap[2] == (-3, 8)
+    q, r = _pseudo_divmod(gap[1], gap[2])
+    assert r[0] > 0
+    assert 27 * descending(gap[1]) == descending(q) * descending(gap[2]) + descending(r)
 
 
 @pytest.mark.parametrize("case", CASE_IDS)
@@ -424,8 +507,7 @@ def test_real_roots_approx():
 
 
 def test_cauchy_bound_bounds_roots():
-    p = DegreePolynomial([-100, 0, 1])
-    b = cauchy_bound(p)
+    b = cauchy_bound((1, 0, -100))
     assert b >= 10
 
 

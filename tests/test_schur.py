@@ -179,10 +179,16 @@ def test_families_are_fresh_on_every_call():
     assert {f.word: f.multiplicity for f in third} == PRINTED_WORDS
 
 
+def ell_forms(family):
+    """The four linear forms ell_1..ell_4 over the free exponents."""
+    return [{x: family.counts[x][i] for x in family.free if family.counts[x][i]}
+            for i in range(4)]
+
+
 def test_family_a_forms():
     fam = next(f for f in enumerate_families() if f.id == "A")
     assert fam.free == ["j", "k", "l", "m", "n", "o", "p"]
-    forms = fam.ell_forms()
+    forms = ell_forms(fam)
     assert forms[0] == {"j": 4, "k": 3, "l": 3, "m": 4, "n": 5, "o": 1, "p": 1}
     assert forms[1] == {"j": 2, "k": 2, "l": 3, "m": 3, "n": 3, "p": 1}
     assert forms[2] == {"j": 1, "k": 2, "l": 2, "m": 2, "n": 2, "p": 1}
