@@ -192,17 +192,14 @@ def cmd_chi(args) -> int:
         doc["chi_m9_coefficient"] = _poly_report(chi, 81648000000)
         doc["positivity_threshold"] = euler.positivity_threshold(chi)
     elif args.target == "schur":
-        if not args.ell:
+        ell = args.ell
+        if not ell:
             _log("chi: --target schur needs --ell L1,L2,...")
             return EX_USAGE
-        from .schur import chern_hypersurface, chi_schur_leading
-
-        ell = tuple(int(x) for x in args.ell.split(","))
         if list(ell) != sorted(ell, reverse=True) or any(x < 0 for x in ell):
             _log("chi: --ell must be weakly decreasing and nonnegative")
             return EX_USAGE
-        cs = chern_hypersurface(len(ell))
-        lead = chi_schur_leading(ell, cs, dual=not args.tangent)
+        lead = euler.chi_schur_leading(ell, dual=not args.tangent)
         doc["ell"] = list(ell)
         doc["dual"] = not args.tangent
         doc["leading_coefficient"] = _poly_report(lead)
@@ -214,8 +211,35 @@ def cmd_chi(args) -> int:
     return EX_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EX_USAGE on a bad command line; argparse's 2 is the budget code."""
+
+    def error(self, message):
+        self.exit(EX_USAGE, f"{self.prog}: {message}\n")
+
+
+def _positive(kind):
+    """An argparse type: a number of the given kind above zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {kind.__name__}")
+        return value
+    return parse
+
+
+def _int_list(text: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetcalc",
         description="Exact computer algebra for reparametrization-invariant "
                     "jet polynomials and Euler-characteristic asymptotics.")
@@ -228,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; changes nothing "
                              "(every command runs on one core)")
-    common.add_argument("--budget-steps", type=int, default=10_000_000)
-    common.add_argument("--budget-seconds", type=float, default=None)
+    common.add_argument("--budget-steps", type=_positive(int), default=10_000_000)
+    common.add_argument("--budget-seconds", type=_positive(float), default=None)
 
     derive = sub.add_parser("derive", parents=[common],
                             help="run the generation algorithm")
@@ -249,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     chi.add_argument("--target", required=True,
                      choices=("E44", "E43", "rousseau-E33", "schur"))
     chi.add_argument("--with-h2", action="store_true")
-    chi.add_argument("--ell", default=None,
+    chi.add_argument("--ell", type=_int_list, default=None,
                      help="comma-separated Schur indices for --target schur")
     chi.add_argument("--tangent", action="store_true",
                      help="tangent bundle instead of the cotangent twist")

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .polyring import format_terms
+
 Scalar = Union[int, Fraction]
 
 
@@ -14,6 +16,8 @@ class DegreePolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar] = ()):
+        if any(isinstance(c, float) for c in coeffs):
+            raise TypeError("a float coefficient would bring in its binary value")
         cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -60,8 +64,6 @@ class DegreePolynomial:
         return DegreePolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "DegreePolynomial":
-        if not isinstance(other, DegreePolynomial):
-            other = DegreePolynomial([other])
         return self + (-other)
 
     def __rsub__(self, other) -> "DegreePolynomial":
@@ -69,8 +71,7 @@ class DegreePolynomial:
 
     def __mul__(self, other) -> "DegreePolynomial":
         if not isinstance(other, DegreePolynomial):
-            c = Fraction(other)
-            return DegreePolynomial([a * c for a in self.coeffs])
+            other = DegreePolynomial([other])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
@@ -93,26 +94,8 @@ class DegreePolynomial:
         return acc
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if not c:
-                continue
-            mono = "" if k == 0 else ("d" if k == 1 else f"d^{k}")
-            if mono and abs(c) == 1:
-                body = mono
-            elif mono:
-                body = f"{abs(c)} {mono}"
-            else:
-                body = str(abs(c))
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return format_terms(((c, "" if k == 0 else "d" if k == 1 else f"d^{k}")
+                             for k, c in reversed(list(enumerate(self.coeffs))) if c), " ")
 
     def __repr__(self) -> str:
         return f"DegreePolynomial({self})"

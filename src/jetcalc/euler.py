@@ -5,13 +5,16 @@ root isolation.
 
 All determinant integrals reduce to a single power of the weight m times an
 exact rational; five Chern slots assemble these into polynomials in the
-hypersurface degree d.  Every integrand is a polynomial in linear forms
-ell_1..ell_n, so each chi path expands it once over abstract ell-symbols and
-takes the moments of prod ell_i^(a_i) from `simplex_moments`: the vertex
+hypersurface degree d.  Every slot determinant det(ell_j^(e_i)) is an
+alternant in the linear forms ell_1..ell_n, expanded once per dimension as
+{exponent vector: +-1} (`schur.alternant`), and its integral takes the
+moments of prod ell_i^(a_i) from `simplex_moments`: the vertex
 generating function of Baldoni, Berline, De Loera, Koeppe and Vergne, "How to
 integrate a polynomial over a simplex" (Math. Comp. 80, 2011), evaluated by
 one integer recurrence over the exponent vectors below the needed ones.  The
 tests check it against an independent oracle, the iterated antiderivative.
+The h^2 majorant is a combination of the dimension-3 slot totals, and the
+Schur-bundle leading term evaluates the same alternants at integer points.
 Sturm chains are built on integer coefficients by primitive
 pseudo-remainders, so each sign the root isolation takes is an integer
 Horner sum.
@@ -27,23 +30,13 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .degpoly import DegreePolynomial
-from .polyring import Polynomial, Variable, determinant, tag
-from .schur import (
-    FamilySpec,
-    chern_hypersurface,
-    chi_slots,
-    enumerate_families,
-)
+from .degpoly import DegreePolynomial, Scalar
+from .schur import FamilySpec, alternant, chern_hypersurface, chi_slots, enumerate_families
 
 
 # ---------------------------------------------------------------------------
 # exact simplex integration: the moment recurrence
 # ---------------------------------------------------------------------------
-
-
-def _var(name: str, index: int) -> Variable:
-    return tag(name, 0, index)
 
 
 def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
@@ -125,19 +118,12 @@ def _down_closure(needed: Tuple[Tuple[int, ...], ...]):
 # ---------------------------------------------------------------------------
 
 
-def _slot_determinant(ells: Sequence[Polynomial], exponents: Sequence[int]) -> Polynomial:
-    """det(ell_j ^ e_i) with the exponent rows in ascending order.
-
-    The ascending convention matches the printed golden integrals; in even
-    dimensions it agrees with the descending convention of the expansion
-    theorem, and in odd dimensions the assembly multiplies by the reversal
-    sign (-1)^(n(n-1)/2).
-    """
-    return determinant([[ell ** e for ell in ells] for e in sorted(exponents)])
-
-
 def reversal_sign(n: int) -> int:
-    """Sign relating ascending-row determinants to the theorem's descending rows."""
+    """Sign relating ascending-row determinants to the theorem's descending rows.
+
+    Reversing n rows is a permutation with n(n-1)/2 inversions, so the sign
+    is -1 for n = 2, 3 (mod 4) and +1 for n = 0, 1 (mod 4).
+    """
     return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
@@ -148,32 +134,19 @@ class FamilyContribution:
     slots: Dict[str, Fraction]  # slot name -> coefficient of m^top
 
 
-Expansion = Dict[Tuple[int, ...], Fraction]
-
-
-def _ell_symbols(n: int) -> List[Variable]:
-    return [_var(f"l{i}", 100 + i) for i in range(1, n + 1)]
-
-
-def _expansion(p: Polynomial, n: int) -> Expansion:
-    """{exponent vector of (ell_1..ell_n): coefficient} of a polynomial in the
-    abstract ell-symbols."""
-    index = {v: i for i, v in enumerate(_ell_symbols(n))}
-    out: Expansion = {}
-    for mono, c in p.terms.items():
-        row = [0] * n
-        for v, e in mono:
-            row[index[v]] = e
-        out[tuple(row)] = c
-    return out
+Expansion = Dict[Tuple[int, ...], int]
 
 
 @lru_cache(maxsize=None)
 def _abstract_slot_determinants(n: int) -> Dict[str, Expansion]:
-    """Each slot determinant expanded over abstract ell-symbols (cached)."""
-    ells = [Polynomial.variable(v) for v in _ell_symbols(n)]
-    return {slot.name: _expansion(_slot_determinant(ells, slot.exponents), n)
-            for slot in chi_slots(n)}
+    """Each slot determinant det(ell_j ^ e_i), with the exponent rows in
+    ascending order, as {exponent vector of ell_1..ell_n: +-1} (cached).
+
+    The ascending rows match the printed golden integrals; `assemble_chi`
+    multiplies by `reversal_sign(n)` to reach the descending rows of the
+    expansion theorem.
+    """
+    return {slot.name: alternant(sorted(slot.exponents)) for slot in chi_slots(n)}
 
 
 def _integrate(expansions: Dict[str, Expansion], forms: Sequence[Sequence[int]],
@@ -229,7 +202,7 @@ def slot_totals(contributions: Iterable[FamilyContribution]) -> Dict[str, Fracti
 # ---------------------------------------------------------------------------
 
 
-def assemble_chi(coeffs: Dict[str, Fraction], n: int,
+def assemble_chi(coeffs: Dict[str, Scalar], n: int,
                  dual: bool = True) -> DegreePolynomial:
     """Pair slot coefficients with integrated Giambelli combinations."""
     cs = chern_hypersurface(n)
@@ -237,7 +210,7 @@ def assemble_chi(coeffs: Dict[str, Fraction], n: int,
     for slot in chi_slots(n):
         c = coeffs.get(slot.name, Fraction(0))
         if c:
-            acc = acc + cs.integrate_combo(slot.combo, dual=dual) * (c / slot.denominator)
+            acc = acc + cs.integrate_combo(slot.combo, dual=dual) * Fraction(c, slot.denominator)
     return acc * reversal_sign(n)
 
 
@@ -255,23 +228,14 @@ def h2_majorant_coefficient(families: Optional[List[FamilySpec]] = None) -> Frac
 
     The imported per-bundle bound is d(d+13) * (3/2)(l1+l2+l3)^3 *
     (l1-l2)(l1-l3)(l2-l3) + lower order; the returned rational is the m^11
-    coefficient multiplying d(d+13).
+    coefficient multiplying d(d+13).  By the bialternant formula and Pieri's
+    rule, (l1+l2+l3)^3 times the Vandermonde product is -(D015 + 2 D024 +
+    D123) in the ascending slot determinants, so the kernel integrates to
+    that combination of the dimension-3 slot totals.
     """
     families = families if families is not None else enumerate_families()
-    kernel = _abstract_h2_kernel()
-    total = Fraction(0)
-    for fam in families:
-        value = _integrate(kernel, *_family_forms(fam, 3))["value"]
-        total += fam.multiplicity * value
-    return total
-
-
-@lru_cache(maxsize=None)
-def _abstract_h2_kernel() -> Dict[str, Expansion]:
-    l1, l2, l3 = (Polynomial.variable(v) for v in _ell_symbols(3))
-    s = l1 + l2 + l3
-    kernel = H2_FACTOR * s * s * s * (l1 - l2) * (l1 - l3) * (l2 - l3)
-    return {"value": _expansion(kernel, 3)}
+    t = slot_totals(family_contributions(families, 3))
+    return -H2_FACTOR * (t["015"] + 2 * t["024"] + t["123"])
 
 
 def h0_minorant(chi43: DegreePolynomial, h2_coefficient: Fraction) -> DegreePolynomial:
@@ -296,6 +260,22 @@ def chi_rousseau_e33() -> DegreePolynomial:
              [0, 1, 1, 1],     # b + c + e
              [0, 0, 0, 1]]     # e
     return assemble_chi(_integrate(_abstract_slot_determinants(3), forms, [3, 5, 6]), 3)
+
+
+def chi_schur_leading(ell: Sequence[int], dual: bool = True) -> DegreePolynomial:
+    """Coefficient polynomial of the leading order of chi(X, Schur(ell) bundle).
+
+    Sums, over the partitions of n = len(ell), the integrated Giambelli
+    coefficient times the slot determinant at ell'_i = ell_i + n - i, the
+    ascending-row alternant evaluated at that integer point; `assemble_chi`'s
+    reversal sign turns it into the descending-row determinant.  `dual`
+    computes the cotangent twist, which multiplies by (-1)^n.
+    """
+    n = len(ell)
+    point = [e + n - i for i, e in enumerate(ell, start=1)]
+    values = {name: sum(c * prod(x ** e for x, e in zip(point, a)) for a, c in coeffs.items())
+              for name, coeffs in _abstract_slot_determinants(n).items()}
+    return assemble_chi(values, n, dual)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ on tuples.  Groebner computations and every ranking of monomials
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, starmap
 from math import gcd, lcm
+from operator import gt
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
@@ -790,24 +791,23 @@ def format_monomial(m: Monomial) -> str:
     return " * ".join(parts)
 
 
-def format_polynomial(p: Polynomial) -> str:
-    if not p.terms:
-        return "0"
-    chunks = []
-    for m, c in p.sorted_terms():
-        mono = format_monomial(m)
-        if mono == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
+def format_terms(terms: Iterable[Tuple[Fraction, str]], times: str) -> str:
+    """Text of a sum of (coefficient, monomial text) terms, "" being the
+    monomial 1: the first sign as a prefix, " + " or " - " between terms,
+    and no coefficient of absolute value 1 before a monomial other than 1."""
+    out = ""
+    for c, mono in terms:
+        body = f"{abs(c)}{times}{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        if out:
+            out += (" - " if c < 0 else " + ") + body
         else:
-            body = f"{abs(c)} * {mono}"
-        chunks.append(("-" if c < 0 else "+", body))
-    sign0, body0 = chunks[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
+
+
+def format_polynomial(p: Polynomial) -> str:
+    return format_terms(((c, format_monomial(m) if m else "") for m, c in p.sorted_terms()),
+                        " * ")
 
 
 def parse_variable(name: str) -> Variable:
@@ -933,14 +933,19 @@ def proportional(p: Polynomial, q: Polynomial) -> bool:
     return all(q.terms.get(mm) is not None and p.terms[mm] == r * q.terms[mm] for mm in p.terms)
 
 
+def signed_permutations(k: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Every permutation of range(k) with its sign, by the inversion count."""
+    for perm in permutations(range(k)):
+        yield perm, -1 if sum(starmap(gt, combinations(perm, 2))) % 2 else 1
+
+
 def determinant(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Leibniz expansion of det(entries[r][c]): for each permutation, the
     signed product of entries[r][perm[r]] taken in row order."""
     k = len(entries)
     acc: Dict[Monomial, Fraction] = {}
-    for perm in permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        term = Polynomial.constant(-1 if inv % 2 else 1)
+    for perm, sign in signed_permutations(k):
+        term = Polynomial.constant(sign)
         for r in range(k):
             term = term * entries[r][perm[r]]
         for m, c in term.terms.items():

@@ -1,11 +1,14 @@
-"""Partitions, Giambelli determinants, Chern classes of hypersurfaces, the
-leading Euler-characteristic expansion of Schur bundles, and the 24-family
-approximate decomposition in dimension 4 at jet order 4.
+"""Partitions, Giambelli determinants and alternants, Chern classes of
+hypersurfaces, the slots of the leading Euler-characteristic expansion of
+Schur bundles, and the 24-family approximate decomposition in dimension 4 at
+jet order 4.
 
 Chern data for a degree-d hypersurface X^n in P^(n+1) lives in the ring
 generated by the hyperplane class h with h^(n+1) = 0 and the integration
 rule  integral over X of h^n = d, so every degree-n Chern monomial reduces
-to an exact polynomial in d.
+to an exact polynomial in d.  Giambelli's determinant in the Chern classes
+and the alternant det(x_j^(e_i)) are both expanded over
+`polyring.signed_permutations`; `euler` pairs the two, slot by slot.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .degpoly import DegreePolynomial
+from .polyring import format_terms, signed_permutations
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +100,7 @@ def chern_hypersurface(n: int) -> ChernSystem:
 
 
 # ---------------------------------------------------------------------------
-# Giambelli determinants in abstract Chern classes
+# permutation expansions: Giambelli determinants and alternants
 # ---------------------------------------------------------------------------
 
 ChernCombo = Dict[Tuple[int, ...], Fraction]
@@ -108,55 +112,43 @@ def giambelli(lam_conj: Sequence[int], n: int) -> ChernCombo:
     Conventions: c_0 = 1 and c_k = 0 for k < 0 or k > n.  The result is a
     homogeneous degree-n combination of abstract Chern classes.
     """
-    from itertools import permutations
-
-    size = len(lam_conj)
     combo: ChernCombo = {}
-    for perm in permutations(range(size)):
-        inv = sum(1 for a in range(size) for b in range(a + 1, size)
-                  if perm[a] > perm[b])
-        sign = -1 if inv % 2 else 1
-        ks = []
-        ok = True
-        for i in range(size):
-            k = lam_conj[i] - (i + 1) + (perm[i] + 1)
-            if k < 0 or k > n:
-                ok = False
-                break
-            if k > 0:
-                ks.append(k)
-        if not ok:
+    for perm, sign in signed_permutations(len(lam_conj)):
+        ks = [part - i + j for i, (part, j) in enumerate(zip(lam_conj, perm))]
+        if min(ks) < 0 or max(ks) > n:
             continue
-        key = tuple(sorted(ks))
+        key = tuple(sorted(k for k in ks if k))
         combo[key] = combo.get(key, Fraction(0)) + sign
         if not combo[key]:
             del combo[key]
     return combo
 
 
+def alternant(exponents: Sequence[int]) -> Dict[Tuple[int, ...], int]:
+    """The Leibniz expansion of det(x_j ^ e_i), rows in the given order, as
+    {exponent vector of x_1..x_n: sign}.
+
+    The term of a permutation puts e_i on x_perm(i); the vector read through
+    the inverse permutation has the same sign.  The exponents must be
+    distinct, so that each permutation gives its own monomial and every
+    coefficient is +1 or -1.
+    """
+    if len(set(exponents)) != len(exponents):
+        raise ValueError(f"alternant exponents {tuple(exponents)} repeat")
+    return {tuple(exponents[i] for i in perm): sign
+            for perm, sign in signed_permutations(len(exponents))}
+
+
 def format_chern_combo(combo: ChernCombo) -> str:
     def mono(ks: Tuple[int, ...]) -> str:
-        if not ks:
-            return "1"
-        parts = []
-        for k in sorted(set(ks)):
-            e = ks.count(k)
-            parts.append(f"c{k}" + (f"^{e}" if e > 1 else ""))
-        return " ".join(parts)
+        return " ".join(f"c{k}" + (f"^{ks.count(k)}" if ks.count(k) > 1 else "")
+                        for k in sorted(set(ks)))
 
-    items = sorted(combo.items())
-    chunks = []
-    for ks, c in items:
-        body = mono(ks) if abs(c) == 1 else f"{abs(c)} {mono(ks)}"
-        chunks.append(("-" if c < 0 else "+", body))
-    out = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return format_terms(((c, mono(ks)) for ks, c in sorted(combo.items())), " ")
 
 
 # ---------------------------------------------------------------------------
-# leading term of the Euler characteristic of a Schur bundle
+# slots of the leading Euler characteristic of a Schur bundle
 # ---------------------------------------------------------------------------
 
 
@@ -174,59 +166,10 @@ def chi_slots(n: int) -> List[ChiSlot]:
     out = []
     for lam in partitions(n):
         mu = tuple(lam[i] + n - (i + 1) for i in range(n))  # strictly decreasing
-        denom = 1
-        for e in mu:
-            denom *= factorial(e)
         name = "".join(str(e) for e in sorted(mu))
-        out.append(ChiSlot(name, mu, denom, giambelli(conjugate(lam), n)))
+        out.append(ChiSlot(name, mu, prod(map(factorial, mu)), giambelli(conjugate(lam), n)))
     out.sort(key=lambda s: s.name)
     return out
-
-
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    m = [row[:] for row in rows]
-    k = len(m)
-    sign = 1
-    acc = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        acc *= pv
-        for r in range(col + 1, k):
-            if m[r][col]:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return sign * acc
-
-
-def chi_schur_leading(ell: Sequence[int], cs: ChernSystem,
-                      dual: bool = True, shifted: bool = True) -> DegreePolynomial:
-    """Coefficient polynomial of the leading order of chi(X, Schur(ell) bundle).
-
-    Sums, over the partitions of n, the integrated Giambelli coefficient
-    times the power determinant in ell'_i = ell_i + n - i (rows in
-    descending exponent order).  `dual` computes the cotangent twist, which
-    multiplies by (-1)^n; `shifted=False` uses the plain ell_i, harmless at
-    leading order and used by the exact golden-value integrals.
-    """
-    n = cs.n
-    if len(ell) != n:
-        raise ValueError(f"expected {n} Schur indices")
-    lp = [Fraction(e + (n - i - 1 if shifted else 0)) for i, e in enumerate(ell)]
-    acc = DegreePolynomial()
-    for slot in chi_slots(n):
-        rows = [[x ** e for x in lp] for e in slot.exponents]
-        det = _det(rows)
-        if det:
-            cpart = cs.integrate_combo(slot.combo, dual=dual)
-            acc = acc + cpart * (det / slot.denominator)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def exit_code(capsys, *argv):
+    """main's return value, or the code it exits with, and its stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 def test_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "derive", "--n", "0", "--kappa", "3")
     assert code == EX_USAGE
@@ -25,6 +34,36 @@ def test_usage_errors(capsys):
     assert code == EX_USAGE
     code, _, _ = run_cli(capsys, "chi", "--target", "schur")
     assert code == EX_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi",),
+    ("chi", "--target", "E45"),
+    ("derive", "--n", "x", "--kappa", "3"),
+    ("derive", "--n", "2", "--kappa", "3", "--budget-steps", "0"),
+    ("derive", "--n", "2", "--kappa", "3", "--budget-steps", "-5"),
+    ("derive", "--n", "2", "--kappa", "3", "--budget-steps", "x"),
+    ("derive", "--n", "2", "--kappa", "3", "--budget-seconds", "-1"),
+    ("derive", "--n", "2", "--kappa", "3", "--budget-seconds", "0"),
+    ("derive", "--n", "2", "--kappa", "3", "--budget-seconds", "nan"),
+    ("chi", "--target", "schur", "--ell", "5,x"),
+    ("chi", "--target", "schur", "--ell", "5,,3"),
+    ("chi", "--target", "schur", "--ell", "3,5"),
+    ("nosuchcommand",),
+    ("verify", "--catalog", "E2k2", "--no-such-flag"),
+], ids=" ".join)
+def test_bad_command_lines_exit_with_the_usage_code(capsys, argv):
+    """Never argparse's 2, which is the budget code, and never a traceback:
+    one line on stderr."""
+    code, err = exit_code(capsys, *argv)
+    assert code == EX_USAGE
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_help_and_version_exit_zero(capsys):
+    assert exit_code(capsys, "--help")[0] == EX_OK
+    assert exit_code(capsys, "chi", "--help")[0] == EX_OK
+    assert exit_code(capsys, "--version")[0] == EX_OK
 
 
 def test_derive_small_and_deterministic(capsys):
@@ -77,10 +116,16 @@ def test_derive_report_digest_pinned(capsys, argv, code, digest):
      "276d028ddc035c6552149dda07dd5e7a01d3dd803665dfd296d68b63c0d80f85"),
     (("--target", "rousseau-E33"),
      "116639d4bef358d6a6aee1192cfb9c6c2cd4c9511e7b51ae6a08ec5e22eae2ae"),
-], ids=["e43-h2", "rousseau-e33"])
+    (("--target", "schur", "--ell", "5,3,1"),
+     "50186dbb0813ff1b1304b538c33fe563386e6594cbb672c928f20e2ef6638aa5"),
+    (("--target", "schur", "--ell", "5,3,1", "--tangent"),
+     "4b79cf1b97d4caebae17aac994fa6e4255953dbe143332a9cf50d9d0b3039f3e"),
+    (("--target", "schur", "--ell", "6,4,2,1"),
+     "04d6f5b8af1b04b1268637ff0d0c33ac0f15d394a44e89b8bfb79c5814e36e68"),
+], ids=["e43-h2", "rousseau-e33", "schur-531", "schur-531-tangent", "schur-6421"])
 def test_chi_report_digest_pinned(capsys, argv, digest):
-    """The chi reports of E43 with the h^2 majorant and of Rousseau's E33,
-    approximate roots included, byte for byte."""
+    """The chi reports of E43 with the h^2 majorant, of Rousseau's E33 and of
+    three Schur bundles, approximate roots included, byte for byte."""
     got, out, _ = run_cli(capsys, "chi", *argv)
     assert got == EX_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest

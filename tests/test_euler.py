@@ -10,8 +10,11 @@ import pytest
 from jetcalc.degpoly import DegreePolynomial
 from jetcalc.euler import (
     _ROOT_WIDTH,
+    H2_FACTOR,
     NonPositiveLeading,
+    _family_forms,
     _integer_coeffs,
+    _integrate,
     _pseudo_divmod,
     _root_count,
     _sign,
@@ -23,6 +26,7 @@ from jetcalc.euler import (
     chi_rousseau_e33,
     family_contributions,
     h0_minorant_e43,
+    h2_majorant_coefficient,
     positivity_threshold,
     real_roots_approx,
     reversal_sign,
@@ -31,7 +35,8 @@ from jetcalc.euler import (
     slot_totals,
 )
 from jetcalc.polyring import Polynomial, Variable, tag
-from jetcalc.schur import enumerate_families
+from jetcalc.schur import alternant, chi_slots, enumerate_families
+from test_schur import ell_symbols, expand_over
 
 M = tag("m", 0, 0)
 X = tag("x", 0, 1)
@@ -519,7 +524,64 @@ def test_scaled_numerator():
 
 
 def test_reversal_sign():
-    assert reversal_sign(3) == -1 and reversal_sign(4) == 1
+    """The sign of the permutation that reverses n rows, by its inversion count."""
+    for n in range(1, 8):
+        rev = list(range(n))[::-1]
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if rev[a] > rev[b])
+        assert reversal_sign(n) == (-1) ** inversions
+    assert [reversal_sign(n) for n in range(1, 8)] == [1, -1, -1, 1, 1, -1, -1]
+
+
+def h2_kernel():
+    """(3/2)(l1+l2+l3)^3 (l1-l2)(l1-l3)(l2-l3), expanded with Polynomial."""
+    symbols = ell_symbols(3)
+    l1, l2, l3 = map(Polynomial.variable, symbols)
+    s = l1 + l2 + l3
+    kernel = Fraction(3, 2) * s * s * s * (l1 - l2) * (l1 - l3) * (l2 - l3)
+    return expand_over(kernel, symbols)
+
+
+def test_h2_kernel_is_a_combination_of_slot_alternants():
+    """Bialternant and Pieri: the kernel is -(3/2)(D015 + 2 D024 + D123)."""
+    combo = {}
+    for exponents, k in (((0, 1, 5), 1), ((0, 2, 4), 2), ((1, 2, 3), 1)):
+        for a, c in alternant(exponents).items():
+            combo[a] = combo.get(a, 0) - H2_FACTOR * k * c
+    assert h2_kernel() == {a: c for a, c in combo.items() if c}
+    assert {s.name for s in chi_slots(3)} == {"015", "024", "123"}
+
+
+def test_h2_majorant_matches_the_kernel_integrated_per_family():
+    """The kernel integrated family by family, as a second expansion, against
+    the combination of the slot totals."""
+    families = enumerate_families()
+    kernel = {"h2": h2_kernel()}
+    total = sum(f.multiplicity * _integrate(kernel, *_family_forms(f, 3))["h2"]
+                for f in families)
+    assert h2_majorant_coefficient(families) == total
+    for f in families:
+        t = family_contributions([f], 3)[0].slots
+        assert _integrate(kernel, *_family_forms(f, 3))["h2"] == \
+            -H2_FACTOR * (t["015"] + 2 * t["024"] + t["123"])
+
+
+def test_degree_polynomial_refuses_floats():
+    """Fraction(0.1) is the binary value of the float, so no float may enter."""
+    p = DegreePolynomial([1, 2])
+    for bad in (lambda: DegreePolynomial([1, 0.5]), lambda: p * 0.5, lambda: 0.5 * p,
+                lambda: p + 0.5, lambda: p - 0.5, lambda: DegreePolynomial.constant(1.0)):
+        with pytest.raises(TypeError):
+            bad()
+    assert p * Fraction(1, 2) == DegreePolynomial([Fraction(1, 2), 1])
+    assert 3 * p == DegreePolynomial([3, 6]) and p * 0 == DegreePolynomial()
+
+
+def test_assemble_chi_keeps_integer_slot_values_exact():
+    """An int slot value over its factorial denominator stays a Fraction."""
+    for n in (2, 3, 4):
+        ints = {slot.name: 7 + k for k, slot in enumerate(chi_slots(n))}
+        exact = assemble_chi({k: Fraction(v) for k, v in ints.items()}, n)
+        assert assemble_chi(ints, n) == exact
 
 
 def test_rousseau_cross_check():

@@ -1,11 +1,17 @@
 """Partitions, Chern systems, Giambelli, families, and the word calculus."""
 
+import random
+from fractions import Fraction
+from math import factorial, prod
+
 import pytest
 
 from jetcalc.degpoly import DegreePolynomial
+from jetcalc.euler import chi_schur_leading
+from jetcalc.polyring import Polynomial, determinant, signed_permutations, tag
 from jetcalc.schur import (
+    alternant,
     chern_hypersurface,
-    chi_schur_leading,
     chi_slots,
     conjugate,
     enumerate_families,
@@ -68,28 +74,149 @@ def test_chi_slots_factorials():
     assert slots3 == {"015": 120, "024": 48, "123": 12}
 
 
+# ---------------------------------------------------------------------------
+# the slow oracles: determinants of Polynomial powers, Gaussian elimination
+# ---------------------------------------------------------------------------
+
+
+def ell_symbols(n):
+    return [tag(f"l{i}", 0, 100 + i) for i in range(1, n + 1)]
+
+
+def expand_over(p: Polynomial, symbols):
+    """{exponent vector over symbols: coefficient} of a polynomial in them."""
+    out = {}
+    for mono, c in p.terms.items():
+        row = [0] * len(symbols)
+        for v, e in mono:
+            row[symbols.index(v)] = e
+        out[tuple(row)] = c
+    return out
+
+
+def cofactor_determinant(rows):
+    """Laplace expansion along the first row; no permutation signs, so it is
+    independent of `polyring.signed_permutations`."""
+    if not rows:
+        return Polynomial.constant(1)
+    acc = Polynomial.zero()
+    for j, entry in enumerate(rows[0]):
+        minor = cofactor_determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+        acc = acc + (-1) ** j * entry * minor
+    return acc
+
+
+def determinant_oracle(exponents):
+    """det(l_j ^ e_i), rows in the given order, over tag symbols, as
+    {exponent vector: coefficient}."""
+    symbols = ell_symbols(len(exponents))
+    ells = [Polynomial.variable(v) for v in symbols]
+    return expand_over(cofactor_determinant([[x ** e for x in ells] for e in exponents]),
+                       symbols)
+
+
+def gaussian_det(rows):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    m = [row[:] for row in rows]
+    k = len(m)
+    acc = Fraction(1)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            acc = -acc
+        pv = m[col][col]
+        acc *= pv
+        for r in range(col + 1, k):
+            if m[r][col]:
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return acc
+
+
+def gaussian_chi_schur_leading(ell, dual=True):
+    """The Schur-bundle leading term with descending exponent rows, each
+    power determinant at ell'_i = ell_i + n - i by Gaussian elimination."""
+    n = len(ell)
+    cs = chern_hypersurface(n)
+    lp = [Fraction(e + n - i) for i, e in enumerate(ell, start=1)]
+    acc = DegreePolynomial()
+    for slot in chi_slots(n):
+        det = gaussian_det([[x ** e for x in lp] for e in slot.exponents])
+        if det:
+            acc = acc + cs.integrate_combo(slot.combo, dual=dual) * (det / slot.denominator)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_alternant_matches_the_cofactor_expansion_on_every_slot(n):
+    for slot in chi_slots(n):
+        for rows in (sorted(slot.exponents), list(slot.exponents)):
+            got = alternant(rows)
+            assert got == determinant_oracle(rows)
+            assert all(c in (1, -1) for c in got.values())
+
+
+def test_alternant_matches_the_cofactor_expansion_on_random_exponents():
+    rng = random.Random(11)
+    for _ in range(30):
+        exponents = rng.sample(range(9), rng.randint(1, 4))
+        assert alternant(exponents) == determinant_oracle(exponents)
+
+
+def test_polynomial_determinant_matches_the_cofactor_expansion():
+    rng = random.Random(5)
+    symbols = ell_symbols(4)
+    for k in range(1, 5):
+        rows = [[Polynomial.variable(rng.choice(symbols)) * rng.randint(-3, 3) + rng.randint(-2, 2)
+                 for _ in range(k)] for _ in range(k)]
+        assert determinant(rows) == cofactor_determinant(rows)
+
+
+def test_signed_permutations():
+    for k in range(5):
+        perms = list(signed_permutations(k))
+        assert len({p for p, _ in perms}) == len(perms) == factorial(k)
+        for perm, sign in perms:
+            # the sign of prod (perm[b] - perm[a]) over a < b
+            assert sign == prod(1 if perm[a] < perm[b] else -1
+                                for a in range(k) for b in range(a + 1, k))
+
+
+def test_alternant_refuses_repeated_exponents():
+    with pytest.raises(ValueError):
+        alternant([3, 1, 3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chi_schur_leading_matches_gaussian_elimination(n):
+    rng = random.Random(40 + n)
+    for _ in range(12):
+        ell = sorted((rng.randint(0, 12) for _ in range(n)), reverse=True)
+        for dual in (True, False):
+            assert chi_schur_leading(ell, dual=dual) == gaussian_chi_schur_leading(ell, dual=dual)
+
+
 def test_chi_duality():
-    cs = chern_hypersurface(3)
     for ell in [(5, 3, 1), (9, 4, 4), (7, 0, 0)]:
-        assert chi_schur_leading(ell, cs, dual=True) == \
-            -1 * chi_schur_leading(ell, cs, dual=False)
-    cs4 = chern_hypersurface(4)
+        assert chi_schur_leading(ell, dual=True) == \
+            -1 * chi_schur_leading(ell, dual=False)
     ell = (6, 4, 2, 1)
-    assert chi_schur_leading(ell, cs4, dual=True) == \
-        chi_schur_leading(ell, cs4, dual=False)
+    assert chi_schur_leading(ell, dual=True) == chi_schur_leading(ell, dual=False)
 
 
 def test_chi_repeated_indices_vanish_at_leading_order():
-    # two equal shifted indices make every slot determinant zero
-    cs = chern_hypersurface(3)
-    assert chi_schur_leading((4, 4, 4), cs, shifted=False).is_zero()
+    # (2, 3, 4) shifts to (4, 4, 4): equal indices make every slot determinant zero
+    assert chi_schur_leading((2, 3, 4)).is_zero()
 
 
 def test_determinant_antisymmetry():
-    cs = chern_hypersurface(3)
-    a = chi_schur_leading((7, 4, 2), cs, shifted=False)
-    b = chi_schur_leading((4, 7, 2), cs, shifted=False)
-    assert a == -1 * b
+    # (7, 4, 2) and (3, 8, 2) shift to (9, 5, 2) and (5, 9, 2)
+    a = chi_schur_leading((7, 4, 2))
+    b = chi_schur_leading((3, 8, 2))
+    assert a == -1 * b and not a.is_zero()
 
 
 def test_generator_counts_match_eigenvalue_table():

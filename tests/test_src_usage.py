@@ -23,6 +23,7 @@ ALLOWED = {
     "normal_form": "reference check the acceptance tests compare ideals with",
     "WeightedDeg": "the order tests use it for weight rows beyond 0 and +-1",
     "verify_vanishing": "reference check: relations vanish on their defining polynomials",
+    "error": "argparse calls it: cli._Parser exits with the usage code on a bad command line",
 }
 
 
