@@ -522,7 +522,10 @@ class _IncrementalKernel:
     Columns are offered one at a time as {row: coeff} with nonzero rational
     coeffs; a column that reduces to zero returns its combination
     {label: Fraction} over the offered labels, with coefficient 1 on the
-    offered one, otherwise None (it became a new pivot).
+    offered one, otherwise None (it became a new pivot).  An offer with
+    `keep=False` is a query: it is reduced the same way, but a column that
+    does not reduce to zero is dropped instead of stored, so the pivots stay
+    those of the kept columns.
 
     Fraction-free: an offered column is cleared of denominators once, and
     stored columns and combinations are integer (primitive, positive pivot).
@@ -542,14 +545,15 @@ class _IncrementalKernel:
     def __init__(self):
         self.pivots: Dict = {}  # pivot row -> (column dict, combo dict)
 
-    def offer(self, column: Dict, label) -> Optional[Dict]:
+    def offer(self, column: Dict, label, keep: bool = True) -> Optional[Dict]:
         den, col = clear_denominators(column)
         combo = {label: den}
         while col:
             row = min(col)
             hit = self.pivots.get(row)
             if hit is None:
-                self.pivots[row] = _content_out(col, combo, row)[:2]
+                if keep:
+                    self.pivots[row] = _content_out(col, combo, row)[:2]
                 return None
             pcol, pcombo = hit
             f = col[row]
@@ -592,42 +596,67 @@ class MembershipResult:
         return self.member
 
 
-def subalgebra_membership(p: Polynomial,
-                          named: Sequence[Tuple[str, Polynomial]],
-                          budget: Optional[Budget] = None) -> MembershipResult:
-    """Decide p in C[g_1, ..., g_k]; on success return a tag representation.
+class Subalgebra:
+    """Membership in C[g_1, ..., g_k] for one pool of named generators.
 
     For weighted homogeneous data (our case throughout) membership is a
     finite exact linear problem: a representation can be taken homogeneous,
-    so only generator products of the matching weight can contribute.
+    so only generator products of the matching weight can contribute.  The
+    first query of a weight offers every generator product of that weight,
+    in `weight_tuples` order, to one `_IncrementalKernel`, which is kept for
+    the pool's lifetime; each query column is then reduced against its
+    pivots and never stored.  The products are built for that one pass
+    and freed after it.  A pass cut short by the budget resumes at the
+    first tuple it did not offer.
     """
-    budget = budget or Budget()
-    if p.is_zero():
-        return MembershipResult(True, Polynomial.zero())
-    w = p.weighted_degree()
-    weights = []
-    for name, g in named:
-        gw = g.weighted_degree()
-        if gw is None:
-            raise ValueError(f"{name}: generator not weighted homogeneous")
-        weights.append(gw)
-    if w is None:
-        raise ValueError("membership test wants a weighted homogeneous input")
-    tags = make_tags([(name, gw) for (name, _), gw in zip(named, weights)])
-    gens = [g for _, g in named]
-    tuples = weight_tuples(weights, w)
-    if not tuples:
-        return MembershipResult(False)
-    powers = _PowerCache(gens)
-    elim = _IncrementalKernel()
-    for a in tuples:
-        budget.spend()
-        budget.check_deadline()
-        elim.offer(powers.product(a).terms, a)
-    sentinel = object()
-    combo = elim.offer(p.terms, sentinel)
-    if combo is None:
-        return MembershipResult(False)
-    del combo[sentinel]  # its coefficient is 1
-    expr = _tag_polynomial(tags, {a: -c for a, c in combo.items()})
-    return MembershipResult(True, expr)
+
+    def __init__(self, named: Sequence[Tuple[str, Polynomial]]):
+        self.weights = []
+        for name, g in named:
+            gw = g.weighted_degree()
+            if gw is None:
+                raise ValueError(f"{name}: generator not weighted homogeneous")
+            self.weights.append(gw)
+        self.tags = make_tags([(name, gw) for (name, _), gw in zip(named, self.weights)])
+        self.gens = [g for _, g in named]
+        # weight -> [its eliminator, its exponent tuples, how many are offered]
+        self._by_weight: Dict[int, list] = {}
+
+    def member(self, p: Polynomial, budget: Optional[Budget] = None) -> MembershipResult:
+        """Decide p in the algebra; on success return a tag representation."""
+        budget = budget or Budget()
+        if p.is_zero():
+            return MembershipResult(True, Polynomial.zero())
+        w = p.weighted_degree()
+        if w is None:
+            raise ValueError("membership test wants a weighted homogeneous input")
+        query = object()
+        combo = self._kernel(w, budget).offer(p.terms, query, keep=False)
+        if combo is None:
+            return MembershipResult(False)
+        del combo[query]  # its coefficient is 1
+        return MembershipResult(True, _tag_polynomial(self.tags,
+                                                      {a: -c for a, c in combo.items()}))
+
+    def _kernel(self, w: int, budget: Budget) -> _IncrementalKernel:
+        """The eliminator of weight w, once every product of weight w is in."""
+        entry = self._by_weight.get(w)
+        if entry is None:
+            entry = self._by_weight[w] = [_IncrementalKernel(),
+                                          weight_tuples(self.weights, w), 0]
+        kernel, tuples, offered = entry
+        if offered < len(tuples):
+            powers = _PowerCache(self.gens)
+            for a in tuples[offered:]:
+                budget.spend()
+                budget.check_deadline()
+                kernel.offer(powers.product(a).terms, a)
+                entry[2] += 1
+        return kernel
+
+
+def subalgebra_membership(p: Polynomial,
+                          named: Sequence[Tuple[str, Polynomial]],
+                          budget: Optional[Budget] = None) -> MembershipResult:
+    """Decide p in C[g_1, ..., g_k] once: `Subalgebra(named).member(p, budget)`."""
+    return Subalgebra(named).member(p, budget)

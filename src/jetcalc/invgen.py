@@ -14,9 +14,9 @@ from .groebner import (
     BudgetExceeded,
     DegRevLex,
     MonomialOrder,
+    Subalgebra,
     _IncrementalKernel,
     relations_ideal,
-    subalgebra_membership,
     weight_tuples,
 )
 from .jets import (
@@ -157,9 +157,11 @@ def run_generation(ctx: JetContext, mode: str = "full",
     after 12 loops.  Each loop takes the relation ideal from
     `relations_ideal`, under `budget`; a graded-kernel ideal is not
     certified complete, so a loop that closes on one leaves `terminated`
-    unset.  Tags enter the relation ideal sorted by weight (paper-style
-    listing), which keeps the reduced bases small; `normalizer` may
-    rename/rescale a discovered invariant (e.g. to its catalogued form).
+    unset.  Membership runs on one `Subalgebra` per generator pool, kept
+    across relations and loops until the pool grows, so each weight is
+    solved once per pool.  Tags enter the relation ideal sorted by weight
+    (paper-style listing), which keeps the reduced bases small; `normalizer`
+    may rename/rescale a discovered invariant (e.g. to its catalogued form).
     """
     if mode not in ("full", "bi"):
         raise ValueError(f"unknown mode: {mode}")
@@ -170,6 +172,8 @@ def run_generation(ctx: JetContext, mode: str = "full",
     state.generators = list(base)
     state.transcript.append(
         f"start: {len(base)} initial {'invariants' if mode == 'full' else 'bi-invariants'}")
+    # membership in the current pool's algebra, and the names of that pool
+    algebra, algebra_names = None, None
 
     while state.loop_count < _MAX_LOOPS:
         state.loop_count += 1
@@ -208,10 +212,13 @@ def run_generation(ctx: JetContext, mode: str = "full",
                                        Polynomial.zero()))
                 continue
             pool = gens + new_invariants
+            names = [g.name for g in pool]
+            if names != algebra_names:
+                algebra = Subalgebra([(g.name, g.poly) for g in pool])
+                algebra_names = names
             try:
                 # the caller's deadline, but not its step count
-                membership = subalgebra_membership(rem, [(g.name, g.poly) for g in pool],
-                                                   Budget(deadline=budget.deadline))
+                membership = algebra.member(rem, Budget(deadline=budget.deadline))
             except BudgetExceeded as exc:
                 state.transcript.append(
                     f"loop {state.loop_count}: membership test failed: {exc}")

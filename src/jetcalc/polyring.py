@@ -522,15 +522,21 @@ class Packing:
         return a
 
 
-def packing_over(monomials: Iterable[Monomial], order: Optional["MonomialOrder"] = None,
-                 headroom: int = 1) -> Packing:
-    """The packing of the variables of `monomials` whose limit is `headroom`
-    times their largest total degree."""
+def _support(monomials: Iterable[Monomial]) -> Tuple[frozenset, int]:
+    """The variables of `monomials` and their largest total degree."""
     variables = set()
     top = 0
     for m in monomials:
         variables.update(v for v, _ in m)
         top = max(top, mono_degree(m))
+    return frozenset(variables), top
+
+
+def packing_over(monomials: Iterable[Monomial], order: Optional["MonomialOrder"] = None,
+                 headroom: int = 1) -> Packing:
+    """The packing of the variables of `monomials` whose limit is `headroom`
+    times their largest total degree."""
+    variables, top = _support(monomials)
     return Packing(variables, headroom * top, order)
 
 
@@ -694,7 +700,9 @@ class MonomialOrder:
 
     Monomials compare as the dot products of the rows with their exponent
     vectors, row by row.  `ranked` and `leading_monomial` pack their inputs
-    over the inputs' variables (`Packing`) and compare codes.
+    over the inputs' variables (`Packing`) and compare codes; the order keeps
+    one packing per variable set and builds it again only for a monomial of
+    larger degree than its limit (a larger limit ranks the same).
     """
 
     name = "order"
@@ -705,13 +713,21 @@ class MonomialOrder:
         rank every pair of such monomials apart."""
         raise NotImplementedError
 
+    def _packing(self, monomials: Iterable[Monomial]) -> Packing:
+        variables, top = _support(monomials)
+        kept = self.__dict__.setdefault("_packings", {})
+        packing = kept.get(variables)
+        if packing is None or packing.limit < top:
+            packing = kept[variables] = Packing(variables, top, self)
+        return packing
+
     def ranked(self, monomials: Iterable[Monomial]) -> List[Monomial]:
         """The monomials, largest first."""
         monomials = list(monomials)
-        return sorted(monomials, key=packing_over(monomials, self).pack, reverse=True)
+        return sorted(monomials, key=self._packing(monomials).pack, reverse=True)
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
-        return max(p.terms, key=packing_over(p.terms, self).pack)
+        return max(p.terms, key=self._packing(p.terms).pack)
 
     def __repr__(self) -> str:
         return f"<{self.name}>"

@@ -152,7 +152,7 @@ def format_chern_combo(combo: ChernCombo) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChiSlot:
     """One partition's contribution: determinant exponents and Chern data."""
 
@@ -162,14 +162,16 @@ class ChiSlot:
     combo: ChernCombo         # Giambelli combination for the conjugate
 
 
-def chi_slots(n: int) -> List[ChiSlot]:
+@lru_cache(maxsize=None)
+def chi_slots(n: int) -> Tuple[ChiSlot, ...]:
+    """The slots of dimension n, by name; worked out once per n."""
     out = []
     for lam in partitions(n):
         mu = tuple(lam[i] + n - (i + 1) for i in range(n))  # strictly decreasing
         name = "".join(str(e) for e in sorted(mu))
         out.append(ChiSlot(name, mu, prod(map(factorial, mu)), giambelli(conjugate(lam), n)))
     out.sort(key=lambda s: s.name)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

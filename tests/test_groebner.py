@@ -439,6 +439,110 @@ def test_membership_bracket_pair_in_e24():
     assert len(rep.expression) == 1
 
 
+def _e24_membership_queries(seed):
+    """(pool, queries): E2k4 without L5b and L7bb, and a seeded shuffle of
+    members of weights 2..10 with non-members built on the two left out."""
+    from jetcalc.catalog import load_catalog
+
+    rng = random.Random(seed)
+    G = load_catalog("E2k4").generator_map()
+    pool = [(n, G[n]) for n in ("f1", "f2", "L3", "L5a", "L7aa", "L7ab", "M8")]
+    weights = [p.weighted_degree() for _, p in pool]
+
+    def member(w):
+        out = Polynomial.zero()
+        for a in rng.sample(weight_tuples(weights, w), 2):
+            term = Polynomial.constant(rng.choice([-3, -1, 2, Fraction(5, 7)]))
+            for (_, g), e in zip(pool, a):
+                term = term * g ** e
+            out = out + term
+        return out
+
+    l5b = bracket(G["L3"], G["f2"], weights=(3, 1))
+    queries = [member(w) for w in (2, 3, 5, 5, 7, 8, 8, 9, 10, 10)]
+    queries += [l5b, G["L5b"] + member(5), G["L7bb"], G["L5b"] * G["f1"] ** 3 + member(8),
+                G["L5b"] * G["L3"] - member(8), Polynomial.zero()]
+    rng.shuffle(queries)
+    return pool, queries
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_shared_membership_matches_one_shot_calls(monkeypatch, seed):
+    """One `Subalgebra` answers a shuffled run of queries exactly as a fresh
+    `subalgebra_membership` call answers each, a non-member leaves the
+    pivots as they were, and each weight's products are offered once."""
+    import jetcalc.groebner as groebner
+
+    pool, queries = _e24_membership_queries(seed)
+    weights = [p.weighted_degree() for _, p in pool]
+    offered = []
+    offer = groebner._IncrementalKernel.offer
+
+    def counted(self, column, label, keep=True):
+        if keep:
+            offered.append(label)
+        return offer(self, column, label, keep)
+
+    monkeypatch.setattr(groebner._IncrementalKernel, "offer", counted)
+    algebra = groebner.Subalgebra(pool)
+    answers = []
+    rechecked = 0
+    for q in queries:
+        built = algebra._by_weight.get(q.weighted_degree() if q else None)
+        before = len(built[0].pivots) if built else None
+        got = algebra.member(q)
+        answers.append(got)
+        if not got and built:
+            assert len(built[0].pivots) == before
+            rechecked += 1
+    assert rechecked
+    # only generator products were stored, never a query
+    assert all(type(label) is tuple for kernel, _, _ in algebra._by_weight.values()
+               for _, combo in kernel.pivots.values() for label in combo)
+    seen = {q.weighted_degree() for q in queries if q}
+    assert sorted(offered) == sorted(a for w in seen for a in weight_tuples(weights, w))
+    monkeypatch.setattr(groebner._IncrementalKernel, "offer", offer)
+
+    sub = dict(zip(make_tags([(n, p.weighted_degree()) for n, p in pool]),
+                   [p for _, p in pool]))
+    assert 0 < sum(not a for a in answers) < len(answers)
+    for q, got in zip(queries, answers):
+        fresh = subalgebra_membership(q, pool)
+        assert got.member == fresh.member
+        assert got.expression == fresh.expression
+        assert str(got.expression) == str(fresh.expression)
+        if got:
+            assert got.expression.substitute(sub) == q
+
+
+def test_shared_membership_resumes_a_build_cut_by_the_budget():
+    """A steps budget that runs out inside a weight's build leaves the
+    offered products in place; the retry offers the rest and answers as a
+    fresh call does."""
+    import jetcalc.groebner as groebner
+    from jetcalc.groebner import BudgetExceeded
+
+    pool, queries = _e24_membership_queries(5)
+    algebra = groebner.Subalgebra(pool)
+    weights = [p.weighted_degree() for _, p in pool]
+    for q in queries:
+        if not q or q.weighted_degree() in algebra._by_weight:
+            continue
+        w = q.weighted_degree()
+        total = len(weight_tuples(weights, w))
+        if total > 1:
+            cut = Budget(steps=total // 2)
+            with pytest.raises(BudgetExceeded, match="reduction budget"):
+                algebra.member(q, cut)
+            assert algebra._by_weight[w][2] == total // 2
+        budget = Budget()
+        got = algebra.member(q, budget)
+        assert budget.used == total - (total // 2 if total > 1 else 0)
+        assert algebra._by_weight[w][2] == total
+        fresh = subalgebra_membership(q, pool)
+        assert got.member == fresh.member and got.expression == fresh.expression
+
+
 def test_auxiliary_basis_normal_form_value():
     # the printed auxiliary normal form: NF(L3|0^2 * F16|0) = 35/9 l50^2 n120
     from jetcalc.catalog import load_catalog

@@ -228,11 +228,11 @@ def test_run_generation_hands_membership_the_deadline(monkeypatch):
 
     seen = []
 
-    def expired(p, named, budget=None):
+    def expired(self, p, budget=None):
         seen.append(budget)
         raise BudgetExceeded("time budget exhausted")
 
-    monkeypatch.setattr(invgen, "subalgebra_membership", expired)
+    monkeypatch.setattr(invgen.Subalgebra, "member", expired)
     caller = Budget(deadline=time.monotonic() + 3600)
     state = run_generation(JetContext(2, 3), "full", budget=caller)
     assert state.budget_exceeded and not state.terminated

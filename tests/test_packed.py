@@ -428,6 +428,27 @@ def test_ranked_and_leading_monomial_across_supports(name):
     assert max(supports) >= 4
 
 
+@pytest.mark.parametrize("make", [Lex, DegRevLex, WeightedDeg,
+                                  lambda: Block(FRONT, Lex(), WeightedDeg())])
+def test_ranked_keeps_one_packing_per_support_and_widens_it(make):
+    """The packing an order keeps for a variable set serves later rankings
+    of lower degree and is built again, wider, for a higher one; every
+    ranking stays the textbook order."""
+    order = make()
+    x, y, z = VARS[0], VARS[4], VARS[-1]
+    kept = []
+    for top in (3, 2, 40, 7):
+        monos = [((x, 1), (y, 1), (z, 1)), ((x, top),), ((y, top - 1), (z, 1)),
+                 ((x, 1), (z, top - 1)), ((y, top),)]
+        expected = sorted(monos, key=textbook_key(order, monos), reverse=True)
+        assert order.ranked(monos) == expected
+        assert order.leading_monomial(Polynomial(dict.fromkeys(monos, 1))) == expected[0]
+        [packing] = order._packings.values()
+        kept.append(packing)
+    assert kept[0] is kept[1] and kept[2] is kept[3]
+    assert kept[1].limit < 40 <= kept[2].limit
+
+
 @pytest.mark.parametrize("name", ORDERS)
 def test_packed_order_arithmetic_matches_tuples(name):
     """Product, quotient, divisibility and lcm on codes against the tuple
