@@ -41,8 +41,13 @@ from .polyring import (
     tag,
 )
 
-CATALOG_IDS = ("E2k2", "E2k3", "E2k4", "E2k5", "UE2k5",
-               "E3k3", "UE3k3", "UE3k4", "UE4k4")
+# catalog id -> the (n, kappa, mode) of its context
+_CONTEXTS = {
+    "E2k2": (2, 2, "full"), "E2k3": (2, 3, "full"), "E2k4": (2, 4, "full"),
+    "E2k5": (2, 5, "full"), "UE2k5": (2, 5, "bi"), "E3k3": (3, 3, "full"),
+    "UE3k3": (3, 3, "bi"), "UE3k4": (3, 4, "bi"), "UE4k4": (4, 4, "bi"),
+}
+CATALOG_IDS = tuple(_CONTEXTS)
 
 
 @dataclass
@@ -592,64 +597,47 @@ def _counted_entries_4k4() -> Tuple[CatalogEntry, ...]:
 
 def build_catalog(catalog_id: str) -> CatalogData:
     """Construct a catalog from its defining recipes (exact, no transcription)."""
+    if catalog_id not in _CONTEXTS:
+        raise KeyError(f"unknown catalog id: {catalog_id} (ids: {', '.join(CATALOG_IDS)})")
+    n, kappa, mode = _CONTEXTS[catalog_id]
+    tables = {}  # syzygy set -> (its transcribed rows, its id prefix)
     if catalog_id == "E2k2":
         polys = {"f1": poly_jet(1, 1), "f2": poly_jet(2, 1), "L3": wronskian([1, 2])}
         recipes = {"f1": "f[1]'", "f2": "f[2]'", "L3": "Delta(1,2)"}
-        return CatalogData("E2k2", JetContext(2, 2), "full",
-                           _as_entries(polys, recipes, 2))
-    if catalog_id == "E2k3":
-        all24 = _entries_2k4()
-        keep = {k: all24[k] for k in ("f1", "f2", "L3", "L5a", "L5b")}
-        data = CatalogData("E2k3", JetContext(2, 3), "full",
-                           _as_entries(keep, _RECIPES_2K4, 2))
-        nw = [(e.name, e.weight) for e in data.entries]
-        data.syzygy_sets["fundamental"] = _make_syzygies(_SYZ_2K3, nw, "E2k3")
-        return data
-    if catalog_id == "E2k4":
+        entries = _as_entries(polys, recipes, n)
+    elif catalog_id in ("E2k3", "E2k4"):
         polys = _entries_2k4()
-        data = CatalogData("E2k4", JetContext(2, 4), "full",
-                           _as_entries(polys, _RECIPES_2K4, 2))
-        nw = [(e.name, e.weight) for e in data.entries]
-        data.syzygy_sets["fundamental"] = _make_syzygies(_SYZ_2K4, nw, "E2k4")
-        return data
-    if catalog_id == "E2k5":
+        if catalog_id == "E2k3":
+            polys = {k: polys[k] for k in ("f1", "f2", "L3", "L5a", "L5b")}
+        entries = _as_entries(polys, _RECIPES_2K4, n)
+        rows = _SYZ_2K3 if catalog_id == "E2k3" else _SYZ_2K4
+        tables = {"fundamental": (rows, catalog_id)}
+    elif catalog_id == "E2k5":
         polys = _entries_2k5_brackets()
-        recipes = {k: "bracket construction" for k in polys}
-        data = CatalogData("E2k5", JetContext(2, 5), "full",
-                           _as_entries(polys, recipes, 2, "bracket"))
-        return data
-    if catalog_id == "UE2k5":
-        polys = _entries_2k5()
-        data = CatalogData("UE2k5", JetContext(2, 5), "bi",
-                           _as_entries(polys, _RECIPES_2K5, 2))
-        nw = [(e.name, e.weight) for e in data.entries]
-        data.syzygy_sets["loop1"] = _make_syzygies(_SYZ_2K5_LOOP1, nw, "UE2k5.1")
-        data.syzygy_sets["loop2"] = _make_syzygies(_SYZ_2K5_LOOP2, nw, "UE2k5.2")
-        data.syzygy_sets["loop3"] = _make_syzygies(_SYZ_2K5_LOOP3, nw, "UE2k5.3")
-        data.syzygy_sets["loop4"] = _make_syzygies(_SYZ_2K5_LOOP4, nw, "UE2k5.4")
-        return data
-    if catalog_id == "E3k3":
+        entries = _as_entries(polys, dict.fromkeys(polys, "bracket construction"), n, "bracket")
+    elif catalog_id == "E3k3":
         polys = _entries_3k3()
-        recipes = {k: "bracket construction" for k in polys}
-        return CatalogData("E3k3", JetContext(3, 3), "full",
-                           _as_entries(polys, recipes, 3))
-    if catalog_id == "UE3k3":
+        entries = _as_entries(polys, dict.fromkeys(polys, "bracket construction"), n)
+    elif catalog_id == "UE2k5":
+        entries = _as_entries(_entries_2k5(), _RECIPES_2K5, n)
+        loops = (_SYZ_2K5_LOOP1, _SYZ_2K5_LOOP2, _SYZ_2K5_LOOP3, _SYZ_2K5_LOOP4)
+        tables = {f"loop{k}": (rows, f"UE2k5.{k}") for k, rows in enumerate(loops, start=1)}
+    elif catalog_id == "UE3k3":
         f1 = poly_jet(1, 1)
         L3, L5 = [inv.poly for inv in lambda_chain(2, 3)]
         polys = {"f1": f1, "L3": L3, "L5": L5, "D6": wronskian([1, 2, 3])}
         recipes = {"f1": "f[1]'", "L3": "Delta(1,2)", "L5": "[L3, f1]",
                    "D6": "Delta(1,2,3)"}
-        return CatalogData("UE3k3", JetContext(3, 3), "bi",
-                           _as_entries(polys, recipes, 3))
-    if catalog_id in ("UE3k4", "UE4k4"):
-        n = 4 if catalog_id == "UE4k4" else 3
+        entries = _as_entries(polys, recipes, n)
+    else:  # UE3k4, UE4k4
         entries = [replace(e, counts=e.counts[:n]) for e in _counted_entries_4k4()
                    if n == 4 or e.name != "W10"]
-        data = CatalogData(catalog_id, JetContext(n, 4), "bi", entries)
-        nw = [(e.name, e.weight) for e in data.entries]
-        data.syzygy_sets["lex41"] = _make_syzygies(_SYZ_4K4, nw, catalog_id)
-        return data
-    raise KeyError(f"unknown catalog id: {catalog_id} (ids: {', '.join(CATALOG_IDS)})")
+        tables = {"lex41": (_SYZ_4K4, catalog_id)}
+    data = CatalogData(catalog_id, JetContext(n, kappa), mode, entries)
+    nw = [(e.name, e.weight) for e in entries]
+    for key, (rows, prefix) in tables.items():
+        data.syzygy_sets[key] = _make_syzygies(rows, nw, prefix)
+    return data
 
 
 _cache: Dict[str, CatalogData] = {}
@@ -685,12 +673,8 @@ def normalizer_for(ctx: JetContext, mode: str):
     """Name-normalizer for run_generation: match discovered invariants
     against the catalogued ones (up to a rational multiple) and adopt the
     catalogued polynomial and name."""
-    by_context = {
-        (2, 2, "full"): "E2k2", (2, 3, "full"): "E2k3", (2, 4, "full"): "E2k4",
-        (2, 5, "full"): "E2k5", (2, 5, "bi"): "UE2k5", (3, 3, "full"): "E3k3",
-        (3, 3, "bi"): "UE3k3", (3, 4, "bi"): "UE3k4", (4, 4, "bi"): "UE4k4",
-    }
-    cid = by_context.get((ctx.n, ctx.kappa, mode))
+    cid = next((c for c, context in _CONTEXTS.items()
+                if context == (ctx.n, ctx.kappa, mode)), None)
     if cid is None:
         return None
     entries = load_catalog(cid).entries

@@ -28,9 +28,11 @@ from .polyring import (
     DegRevLex,
     Monomial,
     MonomialOrder,
+    Packed,
     Packing,
     Polynomial,
     Variable,
+    _packed_mul,
     clear_denominators,
     is_tag,
     mono_divides,
@@ -255,7 +257,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     polys = [g.terms for g in gens if g]
     packing = packing_over((m for d in polys for m in d), order, _DEGREE_HEADROOM)
     basis, complete = _buchberger_loop(
-        [clear_denominators(packing.pack_terms(d))[1] for d in polys], packing, budget)
+        [packing.pack_terms(d)[1] for d in polys], packing, budget)
     if complete:
         out = _interreduce(basis, packing, budget)
     else:
@@ -276,9 +278,9 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
                            _DEGREE_HEADROOM)
     basis = []
     for g in polys:
-        d = clear_denominators(packing.pack_terms(g))[1]
+        d = packing.pack_terms(g)[1]
         basis.append((d, max(d), max(map(packing.degree, d))))
-    p_den, p_num = clear_denominators(packing.pack_terms(p.terms))
+    p_den, p_num = packing.pack_terms(p.terms)
     rem, num, den = _reduce_full(p_num, basis, packing, budget or Budget())
     num *= p_den  # the remainder of p is rem * den / num
     return Polynomial(_raw=packing.unpack_terms({m: Fraction(c * den, num)
@@ -352,14 +354,11 @@ def jacobian_rank_certificate(polys: Sequence[Polynomial]) -> bool:
     return False
 
 
-def _evaluated_row(row: Sequence[Polynomial], point) -> Dict[int, Fraction]:
-    """The nonzero values of a Jacobian row at a point, keyed by column."""
-    out = {}
-    for col, entry in enumerate(row):
-        value = entry.substitute(point).constant_term()
-        if value:
-            out[col] = value
-    return out
+def _evaluated_row(row: Sequence[Polynomial], point) -> Packed:
+    """The nonzero values of a Jacobian row at a point, keyed by column,
+    over their least common denominator."""
+    values = {col: entry.substitute(point).terms.get((), 0) for col, entry in enumerate(row)}
+    return clear_denominators({col: v for col, v in values.items() if v})
 
 
 def relations_ideal(named: Sequence[Tuple[str, int, Polynomial]],
@@ -448,25 +447,32 @@ def weight_tuples(weights: Sequence[int], total: int) -> List[Exps]:
     return out
 
 
+def _pool_variables(gens: Sequence[Polynomial]) -> set:
+    """The generators' variables; ValueError on one that weighs below 1, as
+    products are packed up to their weight, which must bound their degree."""
+    variables = set().union(*(g.variables() for g in gens))
+    if any(v.weight < 1 for v in variables):
+        raise ValueError("a generator variable weighs less than 1")
+    return variables
+
+
 class _PowerCache:
-    """Cached products of generator powers, built up incrementally."""
+    """Cached products of generator powers, packed `(den, {code: numerator})`
+    with `packing`, whose limit bounds their degree.  Each is one
+    `_packed_mul` of a cached product and a generator packed once."""
 
-    def __init__(self, gens: List[Polynomial]):
-        self.gens = gens
-        self.cache: Dict[Exps, Polynomial] = {tuple([0] * len(gens)): Polynomial.constant(1)}
+    def __init__(self, gens: List[Polynomial], packing: Packing):
+        self.gens = [packing.pack_terms(g.terms) for g in gens]
+        self.cache: Dict[Exps, Packed] = {tuple([0] * len(gens)): (1, {0: 1})}
 
-    def product(self, exps: Exps) -> Polynomial:
+    def product(self, exps: Exps) -> Packed:
         got = self.cache.get(exps)
-        if got is not None:
-            return got
-        for i in range(len(exps) - 1, -1, -1):
-            if exps[i]:
-                prev = list(exps)
-                prev[i] -= 1
-                base = self.product(tuple(prev))
-                got = base * self.gens[i]
-                break
-        self.cache[exps] = got
+        if got is None:
+            i = max(k for k, e in enumerate(exps) if e)  # the last generator in it
+            den, num = self.product(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+            gden, gnum = self.gens[i]
+            num = {k: c for k, c in _packed_mul(num, gnum).items() if c}
+            got = self.cache[exps] = den * gden, num
         return got
 
 
@@ -474,7 +480,7 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
     weights = [t.weight for t in tags]
     gens = [defining[t] for t in tags]
     top_weight = 2 * max(weights) + 2
-    powers = _PowerCache(gens)
+    powers = _PowerCache(gens, Packing(_pool_variables(gens), top_weight))
     relations: List[Polynomial] = []
     current = GroebnerBasis([], tag_order)
     leads: List[Monomial] = []
@@ -488,7 +494,7 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
         for a in tuples:
             budget.spend()
             budget.check_deadline()
-            combo = elim.offer(powers.product(a).terms, a)
+            combo = elim.offer(powers.product(a), a)
             if combo is None:
                 continue
             new_at_mu.append(primitive_part(_tag_polynomial(tags, combo)))
@@ -519,34 +525,35 @@ class _IncrementalKernel:
     eliminator (membership, the graded relation kernel, the Jacobian
     certificate and the invariant-dimension oracle).
 
-    Columns are offered one at a time as {row: coeff} with nonzero rational
-    coeffs; a column that reduces to zero returns its combination
+    Columns are offered one at a time as `(den, {row: nonzero integer
+    numerator})` (`polyring.Packed`, rows packed codes for generator
+    products); a column that reduces to zero returns its combination
     {label: Fraction} over the offered labels, with coefficient 1 on the
     offered one, otherwise None (it became a new pivot).  An offer with
     `keep=False` is a query: it is reduced the same way, but a column that
-    does not reduce to zero is dropped instead of stored, so the pivots stay
-    those of the kept columns.
+    does not reduce to zero is dropped instead of stored.
 
-    Fraction-free: an offered column is cleared of denominators once, and
-    stored columns and combinations are integer (primitive, positive pivot).
+    Stored columns and combinations are integer (primitive, positive pivot);
+    a column keyed by ints is not tracked by the cyclic garbage collector.
     Clearing an entry f by a pivot entry pv scales by pv/g, subtracts f/g
-    times the stored pair (g = gcd(f, pv)) and takes out the content.  A
-    dependent column's combination over the earlier pivots is unique.
+    times the stored pair (g = gcd(f, pv)) and takes out the content.  The
+    pivot columns depend only on the order of the offers, and a dependent
+    column's combination over them is unique, whatever the row encoding.
 
     Invariant: every stored column's pivot is its smallest row under one
-    fixed total order, plain `<` on the rows (ints, or monomial tuples,
-    which compare by variable seniority).  Subtracting the stored column at
-    an offered column's smallest row then clears that row and touches only
-    larger ones, so the smallest row rises at every step.  Pivoting on any
-    other row (the first inserted, say) can bring cleared rows back and
-    gives wrong counts or never ends.
+    fixed total order, plain `<` on the rows (ints, or tuples of the test
+    oracles).  Subtracting the stored column at an offered column's smallest
+    row then clears that row and touches only larger ones, so the smallest
+    row rises at every step.  Pivoting on any other row (the first inserted,
+    say) can bring cleared rows back and gives wrong counts or never ends.
     """
 
     def __init__(self):
         self.pivots: Dict = {}  # pivot row -> (column dict, combo dict)
 
-    def offer(self, column: Dict, label, keep: bool = True) -> Optional[Dict]:
-        den, col = clear_denominators(column)
+    def offer(self, column: Packed, label, keep: bool = True) -> Optional[Dict]:
+        den, col = column
+        col = dict(col)  # reduced in place; the caller's dict stays as it was
         combo = {label: den}
         while col:
             row = min(col)
@@ -590,7 +597,6 @@ def _subtract(acc: Dict, terms: Dict, f: int):
 class MembershipResult:
     member: bool
     expression: Optional[Polynomial] = None  # tag polynomial when member
-    complete: bool = True
 
     def __bool__(self):
         return self.member
@@ -605,9 +611,12 @@ class Subalgebra:
     first query of a weight offers every generator product of that weight,
     in `weight_tuples` order, to one `_IncrementalKernel`, which is kept for
     the pool's lifetime; each query column is then reduced against its
-    pivots and never stored.  The products are built for that one pass
-    and freed after it.  A pass cut short by the budget resumes at the
-    first tuple it did not offer.
+    pivots and never stored.  The products are built for that one pass, as
+    packed integers (`_PowerCache`) on the weight's packing of the pool's
+    variables up to max(w, weights), and freed after it; the packing is
+    kept to pack the queries of weight w.  A query with a variable that no
+    generator holds is not a member.  A pass cut short by the budget
+    resumes at the first tuple it did not offer.
     """
 
     def __init__(self, named: Sequence[Tuple[str, Polynomial]]):
@@ -619,7 +628,8 @@ class Subalgebra:
             self.weights.append(gw)
         self.tags = make_tags([(name, gw) for (name, _), gw in zip(named, self.weights)])
         self.gens = [g for _, g in named]
-        # weight -> [its eliminator, its exponent tuples, how many are offered]
+        self.variables = _pool_variables(self.gens)
+        # weight -> [eliminator, exponent tuples, how many are offered, packing]
         self._by_weight: Dict[int, list] = {}
 
     def member(self, p: Polynomial, budget: Optional[Budget] = None) -> MembershipResult:
@@ -630,29 +640,33 @@ class Subalgebra:
         w = p.weighted_degree()
         if w is None:
             raise ValueError("membership test wants a weighted homogeneous input")
+        if not p.variables() <= self.variables:
+            return MembershipResult(False)
+        kernel, _, _, packing = self._built(w, budget)
         query = object()
-        combo = self._kernel(w, budget).offer(p.terms, query, keep=False)
+        combo = kernel.offer(packing.pack_terms(p.terms), query, keep=False)
         if combo is None:
             return MembershipResult(False)
         del combo[query]  # its coefficient is 1
         return MembershipResult(True, _tag_polynomial(self.tags,
                                                       {a: -c for a, c in combo.items()}))
 
-    def _kernel(self, w: int, budget: Budget) -> _IncrementalKernel:
-        """The eliminator of weight w, once every product of weight w is in."""
+    def _built(self, w: int, budget: Budget) -> list:
+        """The entry of weight w, once every product of weight w is in its
+        eliminator."""
         entry = self._by_weight.get(w)
         if entry is None:
-            entry = self._by_weight[w] = [_IncrementalKernel(),
-                                          weight_tuples(self.weights, w), 0]
-        kernel, tuples, offered = entry
+            entry = self._by_weight[w] = [_IncrementalKernel(), weight_tuples(self.weights, w),
+                                          0, Packing(self.variables, max([w] + self.weights))]
+        kernel, tuples, offered, packing = entry
         if offered < len(tuples):
-            powers = _PowerCache(self.gens)
+            powers = _PowerCache(self.gens, packing)
             for a in tuples[offered:]:
                 budget.spend()
                 budget.check_deadline()
-                kernel.offer(powers.product(a).terms, a)
+                kernel.offer(powers.product(a), a)
                 entry[2] += 1
-        return kernel
+        return entry
 
 
 def subalgebra_membership(p: Polynomial,

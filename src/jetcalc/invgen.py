@@ -349,9 +349,10 @@ def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
         # variables are listed in seniority order, so this is a monomial
         mono = tuple((v, e) for v, e in zip(variables, a) if e)
         p = Polynomial(_raw={mono: Fraction(1)})
-        column = {(k, row): c for k, images in enumerate(operators)
+        # the derivations' images have integer coefficients
+        column = {(k, row): c.numerator for k, images in enumerate(operators)
                   for row, c in derivation(p, images).terms.items()}
-        if kernel.offer(column, mono) is not None:
+        if kernel.offer((1, column), mono) is not None:
             dim += 1
     return dim
 

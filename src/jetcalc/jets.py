@@ -314,8 +314,10 @@ def bracket(p: Polynomial, q: Polynomial,
 
 
 def restrict_f1(p: Polynomial) -> Polynomial:
-    """Substitute f_1' = 0, exposing ghost invariants hidden behind it."""
-    return p.substitute({jet(1, 1): Polynomial.zero()})
+    """Substitute f_1' = 0, exposing ghost invariants hidden behind it: the
+    terms free of f_1', the most senior variable, so first in a monomial."""
+    f1 = jet(1, 1)
+    return Polynomial(_raw={m: c for m, c in p.terms.items() if not m or m[0][0] is not f1})
 
 
 def component_degrees(p: Polynomial, n: int) -> Optional[Tuple[int, ...]]:

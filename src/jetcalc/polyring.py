@@ -22,7 +22,9 @@ only by those rows.
 Substitution, the heaviest expansion (a syzygy check expands a few tag
 monomials into ~10k-term jet polynomials), packs over the call's variables
 (`PackedSubstitution`); a polynomial is `(den, {code: int numerator})` over
-one common denominator.  Image powers are cached per call, every term is
+one common denominator (`Packed`, as `Packing.pack_terms` makes it; the
+generator products of Groebner membership and relation kernels are built and
+eliminated in this form too).  Image powers are cached per call, every term is
 accumulated into one dict, and the result is unpacked once at the end.  A
 product `a * b` of at least `PACKED_MUL_PAIRS` term pairs runs on the same
 packed form (an empty substitution), so the large products of the catalog
@@ -245,9 +247,6 @@ class Polynomial:
                 return None
         return w
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONOMIAL, Fraction(0))
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
@@ -296,8 +295,8 @@ class Polynomial:
         if len(self.terms) * len(other.terms) < PACKED_MUL_PAIRS:
             return tuple_product(self, other)
         packed = PackedSubstitution({}, [(self, other)])
-        da, ta = packed.pack(self)
-        db, tb = packed.pack(other)
+        da, ta = packed.packing.pack_terms(self.terms)
+        db, tb = packed.packing.pack_terms(other.terms)
         return packed.unpack(da * db, _packed_mul(ta, tb))
 
     __rmul__ = __mul__
@@ -456,9 +455,12 @@ class Packing:
         unit = self._unit
         return sum(e * unit[v] for v, e in m)
 
-    def pack_terms(self, terms: Mapping[Monomial, Coeff]) -> Dict[int, Coeff]:
-        """The terms keyed by code, in their order."""
-        return {self.pack(m): c for m, c in terms.items()}
+    def pack_terms(self, terms: Mapping[Monomial, Coeff]) -> Packed:
+        """The terms over their least common denominator, `(den, {code:
+        integer numerator})`, keyed by code in their order."""
+        den, num = clear_denominators(terms)
+        pack = self.pack
+        return den, {pack(m): c for m, c in num.items()}
 
     def unpack_terms(self, terms: Mapping[int, Coeff]) -> Dict[Monomial, Coeff]:
         """The terms keyed by monomial, in their order; one shared
@@ -586,10 +588,11 @@ class PackedSubstitution:
     polynomials whose images get multiplied together; it fixes the variable
     universe and the degree limit of `packing`, the order-free `Packing` of
     that universe.  The limit is the largest total degree any requested
-    product can reach, so no field can carry into its neighbour; `pack` and
-    `image` raise ValueError on a polynomial whose degree does not fit.
-    Powers of the images are cached for the life of the object.  With an
-    empty sigma it packs plain products (`Polynomial.__mul__`).
+    product can reach, so no field can carry into its neighbour;
+    `packing.pack_terms` and `image` raise ValueError on a polynomial whose
+    degree does not fit.  Powers of the images are cached for the life of
+    the object.  With an empty sigma it packs plain products
+    (`Polynomial.__mul__`).
     """
 
     def __init__(self, sigma: Mapping[Variable, Polynomial],
@@ -610,15 +613,9 @@ class PackedSubstitution:
         self._powers: Dict[Variable, list] = {}
         self._dens: Dict[Variable, int] = {}
         for v, img in self.images.items():
-            den, num = self.pack(img)
+            den, num = self.packing.pack_terms(img.terms)
             self._dens[v] = den
             self._powers[v] = [{0: 1}, num]
-
-    def pack(self, p: Polynomial) -> Packed:
-        """p over its least common denominator; its variables must be in the universe."""
-        den, num = clear_denominators(p.terms)
-        pack = self.packing.pack
-        return den, {pack(m): c for m, c in num.items()}
 
     def _power(self, v: Variable, e: int) -> Dict[int, int]:
         powers = self._powers[v]

@@ -1,5 +1,7 @@
 """Groebner engine: bases, normal forms, relation ideals, membership."""
 
+import gc
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,6 +11,7 @@ import pytest
 from jetcalc.groebner import (
     _DEGREE_HEADROOM,
     Budget,
+    Subalgebra,
     buchberger,
     jacobian_rank_certificate,
     make_tags,
@@ -31,9 +34,11 @@ from jetcalc.polyring import (
     Lex,
     Packing,
     Polynomial,
+    clear_denominators,
     primitive_part,
     proportional,
     tag,
+    uni,
 )
 
 
@@ -191,6 +196,39 @@ def test_relations_ideal_policy(monkeypatch):
     assert budget.used == 10 + alone.used
 
 
+def test_graded_kernel_relations_of_the_ue2k5_loop_2_pool(monkeypatch):
+    """The 10 relations of the order-5 second loop's pool (criterion 14:
+    UE2k5's L3..K12 restricted to f_1' = 0, elimination cut after one step)
+    from the graded kernel, pinned by the digest of their text."""
+    import jetcalc.groebner as groebner
+    from jetcalc.catalog import load_catalog
+
+    G = load_catalog("UE2k5").generator_map()
+    named = [(k, G[k].weighted_degree(), restrict_f1(G[k]))
+             for k in ("L3", "L5", "L7", "L9", "M8", "M10", "K12")]
+    monkeypatch.setattr(groebner, "_ELIMINATION_SLICE", 1)
+    budget = Budget(4_000_000)
+    rid = relations_ideal(named, budget=budget)
+    assert (rid.method, len(rid.relations), budget.used) == ("graded-kernel", 10, 334)
+    text = "\n".join(str(r) for r in rid.relations)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "41479433f5c992d4ed84feb18b3c9b38a630c9da046630ec0a8a5567223c4755"
+
+
+def test_product_packings_refuse_variables_lighter_than_1():
+    """Generator products are packed up to their weight, which bounds their
+    degree only when every variable weighs at least 1: (u f_1')^k weighs k
+    but has degree 2k, so a pool holding u[2][1] (weight 0) must raise."""
+    from jetcalc.groebner import _relations_by_graded_kernel, _tagged
+
+    f1, u = poly_jet(1, 1), Polynomial.variable(uni(2, 1))
+    with pytest.raises(ValueError, match="weighs less than 1"):
+        Subalgebra([("a", f1), ("b", u * f1)])
+    with pytest.raises(ValueError, match="weighs less than 1"):
+        _relations_by_graded_kernel(*_tagged([("a", 1, f1), ("b", 1, u * f1)]), DegRevLex(),
+                                    Budget())
+
+
 def test_relations_ideal_kappa5_first_loop():
     # the three degrevlex relations of the order-5 first loop
     f1 = poly_jet(1, 1)
@@ -330,7 +368,8 @@ def _check_kernel_on_random_matrix(seed, rational=False):
     kernel = _IncrementalKernel()
     pivots = 0
     for j, col in enumerate(cols):
-        combo = kernel.offer({labels[i]: Fraction(x) for i, x in enumerate(col) if x}, j)
+        column = clear_denominators({labels[i]: Fraction(x) for i, x in enumerate(col) if x})
+        combo = kernel.offer(column, j)
         if combo is None:
             pivots += 1
             continue
@@ -423,6 +462,40 @@ def test_membership_examples():
     assert rep.expression.substitute(sub) == mixed
 
 
+def test_packed_generator_products_match_polynomial_products():
+    """Every packed product equals the `Polynomial` product of the powers,
+    rational coefficients included, and keeps no zero numerator where terms
+    cancel: (f_1' - f_2')(f_1' + f_2') loses its f_1' f_2' term."""
+    from jetcalc.groebner import _pool_variables, _PowerCache
+
+    f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
+    gens = [f1 - f2, f1 + f2, Fraction(1, 3) * wronskian([1, 2])]
+    packing = Packing(_pool_variables(gens), 8)
+    powers = _PowerCache(gens, packing)
+    for w in range(9):
+        for a in weight_tuples([1, 1, 3], w):
+            den, num = powers.product(a)
+            expect = Polynomial.constant(1)
+            for g, e in zip(gens, a):
+                expect = expect * g ** e
+            assert all(num.values()), a
+            got = packing.unpack_terms({k: Fraction(c, den) for k, c in num.items()})
+            assert Polynomial(_raw=got) == expect, a
+
+
+def test_membership_of_a_polynomial_in_a_variable_no_generator_holds():
+    """No generator product holds f_2', so a query with it is not a member;
+    it is answered without packing it, and the pool's answers stay right."""
+    f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
+    algebra = Subalgebra([("a", f1), ("b", f1 * f1)])
+    assert not algebra.member(f2)
+    assert not algebra.member(f1 * f2 + 3 * f1 * f1)
+    assert 2 not in algebra._by_weight
+    got = algebra.member(3 * f1 * f1)
+    assert got and got.expression.substitute(
+        dict(zip(algebra.tags, algebra.gens))) == 3 * f1 * f1
+
+
 def test_membership_bracket_pair_in_e24():
     # [Lam^5_1, Lam^5_2] lies in the order-4 algebra, as Lam^3 * M^8
     from jetcalc.catalog import load_catalog
@@ -496,9 +569,12 @@ def test_shared_membership_matches_one_shot_calls(monkeypatch, seed):
             assert len(built[0].pivots) == before
             rechecked += 1
     assert rechecked
-    # only generator products were stored, never a query
-    assert all(type(label) is tuple for kernel, _, _ in algebra._by_weight.values()
-               for _, combo in kernel.pivots.values() for label in combo)
+    # only generator products were stored, never a query; the stored columns
+    # are keyed by packed codes, so the cyclic garbage collector skips them
+    pivots = [pivot for kernel, _, _, _ in algebra._by_weight.values()
+              for pivot in kernel.pivots.values()]
+    assert pivots and all(type(label) is tuple for _, combo in pivots for label in combo)
+    assert not any(gc.is_tracked(column) for column, _ in pivots)
     seen = {q.weighted_degree() for q in queries if q}
     assert sorted(offered) == sorted(a for w in seen for a in weight_tuples(weights, w))
     monkeypatch.setattr(groebner._IncrementalKernel, "offer", offer)

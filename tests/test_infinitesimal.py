@@ -32,7 +32,7 @@ from jetcalc.jets import (
     unipotent_images,
     unipotent_substitution,
 )
-from jetcalc.polyring import Polynomial, jet, phi
+from jetcalc.polyring import Polynomial, clear_denominators, jet, phi
 
 
 def killed_by(p: Polynomial, derivations) -> bool:
@@ -56,7 +56,7 @@ def substitution_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
         p = Polynomial(_raw={mono: Fraction(1)})
         column = dict((p.substitute(reparam) - p).terms)
         column.update((p.substitute(unipotent) - p).terms)
-        if kernel.offer(column, mono) is not None:
+        if kernel.offer(clear_denominators(column), mono) is not None:
             dim += 1
     return dim
 

@@ -254,9 +254,9 @@ def test_pack_rejects_an_undeclared_over_degree_polynomial():
     x, y = jet(1, 1), jet(1, 2)
     X, Y = Polynomial.variable(x), Polynomial.variable(y)
     packed = PackedSubstitution({}, [(X * Y + 1,)])  # degree 2: 2-bit fields
-    assert packed.pack(X * X * Y)[1]  # degree 3 still fits
+    assert packed.packing.pack_terms((X * X * Y).terms)[1]  # degree 3 still fits
     with pytest.raises(ValueError, match="overflows"):
-        packed.pack(X ** 4 + Y)  # x^4 would carry into y's field
+        packed.packing.pack_terms((X ** 4 + Y).terms)  # x^4 would carry into y's field
 
 
 def test_image_rejects_an_undeclared_over_degree_polynomial():
@@ -284,9 +284,9 @@ def test_unpack_sparse_codes_over_a_wide_universe():
     p = Polynomial(terms)
     everything = Polynomial({((v, 1),): 1 for v in wide})
     packed = PackedSubstitution({}, [(p, p, everything)])
-    assert packed.unpack(*packed.pack(p)) == p
+    assert packed.unpack(*packed.packing.pack_terms(p.terms)) == p
     top = Polynomial({((wide[0], packed.packing.limit),): 1, ((wide[-1], packed.packing.limit),): Fraction(5, 7)})
-    assert packed.unpack(*packed.pack(top)) == top
+    assert packed.unpack(*packed.packing.pack_terms(top.terms)) == top
     assert p * p == reference_mul(p, p)
 
 
