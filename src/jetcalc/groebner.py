@@ -456,31 +456,47 @@ def _pool_variables(gens: Sequence[Polynomial]) -> set:
     return variables
 
 
-class _PowerCache:
-    """Cached products of generator powers, packed `(den, {code: numerator})`
-    with `packing`, whose limit bounds their degree.  Each is one
-    `_packed_mul` of a cached product and a generator packed once."""
+def _eliminate_products(gens: Sequence[Packed], tuples: Sequence[Exps],
+                        budget: Budget) -> Tuple[_IncrementalKernel, List[Dict]]:
+    """(eliminator, combinations): every product prod gens[i]^a_i, a in
+    `tuples` in order, offered to one `_IncrementalKernel` under its tuple,
+    and the combinations of the dependent ones, in order.
 
-    def __init__(self, gens: List[Polynomial], packing: Packing):
-        self.gens = [packing.pack_terms(g.terms) for g in gens]
-        self.cache: Dict[Exps, Packed] = {tuple([0] * len(gens)): (1, {0: 1})}
-
-    def product(self, exps: Exps) -> Packed:
-        got = self.cache.get(exps)
-        if got is None:
-            i = max(k for k, e in enumerate(exps) if e)  # the last generator in it
-            den, num = self.product(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
-            gden, gnum = self.gens[i]
-            num = {k: c for k, c in _packed_mul(num, gnum).items() if c}
-            got = self.cache[exps] = den * gden, num
-        return got
+    The budget spends one step and reads the clock before each product.  A
+    product is built from 1 one generator at a time, lowest index first,
+    each step one `_packed_mul` with a generator packed once.  Only the
+    steps of the last tuple are kept and their longest common start reused:
+    in `weight_tuples` order the tuples through one such step are
+    consecutive, so no product is built twice.
+    """
+    kernel = _IncrementalKernel()
+    dependent = []
+    path: List[Tuple[int, Packed]] = []  # (generator index, product so far)
+    for a in tuples:
+        budget.spend()
+        budget.check_deadline()
+        steps = [i for i, e in enumerate(a) for _ in range(e)]
+        kept = 0
+        while kept < min(len(path), len(steps)) and path[kept][0] == steps[kept]:
+            kept += 1
+        del path[kept:]
+        den, num = path[-1][1] if path else (1, {0: 1})
+        for i in steps[kept:]:
+            gden, gnum = gens[i]
+            den, num = den * gden, {k: c for k, c in _packed_mul(num, gnum).items() if c}
+            path.append((i, (den, num)))
+        combo = kernel.offer((den, num), a)
+        if combo is not None:
+            dependent.append(combo)
+    return kernel, dependent
 
 
 def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationIdeal:
     weights = [t.weight for t in tags]
     gens = [defining[t] for t in tags]
     top_weight = 2 * max(weights) + 2
-    powers = _PowerCache(gens, Packing(_pool_variables(gens), top_weight))
+    packing = Packing(_pool_variables(gens), top_weight)
+    packed = [packing.pack_terms(g.terms) for g in gens]
     relations: List[Polynomial] = []
     current = GroebnerBasis([], tag_order)
     leads: List[Monomial] = []
@@ -489,17 +505,9 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
                   if not any(mono_divides(lt, _tag_monomial(tags, a)) for lt in leads)]
         if len(tuples) < 2:
             continue
-        elim = _IncrementalKernel()
-        new_at_mu = []
-        for a in tuples:
-            budget.spend()
-            budget.check_deadline()
-            combo = elim.offer(powers.product(a), a)
-            if combo is None:
-                continue
-            new_at_mu.append(primitive_part(_tag_polynomial(tags, combo)))
-        if new_at_mu:
-            relations.extend(new_at_mu)
+        _, combos = _eliminate_products(packed, tuples, budget)
+        if combos:
+            relations.extend(primitive_part(_tag_polynomial(tags, c)) for c in combos)
             current = buchberger(relations, tag_order, budget)
             leads = [tag_order.leading_monomial(r) for r in current.generators]
     return RelationIdeal(list(tags), dict(defining), current,
@@ -526,8 +534,9 @@ class _IncrementalKernel:
     certificate and the invariant-dimension oracle).
 
     Columns are offered one at a time as `(den, {row: nonzero integer
-    numerator})` (`polyring.Packed`, rows packed codes for generator
-    products); a column that reduces to zero returns its combination
+    numerator})` (`polyring.Packed`; rows are packed codes for generator
+    products, column indices for Jacobian rows and `(operator index,
+    monomial)` tuples in `invgen.invariant_space_dimension`); a column that reduces to zero returns its combination
     {label: Fraction} over the offered labels, with coefficient 1 on the
     offered one, otherwise None (it became a new pivot).  An offer with
     `keep=False` is a query: it is reduced the same way, but a column that
@@ -541,8 +550,8 @@ class _IncrementalKernel:
     column's combination over them is unique, whatever the row encoding.
 
     Invariant: every stored column's pivot is its smallest row under one
-    fixed total order, plain `<` on the rows (ints, or tuples of the test
-    oracles).  Subtracting the stored column at an offered column's smallest
+    fixed total order, plain `<` on the rows (ints, or the dimension
+    oracle's tuples).  Subtracting the stored column at an offered column's smallest
     row then clears that row and touches only larger ones, so the smallest
     row rises at every step.  Pivoting on any other row (the first inserted,
     say) can bring cleared rows back and gives wrong counts or never ends.
@@ -608,15 +617,13 @@ class Subalgebra:
     For weighted homogeneous data (our case throughout) membership is a
     finite exact linear problem: a representation can be taken homogeneous,
     so only generator products of the matching weight can contribute.  The
-    first query of a weight offers every generator product of that weight,
-    in `weight_tuples` order, to one `_IncrementalKernel`, which is kept for
-    the pool's lifetime; each query column is then reduced against its
-    pivots and never stored.  The products are built for that one pass, as
-    packed integers (`_PowerCache`) on the weight's packing of the pool's
-    variables up to max(w, weights), and freed after it; the packing is
-    kept to pack the queries of weight w.  A query with a variable that no
-    generator holds is not a member.  A pass cut short by the budget
-    resumes at the first tuple it did not offer.
+    first query of a weight builds that weight whole: the pool is packed up
+    to max(w, weights) and every generator product of weight w offered, in
+    `weight_tuples` order, to one `_IncrementalKernel` (`_eliminate_products`);
+    the eliminator and the packing are kept for the pool's lifetime.  Each
+    query is packed with that packing, reduced against the pivots and never
+    stored.  A build cut short by the budget keeps nothing.  A query with a
+    variable that no generator holds is not a member.
     """
 
     def __init__(self, named: Sequence[Tuple[str, Polynomial]]):
@@ -629,8 +636,7 @@ class Subalgebra:
         self.tags = make_tags([(name, gw) for (name, _), gw in zip(named, self.weights)])
         self.gens = [g for _, g in named]
         self.variables = _pool_variables(self.gens)
-        # weight -> [eliminator, exponent tuples, how many are offered, packing]
-        self._by_weight: Dict[int, list] = {}
+        self._by_weight: Dict[int, Tuple[_IncrementalKernel, Packing]] = {}
 
     def member(self, p: Polynomial, budget: Optional[Budget] = None) -> MembershipResult:
         """Decide p in the algebra; on success return a tag representation."""
@@ -642,7 +648,7 @@ class Subalgebra:
             raise ValueError("membership test wants a weighted homogeneous input")
         if not p.variables() <= self.variables:
             return MembershipResult(False)
-        kernel, _, _, packing = self._built(w, budget)
+        kernel, packing = self._built(w, budget)
         query = object()
         combo = kernel.offer(packing.pack_terms(p.terms), query, keep=False)
         if combo is None:
@@ -651,21 +657,14 @@ class Subalgebra:
         return MembershipResult(True, _tag_polynomial(self.tags,
                                                       {a: -c for a, c in combo.items()}))
 
-    def _built(self, w: int, budget: Budget) -> list:
-        """The entry of weight w, once every product of weight w is in its
-        eliminator."""
+    def _built(self, w: int, budget: Budget) -> Tuple[_IncrementalKernel, Packing]:
+        """(eliminator of every product of weight w, packing of weight w)."""
         entry = self._by_weight.get(w)
         if entry is None:
-            entry = self._by_weight[w] = [_IncrementalKernel(), weight_tuples(self.weights, w),
-                                          0, Packing(self.variables, max([w] + self.weights))]
-        kernel, tuples, offered, packing = entry
-        if offered < len(tuples):
-            powers = _PowerCache(self.gens, packing)
-            for a in tuples[offered:]:
-                budget.spend()
-                budget.check_deadline()
-                kernel.offer(powers.product(a), a)
-                entry[2] += 1
+            packing = Packing(self.variables, max([w] + self.weights))
+            gens = [packing.pack_terms(g.terms) for g in self.gens]
+            kernel, _ = _eliminate_products(gens, weight_tuples(self.weights, w), budget)
+            entry = self._by_weight[w] = kernel, packing
         return entry
 
 

@@ -102,10 +102,13 @@ def test_derive_report_independent_of_hash_seed():
      "7181feb477dce8581ab17f2b02aec7f35a427da33c072fd8cf760274d809d671"),
     (("--n", "3", "--kappa", "3", "--mode", "bi"), EX_OK,
      "dddeaf3e8db9e65bd9c3773a723326202e24d6ed43f6584492154490eb74e07e"),
-], ids=["e23", "e23-lex", "e24", "e24-budget-3000", "ue33-bi"])
+    (("--n", "2", "--kappa", "5", "--mode", "bi", "--budget-steps", "50000"), EX_BUDGET,
+     "dae50e84455e20937df2b19230dedceef54d2484f33363c3f263ac6d9b5e3500"),
+], ids=["e23", "e23-lex", "e24", "e24-budget-3000", "ue33-bi", "ue25-bi-budget-50000"])
 def test_derive_report_digest_pinned(capsys, argv, code, digest):
     """The derive reports (E23, E23 lex, E24, E24 cut by the step budget,
-    UE33 bi-invariant), byte for byte."""
+    UE33 bi-invariant, UE25 bi-invariant cut by the step budget after the
+    second loop's membership), byte for byte."""
     got, out, _ = run_cli(capsys, "derive", *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

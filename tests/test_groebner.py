@@ -462,25 +462,61 @@ def test_membership_examples():
     assert rep.expression.substitute(sub) == mixed
 
 
-def test_packed_generator_products_match_polynomial_products():
-    """Every packed product equals the `Polynomial` product of the powers,
-    rational coefficients included, and keeps no zero numerator where terms
-    cancel: (f_1' - f_2')(f_1' + f_2') loses its f_1' f_2' term."""
-    from jetcalc.groebner import _pool_variables, _PowerCache
+def test_packed_generator_products_match_polynomial_products(monkeypatch):
+    """Every packed product that `_eliminate_products` offers equals the
+    `Polynomial` product of the powers, rational coefficients included, and
+    keeps no zero numerator where terms cancel: (f_1' - f_2')(f_1' + f_2')
+    loses its f_1' f_2' term."""
+    import jetcalc.groebner as groebner
+    from jetcalc.groebner import _eliminate_products, _pool_variables
 
+    offered = []
+    offer = groebner._IncrementalKernel.offer
+
+    def recorded(self, column, label, keep=True):
+        offered.append((label, column))
+        return offer(self, column, label, keep)
+
+    monkeypatch.setattr(groebner._IncrementalKernel, "offer", recorded)
     f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
     gens = [f1 - f2, f1 + f2, Fraction(1, 3) * wronskian([1, 2])]
     packing = Packing(_pool_variables(gens), 8)
-    powers = _PowerCache(gens, packing)
+    packed = [packing.pack_terms(g.terms) for g in gens]
     for w in range(9):
-        for a in weight_tuples([1, 1, 3], w):
-            den, num = powers.product(a)
+        offered.clear()
+        tuples = weight_tuples([1, 1, 3], w)
+        _eliminate_products(packed, tuples, Budget())
+        assert [a for a, _ in offered] == tuples
+        for a, (den, num) in offered:
             expect = Polynomial.constant(1)
             for g, e in zip(gens, a):
                 expect = expect * g ** e
             assert all(num.values()), a
             got = packing.unpack_terms({k: Fraction(c, den) for k, c in num.items()})
             assert Polynomial(_raw=got) == expect, a
+
+
+def test_each_generator_product_is_built_once(monkeypatch):
+    """A weight's build makes one `_packed_mul` per distinct nonzero prefix
+    node of its tuples, (a_1, ..., a_(i-1), j, 0, ..., 0) with 1 <= j <= a_i:
+    the kept path of the last product rebuilds none of them."""
+    import jetcalc.groebner as groebner
+    from jetcalc.catalog import load_catalog
+
+    calls = []
+    packed_mul = groebner._packed_mul
+    monkeypatch.setattr(groebner, "_packed_mul",
+                        lambda a, b: calls.append(1) or packed_mul(a, b))
+    G = load_catalog("E2k4").generator_map()
+    pool = [(n, G[n]) for n in ("f1", "f2", "L3", "L5a", "L7aa", "L7ab", "M8")]
+    algebra = Subalgebra(pool)
+    for w, expect in ((10, 117), (14, 302), (16, 468)):
+        nodes = {a[:i] + (j,) + (0,) * (len(a) - i - 1)
+                 for a in weight_tuples(algebra.weights, w)
+                 for i in range(len(a)) for j in range(1, a[i] + 1)}
+        calls.clear()
+        algebra._built(w, Budget())
+        assert len(calls) == len(nodes) == expect
 
 
 def test_membership_of_a_polynomial_in_a_variable_no_generator_holds():
@@ -571,7 +607,7 @@ def test_shared_membership_matches_one_shot_calls(monkeypatch, seed):
     assert rechecked
     # only generator products were stored, never a query; the stored columns
     # are keyed by packed codes, so the cyclic garbage collector skips them
-    pivots = [pivot for kernel, _, _, _ in algebra._by_weight.values()
+    pivots = [pivot for kernel, _ in algebra._by_weight.values()
               for pivot in kernel.pivots.values()]
     assert pivots and all(type(label) is tuple for _, combo in pivots for label in combo)
     assert not any(gc.is_tracked(column) for column, _ in pivots)
@@ -591,16 +627,17 @@ def test_shared_membership_matches_one_shot_calls(monkeypatch, seed):
             assert got.expression.substitute(sub) == q
 
 
-def test_shared_membership_resumes_a_build_cut_by_the_budget():
-    """A steps budget that runs out inside a weight's build leaves the
-    offered products in place; the retry offers the rest and answers as a
-    fresh call does."""
+def test_shared_membership_keeps_nothing_of_a_build_cut_by_the_budget():
+    """A steps budget that runs out inside a weight's build leaves no entry
+    for that weight; the retry builds it whole, one step per tuple, and
+    answers as a fresh call does."""
     import jetcalc.groebner as groebner
     from jetcalc.groebner import BudgetExceeded
 
     pool, queries = _e24_membership_queries(5)
     algebra = groebner.Subalgebra(pool)
     weights = [p.weighted_degree() for _, p in pool]
+    cuts = 0
     for q in queries:
         if not q or q.weighted_degree() in algebra._by_weight:
             continue
@@ -610,13 +647,14 @@ def test_shared_membership_resumes_a_build_cut_by_the_budget():
             cut = Budget(steps=total // 2)
             with pytest.raises(BudgetExceeded, match="reduction budget"):
                 algebra.member(q, cut)
-            assert algebra._by_weight[w][2] == total // 2
+            assert w not in algebra._by_weight
+            cuts += 1
         budget = Budget()
         got = algebra.member(q, budget)
-        assert budget.used == total - (total // 2 if total > 1 else 0)
-        assert algebra._by_weight[w][2] == total
+        assert budget.used == total and w in algebra._by_weight
         fresh = subalgebra_membership(q, pool)
         assert got.member == fresh.member and got.expression == fresh.expression
+    assert cuts
 
 
 def test_auxiliary_basis_normal_form_value():
@@ -651,9 +689,9 @@ def test_product_loops_read_the_clock_before_each_product(monkeypatch, loop):
     from jetcalc.groebner import BudgetExceeded
 
     products = []
-    product = groebner._PowerCache.product
-    monkeypatch.setattr(groebner._PowerCache, "product",
-                        lambda self, a: products.append(a) or product(self, a))
+    packed_mul = groebner._packed_mul
+    monkeypatch.setattr(groebner, "_packed_mul",
+                        lambda a, b: products.append(1) or packed_mul(a, b))
     f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
 
     def run(budget):
