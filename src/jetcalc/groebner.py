@@ -19,10 +19,9 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .jets import derivation
 from .polyring import (
     Block,
     DegRevLex,
@@ -37,7 +36,6 @@ from .polyring import (
     is_tag,
     mono_divides,
     packing_over,
-    primitive_part,
     tag,
 )
 
@@ -224,9 +222,9 @@ def _buchberger_loop(polys: List[Dict[int, int]], packing: Packing,
     return basis, complete
 
 
-def _interreduce(basis: List[Gen], packing: Packing,
-                 budget: Budget) -> List[Dict[int, Fraction]]:
-    """Minimal then fully reduced basis, monic generators, sorted by lead.
+def _interreduce(basis: List[Gen], packing: Packing, budget: Budget) -> List[Packed]:
+    """Minimal then fully reduced basis, sorted by lead, each generator over
+    its lead coefficient (monic once unpacked).
 
     A kept generator's lead is divisible by no other kept lead, so it stays
     the lead of its remainder.
@@ -236,13 +234,12 @@ def _interreduce(basis: List[Gen], packing: Packing,
     keep = [i for i, lt in enumerate(leads)
             if not any(j != i and ((lt | guards) - leads[j]) & guards == guards
                        and (leads[j] != lt or j < i) for j in range(len(basis)))]
-    out = []
+    out = {}  # kept leads are distinct
     for i in keep:
         rem, _, _ = _reduce_full(basis[i][0], [basis[k] for k in keep if k != i],
                                  packing, budget)
-        out.append((leads[i], {m: Fraction(c, rem[leads[i]]) for m, c in rem.items()}))
-    out.sort(key=lambda pair: pair[0])
-    return [rem for _, rem in out]
+        out[leads[i]] = rem[leads[i]], rem
+    return [out[lt] for lt in sorted(out)]
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
@@ -258,11 +255,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     packing = packing_over((m for d in polys for m in d), order, _DEGREE_HEADROOM)
     basis, complete = _buchberger_loop(
         [packing.pack_terms(d)[1] for d in polys], packing, budget)
-    if complete:
-        out = _interreduce(basis, packing, budget)
-    else:
-        out = [{m: Fraction(c, d[lt]) for m, c in d.items()} for d, lt, _ in basis]
-    return GroebnerBasis([Polynomial(_raw=packing.unpack_terms(d)) for d in out], order,
+    out = _interreduce(basis, packing, budget) if complete else \
+        [(d[lt], d) for d, lt, _ in basis]
+    return GroebnerBasis([packing.unpack(*monic) for monic in out], order,
                          complete=complete, steps_used=budget.used)
 
 
@@ -276,15 +271,12 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
     polys = [g.terms for g in gb.generators]
     packing = packing_over((m for d in polys + [p.terms] for m in d), gb.order,
                            _DEGREE_HEADROOM)
-    basis = []
-    for g in polys:
-        d = packing.pack_terms(g)[1]
-        basis.append((d, max(d), max(map(packing.degree, d))))
+    basis = [(d, max(d), max(map(packing.degree, d)))
+             for d in (packing.pack_terms(g)[1] for g in polys)]
     p_den, p_num = packing.pack_terms(p.terms)
     rem, num, den = _reduce_full(p_num, basis, packing, budget or Budget())
-    num *= p_den  # the remainder of p is rem * den / num
-    return Polynomial(_raw=packing.unpack_terms({m: Fraction(c * den, num)
-                                                 for m, c in rem.items()}))
+    # the remainder of p is rem * den / (num * p_den)
+    return packing.unpack(num * p_den, {m: c * den for m, c in rem.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +334,28 @@ def jacobian_rank_certificate(polys: Sequence[Polynomial]) -> bool:
     variables = sorted({v for p in polys for v in p.variables()}, key=lambda v: v.key)
     if len(polys) > len(variables):
         return False
-    rows = [[derivation(p, {v: Polynomial.constant(1)}) for v in variables]
-            for p in polys]
+    column = {v: k for k, v in enumerate(variables)}
+    cleared = [clear_denominators(p.terms) for p in polys]
     rng = random.Random(17)
     for _ in range(_JACOBIAN_TRIALS):
-        point = {v: Polynomial.constant(rng.randint(-40, 40)) for v in variables}
+        point = {v: rng.randint(-40, 40) for v in variables}
         kernel = _IncrementalKernel()
-        if all(kernel.offer(_evaluated_row(row, point), r) is None
-               for r, row in enumerate(rows)):
+        if all(kernel.offer(_gradient(p, point, column), r) is None
+               for r, p in enumerate(cleared)):
             return True
     return False
 
 
-def _evaluated_row(row: Sequence[Polynomial], point) -> Packed:
-    """The nonzero values of a Jacobian row at a point, keyed by column,
-    over their least common denominator."""
-    values = {col: entry.substitute(point).terms.get((), 0) for col, entry in enumerate(row)}
-    return clear_denominators({col: v for col, v in values.items() if v})
+def _gradient(p: Packed, point: Dict[Variable, int], column: Dict[Variable, int]) -> Packed:
+    """The nonzero partial derivatives of p = (den, {monomial: numerator})
+    at an integer point, keyed by column, in one pass over p's terms."""
+    den, terms = p
+    grad: Dict[int, int] = {}
+    for m, c in terms.items():
+        for k, (v, e) in enumerate(m):
+            d = c * e * point[v] ** (e - 1) * prod(point[u] ** f for u, f in m[:k] + m[k + 1:])
+            grad[column[v]] = grad.get(column[v], 0) + d
+    return den, {col: g for col, g in grad.items() if g}
 
 
 def relations_ideal(named: Sequence[Tuple[str, int, Polynomial]],
@@ -507,7 +504,7 @@ def _relations_by_graded_kernel(tags, defining, tag_order, budget) -> RelationId
             continue
         _, combos = _eliminate_products(packed, tuples, budget)
         if combos:
-            relations.extend(primitive_part(_tag_polynomial(tags, c)) for c in combos)
+            relations.extend(_tag_polynomial(tags, c) for c in combos)
             current = buchberger(relations, tag_order, budget)
             leads = [tag_order.leading_monomial(r) for r in current.generators]
     return RelationIdeal(list(tags), dict(defining), current,
@@ -534,27 +531,26 @@ class _IncrementalKernel:
     certificate and the invariant-dimension oracle).
 
     Columns are offered one at a time as `(den, {row: nonzero integer
-    numerator})` (`polyring.Packed`; rows are packed codes for generator
-    products, column indices for Jacobian rows and `(operator index,
-    monomial)` tuples in `invgen.invariant_space_dimension`); a column that reduces to zero returns its combination
+    numerator})` (`polyring.Packed`) with `int` rows: packed codes of
+    generator products, Jacobian column indices, or the dimension oracle's
+    `K * code + k`.  A column that reduces to zero returns its combination
     {label: Fraction} over the offered labels, with coefficient 1 on the
     offered one, otherwise None (it became a new pivot).  An offer with
     `keep=False` is a query: it is reduced the same way, but a column that
     does not reduce to zero is dropped instead of stored.
 
     Stored columns and combinations are integer (primitive, positive pivot);
-    a column keyed by ints is not tracked by the cyclic garbage collector.
-    Clearing an entry f by a pivot entry pv scales by pv/g, subtracts f/g
-    times the stored pair (g = gcd(f, pv)) and takes out the content.  The
-    pivot columns depend only on the order of the offers, and a dependent
-    column's combination over them is unique, whatever the row encoding.
+    a stored column holds only ints, so the garbage collector does not track
+    it.  Clearing an entry f by a pivot entry pv scales by pv/g, subtracts
+    f/g times the stored pair (g = gcd(f, pv)) and takes out the content.
+    The pivot columns depend only on the order of the offers, and a
+    dependent column's combination over them is unique, whatever the rows.
 
-    Invariant: every stored column's pivot is its smallest row under one
-    fixed total order, plain `<` on the rows (ints, or the dimension
-    oracle's tuples).  Subtracting the stored column at an offered column's smallest
-    row then clears that row and touches only larger ones, so the smallest
-    row rises at every step.  Pivoting on any other row (the first inserted,
-    say) can bring cleared rows back and gives wrong counts or never ends.
+    Invariant: every stored column's pivot is its smallest row.  Subtracting
+    the stored column at an offered column's smallest row then clears that
+    row and touches only larger ones, so the smallest row rises at every
+    step.  Pivoting on any other row (the first inserted, say) can bring
+    cleared rows back and gives wrong counts or never ends.
     """
 
     def __init__(self):

@@ -6,7 +6,6 @@ and normal-form monomial enumeration over the quadrant complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import (
@@ -24,7 +23,6 @@ from .jets import (
     JetContext,
     check_reparam_invariance,
     check_unipotent_invariance,
-    derivation,
     divide_f1_power,
     initial_bi_invariants,
     initial_invariants,
@@ -34,6 +32,7 @@ from .jets import (
     unipotent_derivations,
 )
 from .polyring import (
+    Packing,
     PackedSubstitution,
     Polynomial,
     Variable,
@@ -332,27 +331,38 @@ def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
     (and, when `bi`, the lower-triangular unipotent group) is connected and
     unipotent, so the invariants of weight m are the common kernel of its
     Lie algebra's generators D_2, D_3 (and the E_i) on the span of all jet
-    monomials of weight m.  Each monomial p offers one column to one
-    `_IncrementalKernel`, with rows keyed (operator index, monomial) so that
-    the images under different operators never share a row.  The dimension
-    is the number of columns that reduce to zero, exact because the kernel
-    pivots every column on its smallest row.
+    monomials of weight m.  Each sends a jet variable to c times another, so
+    on one `Packing` the image term of the monomial with exponent vector a is
+    its code plus unit[target] - unit[source], times a[source] * c.  Each
+    monomial offers one column to one `_IncrementalKernel`, with row
+    K * code + k for operator k of K; the dimension is the number of columns
+    that reduce to zero.
     """
     variables = [jet(i, lam) for i in range(1, ctx.n + 1)
                  for lam in range(1, ctx.kappa + 1)]
     operators = reparam_derivations(variables)
     if bi:
         operators += unipotent_derivations(variables)
+    packing = Packing(variables, m)  # every jet weighs at least 1
+    unit = [packing.pack(((v, 1),)) for v in variables]
+    index = {v: k for k, v in enumerate(variables)}
+    count = len(operators)
+    moves = []  # (source index, row offset, c) per image term c * target
+    for k, images in enumerate(operators):
+        for v, img in images.items():
+            for mono, c in img.terms.items():
+                if len(mono) != 1 or mono[0][1] != 1 or c.denominator != 1:
+                    raise ValueError(f"the derivation image of {v} is not an integer "
+                                     f"times one variable: {img}")
+                source, target = index[v], index[mono[0][0]]
+                moves.append((source, count * (unit[target] - unit[source]) + k, c.numerator))
     kernel = _IncrementalKernel()
     dim = 0
     for a in weight_tuples([v.weight for v in variables], m):
-        # variables are listed in seniority order, so this is a monomial
-        mono = tuple((v, e) for v, e in zip(variables, a) if e)
-        p = Polynomial(_raw={mono: Fraction(1)})
-        # the derivations' images have integer coefficients
-        column = {(k, row): c.numerator for k, images in enumerate(operators)
-                  for row, c in derivation(p, images).terms.items()}
-        if kernel.offer((1, column), mono) is not None:
+        base = count * sum(e * u for e, u in zip(a, unit))
+        # one operator's distinct (source, target) moves reach distinct rows
+        column = {base + offset: a[source] * c for source, offset, c in moves if a[source]}
+        if kernel.offer((1, column), a) is not None:
             dim += 1
     return dim
 

@@ -15,9 +15,9 @@ Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, 2006).
 t^j d/dt acts on jets as D_j f_i^(lam) = lam!/(lam-j)! f_i^(lam-j+1), and
 since [t^2 d/dt, t^j d/dt] = (j-2) t^(j+1) d/dt, D_2 and D_3 generate the
 algebra.  The unipotent algebra is generated by the lowering derivations
-E_i: f_(i+1)^(lam) -> f_i^(lam).  All of them are first order and linear, so
-`derivation` applies them without expanding a power; the dimension oracle
-(`invgen.invariant_space_dimension`) uses them.  The invariance checks of
+E_i: f_(i+1)^(lam) -> f_i^(lam).  Each sends a jet variable to an integer
+times another, so the dimension oracle (`invgen.invariant_space_dimension`)
+reads them as moves between packed exponent fields.  The invariance checks of
 single polynomials apply the group actions themselves, by substitution, and
 return the residual as the witness of a failure.  The bracket identities
 (Jacobi, Pluecker) and the Bell-number count that check this calculus are

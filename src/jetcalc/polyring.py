@@ -25,12 +25,13 @@ monomials into ~10k-term jet polynomials), packs over the call's variables
 one common denominator (`Packed`, as `Packing.pack_terms` makes it; the
 generator products of Groebner membership and relation kernels are built and
 eliminated in this form too).  Image powers are cached per call, every term is
-accumulated into one dict, and the result is unpacked once at the end.  A
-product `a * b` of at least `PACKED_MUL_PAIRS` term pairs runs on the same
-packed form (an empty substitution), so the large products of the catalog
-recipes do too; smaller products, the bulk of every other computation, stay
-on tuples.  Groebner computations and every ranking of monomials
-(`MonomialOrder.ranked`, `leading_monomial`) pack with an order.
+accumulated into one dict, and the result is unpacked once at the end by
+`Packing.unpack`, the one way back to a `Polynomial`.  A product `a * b` of
+at least `PACKED_MUL_PAIRS` term pairs runs on a `Packing` of both operands'
+variables, so the large products of the catalog recipes do too; smaller
+products, the bulk of every other computation, stay on tuples.  Groebner
+computations and every ranking of monomials (`MonomialOrder.ranked`,
+`leading_monomial`) pack with an order.
 """
 
 from __future__ import annotations
@@ -294,10 +295,11 @@ class Polynomial:
             return Polynomial.zero()
         if len(self.terms) * len(other.terms) < PACKED_MUL_PAIRS:
             return tuple_product(self, other)
-        packed = PackedSubstitution({}, [(self, other)])
-        da, ta = packed.packing.pack_terms(self.terms)
-        db, tb = packed.packing.pack_terms(other.terms)
-        return packed.unpack(da * db, _packed_mul(ta, tb))
+        (va, top_a), (vb, top_b) = _support(self.terms), _support(other.terms)
+        packing = Packing(va | vb, top_a + top_b)
+        da, ta = packing.pack_terms(self.terms)
+        db, tb = packing.pack_terms(other.terms)
+        return packing.unpack(da * db, _packed_mul(ta, tb))
 
     __rmul__ = __mul__
 
@@ -333,7 +335,7 @@ class Polynomial:
         packed = PackedSubstitution(sigma, [(self,)])
         if not packed.images:
             return self
-        return packed.unpack(*packed.image(self))
+        return packed.packing.unpack(*packed.image(self))
 
     # -- presentation ----------------------------------------------------------
 
@@ -462,13 +464,14 @@ class Packing:
         pack = self.pack
         return den, {pack(m): c for m, c in num.items()}
 
-    def unpack_terms(self, terms: Mapping[int, Coeff]) -> Dict[Monomial, Coeff]:
-        """The terms keyed by monomial, in their order; one shared
-        (variable, exponent) pair per field value.
+    def unpack(self, den: int, terms: Mapping[int, int]) -> Polynomial:
+        """The Polynomial of a packed value, the sum of numerator / den *
+        monomial(code), in the terms' order; zero numerators are dropped.
 
         The exponent fields of a code split into an upper and a lower half;
         each distinct half is decoded once per call, visiting only its set
-        fields from the top, and a monomial is the two halves' tuples joined.
+        fields from the top, into one shared (variable, exponent) pair per
+        field value, and a monomial is the two halves' tuples joined.
         """
         step, fields = self._step, self._fields
         half = (len(fields) // 2) * step
@@ -491,8 +494,10 @@ class Packing:
             return tuple(mono)
 
         exponents = self._exponents
-        monos = []
-        for code in terms:
+        out = {}
+        for code, c in terms.items():
+            if not c:
+                continue
             hi = (code & exponents) >> half
             lo = code & low
             a = uppers.get(hi)
@@ -501,8 +506,8 @@ class Packing:
             b = lowers.get(lo)
             if b is None:
                 b = lowers[lo] = walk(lo, 0)
-            monos.append(a + b)
-        return dict(zip(monos, terms.values()))
+            out[a + b] = Fraction(c) if den == 1 else Fraction(c, den)
+        return Polynomial(_raw=out)
 
     def degree(self, code: int) -> int:
         return (code >> self._deg_shift) & self.limit
@@ -591,8 +596,7 @@ class PackedSubstitution:
     product can reach, so no field can carry into its neighbour;
     `packing.pack_terms` and `image` raise ValueError on a polynomial whose
     degree does not fit.  Powers of the images are cached for the life of
-    the object.  With an empty sigma it packs plain products
-    (`Polynomial.__mul__`).
+    the object.
     """
 
     def __init__(self, sigma: Mapping[Variable, Polynomial],
@@ -676,14 +680,6 @@ class PackedSubstitution:
         acc = {k: c * dy * dz for k, c in tx.items()}
         _add_packed_product(acc, ty, tz, dx)
         return dx * dy * dz, {k: c for k, c in acc.items() if c}
-
-    def unpack(self, den: int, terms: Mapping[int, int]) -> Polynomial:
-        """The Polynomial of a packed value."""
-        if den == 1:
-            nonzero = {k: Fraction(c) for k, c in terms.items() if c}
-        else:
-            nonzero = {k: Fraction(c, den) for k, c in terms.items() if c}
-        return Polynomial(_raw=self.packing.unpack_terms(nonzero))
 
 
 # ---------------------------------------------------------------------------

@@ -279,23 +279,19 @@ def quadrant_complement_words(vertices: List[Dict[str, int]]) -> List[Constraint
 
 
 def syzygy_lead_vertices_lex() -> List[Dict[str, int]]:
-    """Leading-term quadrants of the 41 syzygies under the listing Lex order."""
+    """Leading-term quadrants of the 41 syzygies under the listing Lex order,
+    which is the catalog tags' Lex order while its entries follow it."""
     from .catalog import load_catalog
-    from .polyring import Lex, Polynomial, tag
+    from .polyring import Lex
 
     data = load_catalog("UE4k4")
     letters = {name: FAMILY_LETTERS[k] for k, name in enumerate(GENERATOR_ORDER)}
     active = [name for name in GENERATOR_ORDER if name not in ("f1", "W10")]
-    tags = {n: tag(n, GENERATOR_WEIGHTS[n], k) for k, n in enumerate(active)}
+    if [e.name for e in data.entries if e.name not in ("f1", "W10")] != active:
+        raise AssertionError("UE4k4 entries are not listed in GENERATOR_ORDER")
     order = Lex()
-    verts = []
-    for s in data.syzygy_sets["lex41"]:
-        sub = {v: Polynomial.variable(tags[v.name[2:]])
-               for v in s.relation.variables()}
-        rel = s.relation.substitute(sub)
-        lead = order.leading_monomial(rel)
-        verts.append({letters[v.name[2:]]: e for v, e in lead})
-    return verts
+    return [{letters[v.name[2:]]: e for v, e in order.leading_monomial(s.relation)}
+            for s in data.syzygy_sets["lex41"]]
 
 
 @lru_cache(maxsize=None)

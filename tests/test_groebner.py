@@ -10,7 +10,10 @@ import pytest
 
 from jetcalc.groebner import (
     _DEGREE_HEADROOM,
+    _JACOBIAN_TRIALS,
     Budget,
+    _gradient,
+    _IncrementalKernel,
     Subalgebra,
     buchberger,
     jacobian_rank_certificate,
@@ -23,6 +26,7 @@ from jetcalc.groebner import (
 from jetcalc.jets import (
     JetContext,
     bracket,
+    derivation,
     initial_invariants,
     poly_jet,
     restrict_f1,
@@ -270,6 +274,68 @@ def test_jacobian_certificate_rejects_dependence():
     assert not jacobian_rank_certificate([x, x * x])
 
 
+def reference_jacobian_certificate(polys):
+    """The certificate by `derivation` partials, each evaluated with
+    `substitute`, at the same seeded points in the same draw order."""
+    variables = sorted({v for p in polys for v in p.variables()}, key=lambda v: v.key)
+    if len(polys) > len(variables):
+        return False
+    rows = [partials(p, variables) for p in polys]
+    rng = random.Random(17)
+    for _ in range(_JACOBIAN_TRIALS):
+        point = {v: Polynomial.constant(rng.randint(-40, 40)) for v in variables}
+        kernel = _IncrementalKernel()
+        if all(kernel.offer(clear_denominators(evaluated_row(row, point)), r) is None
+               for r, row in enumerate(rows)):
+            return True
+    return False
+
+
+def partials(p, variables):
+    """The partial derivatives of p, one per variable."""
+    return [derivation(p, {v: Polynomial.constant(1)}) for v in variables]
+
+
+def evaluated_row(row, point):
+    """The nonzero values of Jacobian entries at a point, keyed by column."""
+    values = {col: entry.substitute(point).terms.get((), 0) for col, entry in enumerate(row)}
+    return {col: v for col, v in values.items() if v}
+
+
+def catalog_generator_sets():
+    """Per catalog: its restricted generators, by weight, then their first
+    half and first three (independent and dependent sets both occur)."""
+    from jetcalc.catalog import CATALOG_IDS, load_catalog
+
+    for cid in CATALOG_IDS:
+        entries = sorted(load_catalog(cid).entries, key=lambda e: e.weight)
+        gens = [r for r in (restrict_f1(e.poly) for e in entries) if r]
+        yield from (gens, gens[:len(gens) // 2], gens[:3])
+
+
+def test_jacobian_gradient_matches_derivation_partials():
+    """Each catalog generator's gradient at seeded points, one pass over its
+    terms, against the `derivation` partials evaluated by `substitute`."""
+    rng = random.Random(5)
+    for gens in catalog_generator_sets():
+        variables = sorted({v for p in gens for v in p.variables()}, key=lambda v: v.key)
+        column = {v: k for k, v in enumerate(variables)}
+        point = {v: rng.randint(-40, 40) for v in variables}
+        constants = {v: Polynomial.constant(x) for v, x in point.items()}
+        for p in gens:
+            den, grad = _gradient(clear_denominators(p.terms), point, column)
+            expect = evaluated_row(partials(p, variables), constants)
+            assert {col: Fraction(g, den) for col, g in grad.items()} == expect
+
+
+def test_jacobian_certificate_matches_the_derivation_reference():
+    verdicts = []
+    for gens in catalog_generator_sets():
+        verdicts.append(jacobian_rank_certificate(gens))
+        assert verdicts[-1] == reference_jacobian_certificate(gens)
+    assert True in verdicts and False in verdicts
+
+
 def _brute_force_rank(cols, nrows):
     """Largest r with a nonzero r x r minor (Leibniz expansion)."""
     from itertools import combinations, permutations
@@ -336,10 +402,6 @@ def _check_kernel_on_random_matrix(seed, rational=False):
     """Offer random columns to one kernel and check its answers against
     `_brute_force_rank`; returns the number of pivots stored with an entry
     other than 1."""
-    import random
-
-    from jetcalc.groebner import _IncrementalKernel
-
     rng = random.Random(seed)
 
     def entry():
@@ -492,8 +554,7 @@ def test_packed_generator_products_match_polynomial_products(monkeypatch):
             for g, e in zip(gens, a):
                 expect = expect * g ** e
             assert all(num.values()), a
-            got = packing.unpack_terms({k: Fraction(c, den) for k, c in num.items()})
-            assert Polynomial(_raw=got) == expect, a
+            assert packing.unpack(den, num) == expect, a
 
 
 def test_each_generator_product_is_built_once(monkeypatch):
@@ -573,6 +634,39 @@ def _e24_membership_queries(seed):
                 G["L5b"] * G["L3"] - member(8), Polynomial.zero()]
     rng.shuffle(queries)
     return pool, queries
+
+
+def test_every_caller_offers_int_rows(monkeypatch):
+    """The dimension oracle, the Jacobian certificate, membership and the
+    graded kernel offer only int rows, so the cyclic garbage collector
+    tracks no stored column."""
+    import jetcalc.groebner as groebner
+    from jetcalc.invgen import invariant_space_dimension
+
+    offer = groebner._IncrementalKernel.offer
+    kernels, rows = [], set()
+
+    def recorded(self, column, label, keep=True):
+        kernels.append(self)
+        rows.update(type(r) for r in column[1])
+        return offer(self, column, label, keep)
+
+    monkeypatch.setattr(groebner._IncrementalKernel, "offer", recorded)
+    x, y = poly_jet(1, 1), poly_jet(2, 1)
+    named = [("a", 1, x), ("b", 1, y), ("c", 2, x * y)]
+    callers = [
+        lambda: invariant_space_dimension(JetContext(3, 3), 6, bi=True),
+        lambda: jacobian_rank_certificate([x, y]),
+        lambda: subalgebra_membership(x * y, [("a", x), ("b", y)]),
+        lambda: groebner._relations_by_graded_kernel(*groebner._tagged(named), DegRevLex(),
+                                                     Budget()),
+    ]
+    for call in callers:
+        kernels.clear()
+        rows.clear()
+        call()
+        assert rows == {int}
+        assert not any(gc.is_tracked(column) for k in kernels for column, _ in k.pivots.values())
 
 
 @pytest.mark.parametrize("seed", [3, 11])

@@ -135,6 +135,13 @@ def test_bi_dimension_ue33_matches_substitution_oracle(m):
         substitution_dimension(ctx, m, bi=True)
 
 
+@pytest.mark.parametrize("m", range(9))
+def test_bi_dimension_ue34_matches_substitution_oracle(m):
+    ctx = JetContext(3, 4)
+    assert invariant_space_dimension(ctx, m, bi=True) == \
+        substitution_dimension(ctx, m, bi=True)
+
+
 @pytest.mark.parametrize("j", [2, 3])
 def test_reparam_derivations_are_the_linear_part_of_faa_di_bruno(j):
     """phi = t + eps t^j has phi^(j)(0) = j! eps and no other phi^(k), k >= 2,

@@ -12,7 +12,7 @@ from jetcalc.invgen import (
     verify_syzygies,
 )
 from jetcalc.jets import JetContext, check_reparam_invariance
-from jetcalc.polyring import Polynomial, proportional, tag
+from jetcalc.polyring import Polynomial, jet, proportional, tag
 
 
 def tags_for(data):
@@ -131,6 +131,25 @@ def test_bi_dimension_oracle_ue33():
 def test_dimension_oracle_e24_pinned():
     dims = [invariant_space_dimension(JetContext(2, 4), m) for m in range(11)]
     assert dims == [1, 2, 3, 5, 7, 11, 15, 22, 30, 38, 49]
+
+
+def test_bi_dimension_oracle_ue34_pinned():
+    # the weights where UE3k4's syzygies start to bind
+    dims = [invariant_space_dimension(JetContext(3, 4), m, bi=True) for m in (10, 12)]
+    assert dims == [14, 22]
+
+
+def test_dimension_oracle_rejects_a_non_linear_image(monkeypatch):
+    """The oracle moves one variable to another; an image term of degree 2
+    (or a sum of variables in one term) cannot be read as such a move."""
+    import jetcalc.invgen as invgen
+
+    f1, f2 = Polynomial.variable(jet(1, 1)), Polynomial.variable(jet(1, 2))
+    for image in (f1 * f1, f1 * f2, Polynomial.constant(1)):
+        monkeypatch.setattr(invgen, "reparam_derivations",
+                            lambda variables, image=image: [{jet(1, 2): image}, {}])
+        with pytest.raises(ValueError, match="not an integer times one variable"):
+            invgen.invariant_space_dimension(JetContext(1, 2), 2)
 
 
 @pytest.mark.parametrize("n,kappa,mode,digest", [

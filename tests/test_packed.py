@@ -284,9 +284,9 @@ def test_unpack_sparse_codes_over_a_wide_universe():
     p = Polynomial(terms)
     everything = Polynomial({((v, 1),): 1 for v in wide})
     packed = PackedSubstitution({}, [(p, p, everything)])
-    assert packed.unpack(*packed.packing.pack_terms(p.terms)) == p
+    assert packed.packing.unpack(*packed.packing.pack_terms(p.terms)) == p
     top = Polynomial({((wide[0], packed.packing.limit),): 1, ((wide[-1], packed.packing.limit),): Fraction(5, 7)})
-    assert packed.unpack(*packed.packing.pack_terms(top.terms)) == top
+    assert packed.packing.unpack(*packed.packing.pack_terms(top.terms)) == top
     assert p * p == reference_mul(p, p)
 
 
@@ -405,7 +405,7 @@ def test_packed_order_sorts_as_sort_key(name):
     packing = Packing(VARS, 40, order)
     codes = [packing.pack(m) for m in monos]
     assert sorted(monos, key=packing.pack) == sorted(monos, key=textbook_key(order, monos))
-    assert list(packing.unpack_terms(dict.fromkeys(codes, 1))) == monos
+    assert list(packing.unpack(1, dict.fromkeys(codes, 1)).terms) == monos
     assert [packing.degree(c) for c in codes] == [mono_degree(m) for m in monos]
 
 

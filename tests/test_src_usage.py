@@ -67,3 +67,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
     assert set(ALLOWED) <= defined, "allowlisted names must exist"
+
+
+def _jetcalc_imports(path):
+    """The jetcalc modules a module imports from, at any depth of its tree."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            package = ["jetcalc"] if node.level else []
+            module = node.module.split(".") if node.module else []
+            dotted = [package + module + [a.name] for a in node.names]
+        elif isinstance(node, ast.Import):
+            dotted = [a.name.split(".") for a in node.names]
+        else:
+            continue
+        out.update(d[1] for d in dotted if d[0] == "jetcalc" and len(d) > 1)
+    return out
+
+
+def test_groebner_imports_only_polyring():
+    """Groebner works on packed polynomials alone: the jet calculus is its
+    callers' business."""
+    assert _jetcalc_imports(ROOT / "src" / "jetcalc" / "groebner.py") == {"polyring"}
