@@ -7,12 +7,12 @@ All determinant integrals reduce to a single power of the weight m times an
 exact rational; five Chern slots assemble these into polynomials in the
 hypersurface degree d.  Every slot determinant det(ell_j^(e_i)) is an
 alternant in the linear forms ell_1..ell_n, expanded once per dimension as
-{exponent vector: +-1} (`schur.alternant`), and its integral takes the
-moments of prod ell_i^(a_i) from `simplex_moments`: the vertex
-generating function of Baldoni, Berline, De Loera, Koeppe and Vergne, "How to
-integrate a polynomial over a simplex" (Math. Comp. 80, 2011), evaluated by
-one integer recurrence over the exponent vectors below the needed ones.  The
-tests check it against an independent oracle, the iterated antiderivative.
+{exponent vector: +-1} (`schur.alternant`), and `_integrate` integrates it
+with the vertex generating function of Baldoni, Berline, De Loera, Koeppe
+and Vergne, "How to integrate a polynomial over a simplex" (Math. Comp. 80,
+2011): one layered integer recurrence over the exponent vectors below the
+needed ones, then one integer sum and one division per slot.  The tests
+check it against an independent oracle, the iterated antiderivative.
 The h^2 majorant is a combination of the dimension-3 slot totals, and the
 Schur-bundle leading term evaluates the same alternants at integer points.
 Sturm chains are built on integer coefficients by primitive
@@ -39,24 +39,30 @@ from .schur import FamilySpec, alternant, chern_hypersurface, chi_slots, enumera
 # ---------------------------------------------------------------------------
 
 
-def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
-                    needed: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Fraction]:
-    """Top-m coefficients of the simplex integrals of products of linear forms.
+Expansion = Dict[Tuple[int, ...], Scalar]
+
+
+def _integrate(expansions: Dict[str, Expansion], forms: Sequence[Sequence[int]],
+               weights: Sequence[int],
+               needed: Optional[Tuple[Tuple[int, ...], ...]] = None) -> Dict[str, Fraction]:
+    """Top-m coefficient of the simplex integral of each expansion in the forms.
 
     Form i is the list of integer coefficients (of m, then of x_1..x_k) of
-    ell_i = c_0 m + sum c_j x_j, and the simplex is {sum w_j x_j <= m, x >= 0}.
-    For each exponent vector a in `needed` the integral of prod ell_i^(a_i)
-    is m^(|a|+k) times the returned rational.  By Baldoni, Berline, De Loera,
-    Koeppe and Vergne, "How to integrate a polynomial over a simplex" (Math.
-    Comp. 80, 2011), that rational is
+    ell_i = c_0 m + sum c_j x_j, the simplex is {sum w_j x_j <= m, x >= 0},
+    and an expansion {a: c} stands for sum c prod ell_i^(a_i).  By Baldoni,
+    Berline, De Loera, Koeppe and Vergne, "How to integrate a polynomial over
+    a simplex" (Math. Comp. 80, 2011), the integral of prod ell_i^(a_i) is
+    m^(|a|+k) times
 
         a! / ((|a|+k)! prod w_j) * [t^a] prod_v 1 / (1 - sum_i t_i ell_i(v))
 
     over the vertices v = 0, e_j / w_j of the m = 1 simplex.  The vertex
-    values are scaled to integers by W = lcm(w_j), and each factor of the
-    generating function is applied by the recurrence
-    h[a] = h[a] + sum_i W ell_i(v) h[a - e_i] over the exponent vectors below
-    some member of `needed`, the only ones the recurrence reads.
+    values are scaled to integers by W = lcm(w_j), so [t^a] is h[a] / W^|a|
+    for the integers of the recurrence h[a] += sum_i W ell_i(v) h[a - e_i],
+    applied one vertex at a time and layer by layer in |a|.  An expansion's
+    terms c h[a] a! are summed on integers over the denominator of the
+    largest |a|, one Fraction per expansion.  `needed`, the sorted exponent
+    vectors of all the expansions, may be passed in cached.
     """
     k = len(weights)
     for w in weights:
@@ -68,49 +74,56 @@ def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
         for c in form:
             if not isinstance(c, int):
                 raise ValueError(f"form coefficient {c!r} is not an integer")
-    needed = list(needed)
-    if any(len(a) != len(forms) or min(a, default=0) < 0 for a in needed):
-        raise ValueError("each exponent vector needs one nonnegative exponent per form")
-    if not needed:
-        return {}
+    if needed is None:
+        needed = tuple(sorted({a for coeffs in expansions.values() for a in coeffs}))
+    cells, index, groups = _down_closure(needed, len(forms))
     scale = lcm(*weights)
     vertices = [[scale * f[0] for f in forms]]
     for j, w in enumerate(weights, start=1):
         vertices.append([scale * f[0] + scale // w * f[j] for f in forms])
 
-    index, preds = _down_closure(tuple(needed))
-    h = [0] * len(preds)
+    h = [0] * cells
     h[0] = 1
     for values in vertices:
-        for n in range(1, len(preds)):
-            acc = h[n]
-            for i, j in preds[n]:
-                acc += values[i] * h[j]
-            h[n] = acc
+        for i, pairs in groups:
+            v = values[i]
+            if v:
+                for n, j in pairs:
+                    h[n] += v * h[j]
 
-    out = {}
-    for a in needed:
-        size = sum(a)
-        numer = h[index[a]] * prod(map(factorial, a))
-        out[a] = Fraction(numer, factorial(size + k) * prod(weights) * scale ** size)
-    return out
+    # each needed moment's numerator over the one denominator of the largest |a|
+    top = max((size for _, size, _ in index.values()), default=0)
+    lift = [factorial(top + k) // factorial(size + k) * scale ** (top - size)
+            for size in range(top + 1)]
+    moments = {a: h[n] * fact * lift[size] for a, (n, size, fact) in index.items()}
+    den = factorial(top + k) * prod(weights) * scale ** top
+    return {name: Fraction(sum(c * moments[a] for a, c in coeffs.items()), den)
+            for name, coeffs in expansions.items()}
 
 
 @lru_cache(maxsize=16)
-def _down_closure(needed: Tuple[Tuple[int, ...], ...]):
-    """The exponent vectors below some member of `needed`, in lex order so
-    that every a - e_i precedes a: each one's position, and for each position
-    the pairs (i, position of a - e_i)."""
-    closure, frontier = set(needed), set(needed)
-    while frontier:
-        frontier = {a[:i] + (a[i] - 1,) + a[i + 1:]
-                    for a in frontier for i in range(len(a)) if a[i]} - closure
-        closure |= frontier
-    cells = sorted(closure)
-    index = {a: n for n, a in enumerate(cells)}
-    preds = [[(i, index[a[:i] + (a[i] - 1,) + a[i + 1:]]) for i in range(len(a)) if a[i]]
-             for a in cells]
-    return index, preds
+def _down_closure(needed: Tuple[Tuple[int, ...], ...], rank: int):
+    """The exponent vectors of length `rank` below some member of `needed`,
+    numbered layer by layer in |a| from the zero vector's 0: their count,
+    (number, |a|, a!) for each needed a, and the recurrence's groups (form i,
+    [(number of a, number of a - e_i)]) in layer order, so that each layer
+    reads only the one below it.  A vector is coded as the integer with its
+    exponents as digits in radix 1 + the largest needed exponent."""
+    if any(len(a) != rank or min(a, default=0) < 0 for a in needed):
+        raise ValueError("each exponent vector needs one nonnegative exponent per form")
+    radix = 1 + max((e for a in needed for e in a), default=0)
+    unit = [radix ** i for i in range(rank)]
+    layers: List[set] = [{0}] + [set() for _ in range(max(map(sum, needed), default=0))]
+    for a in needed:
+        layers[sum(a)].add(sum(e * u for e, u in zip(a, unit)))
+    for size in range(len(layers) - 1, 0, -1):
+        layers[size - 1].update(c - u for c in layers[size] for u in unit if c // u % radix)
+    number = {c: n for n, c in enumerate(c for layer in layers for c in layer)}
+    groups = [(i, pairs) for layer in layers[1:] for i, u in enumerate(unit)
+              if (pairs := [(number[c], number[c - u]) for c in layer if c // u % radix])]
+    index = {a: (number[sum(e * u for e, u in zip(a, unit))], sum(a), prod(map(factorial, a)))
+             for a in needed}
+    return len(number), index, groups
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +147,6 @@ class FamilyContribution:
     slots: Dict[str, Fraction]  # slot name -> coefficient of m^top
 
 
-Expansion = Dict[Tuple[int, ...], int]
-
-
 @lru_cache(maxsize=None)
 def _abstract_slot_determinants(n: int) -> Dict[str, Expansion]:
     """Each slot determinant det(ell_j ^ e_i), with the exponent rows in
@@ -149,13 +159,10 @@ def _abstract_slot_determinants(n: int) -> Dict[str, Expansion]:
     return {slot.name: alternant(sorted(slot.exponents)) for slot in chi_slots(n)}
 
 
-def _integrate(expansions: Dict[str, Expansion], forms: Sequence[Sequence[int]],
-               weights: Sequence[int]) -> Dict[str, Fraction]:
-    """Top-m coefficient of the simplex integral of each expansion in the forms."""
-    needed = sorted({a for coeffs in expansions.values() for a in coeffs})
-    moments = simplex_moments(forms, weights, needed)
-    return {name: sum((c * moments[a] for a, c in coeffs.items()), Fraction(0))
-            for name, coeffs in expansions.items()}
+@lru_cache(maxsize=None)
+def _slot_exponents(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The exponent vectors of the dimension-n slot determinants, sorted (cached)."""
+    return tuple(sorted({a for e in _abstract_slot_determinants(n).values() for a in e}))
 
 
 def _family_forms(family: FamilySpec, n: int) -> Tuple[List[List[int]], List[int]]:
@@ -178,7 +185,8 @@ def family_contribution(family: FamilySpec, n: int = 4) -> FamilyContribution:
     exponents to m^16 times a rational; for n = 3 (p = 0, fourth index
     dropped) the three 3x3 slots give m^11.
     """
-    slots = _integrate(_abstract_slot_determinants(n), *_family_forms(family, n))
+    forms, weights = _family_forms(family, n)
+    slots = _integrate(_abstract_slot_determinants(n), forms, weights, _slot_exponents(n))
     return FamilyContribution(family.id, family.multiplicity, slots)
 
 
@@ -214,16 +222,24 @@ def assemble_chi(coeffs: Dict[str, Scalar], n: int,
     return acc * reversal_sign(n)
 
 
-def chi_e43_leading(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
-    """Coefficient of m^11 in chi of the dimension-3 order-4 jet bundle."""
+def e43_slot_totals(families: Optional[List[FamilySpec]] = None) -> Dict[str, Fraction]:
+    """The dimension-3 slot totals, which chi(E43) and the h^2 majorant both read."""
     families = families if families is not None else enumerate_families()
-    return assemble_chi(slot_totals(family_contributions(families, 3)), 3)
+    return slot_totals(family_contributions(families, 3))
+
+
+def chi_e43_leading(families: Optional[List[FamilySpec]] = None,
+                    totals: Optional[Dict[str, Fraction]] = None) -> DegreePolynomial:
+    """Coefficient of m^11 in chi of the dimension-3 order-4 jet bundle, from
+    the `e43_slot_totals` when given."""
+    return assemble_chi(totals if totals is not None else e43_slot_totals(families), 3)
 
 
 H2_FACTOR = Fraction(3, 2)
 
 
-def h2_majorant_coefficient(families: Optional[List[FamilySpec]] = None) -> Fraction:
+def h2_majorant_coefficient(families: Optional[List[FamilySpec]] = None,
+                            totals: Optional[Dict[str, Fraction]] = None) -> Fraction:
     """Sum over the families of the integrated h^2 bound kernel.
 
     The imported per-bundle bound is d(d+13) * (3/2)(l1+l2+l3)^3 *
@@ -231,10 +247,10 @@ def h2_majorant_coefficient(families: Optional[List[FamilySpec]] = None) -> Frac
     coefficient multiplying d(d+13).  By the bialternant formula and Pieri's
     rule, (l1+l2+l3)^3 times the Vandermonde product is -(D015 + 2 D024 +
     D123) in the ascending slot determinants, so the kernel integrates to
-    that combination of the dimension-3 slot totals.
+    that combination of the dimension-3 slot totals (the `e43_slot_totals`,
+    when given).
     """
-    families = families if families is not None else enumerate_families()
-    t = slot_totals(family_contributions(families, 3))
+    t = totals if totals is not None else e43_slot_totals(families)
     return -H2_FACTOR * (t["015"] + 2 * t["024"] + t["123"])
 
 
@@ -245,8 +261,8 @@ def h0_minorant(chi43: DegreePolynomial, h2_coefficient: Fraction) -> DegreePoly
 
 
 def h0_minorant_e43(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
-    families = families if families is not None else enumerate_families()
-    return h0_minorant(chi_e43_leading(families), h2_majorant_coefficient(families))
+    totals = e43_slot_totals(families)
+    return h0_minorant(chi_e43_leading(totals=totals), h2_majorant_coefficient(totals=totals))
 
 
 def chi_rousseau_e33() -> DegreePolynomial:
@@ -259,7 +275,8 @@ def chi_rousseau_e33() -> DegreePolynomial:
     forms = [[1, -2, -3, -5],  # a + b + 2c + e
              [0, 1, 1, 1],     # b + c + e
              [0, 0, 0, 1]]     # e
-    return assemble_chi(_integrate(_abstract_slot_determinants(3), forms, [3, 5, 6]), 3)
+    return assemble_chi(_integrate(_abstract_slot_determinants(3), forms, [3, 5, 6],
+                                   _slot_exponents(3)), 3)
 
 
 def chi_schur_leading(ell: Sequence[int], dual: bool = True) -> DegreePolynomial:
@@ -407,7 +424,8 @@ def positivity_threshold(p: DegreePolynomial) -> int:
     if cand is None:
         return -bound
     D = cand + 1
-    assert p(D) > 0 and p(D - 1) <= 0
+    if not p(D) > 0 >= p(D - 1):
+        raise AssertionError(f"threshold {D} disagrees with the signs of p at {D} and {D - 1}")
     return D
 
 

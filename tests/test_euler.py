@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import factorial
-from typing import Sequence, Tuple
+from math import factorial, lcm, prod
+from typing import Dict, Iterable, Sequence, Tuple
 
 import pytest
 
@@ -31,9 +31,10 @@ from jetcalc.euler import (
     real_roots_approx,
     reversal_sign,
     scaled_numerator,
-    simplex_moments,
     slot_totals,
 )
+from jetcalc import euler
+from jetcalc.cli import main
 from jetcalc.polyring import Polynomial, Variable, tag
 from jetcalc.schur import alternant, chi_slots, enumerate_families
 from test_schur import ell_symbols, expand_over
@@ -103,6 +104,43 @@ def top_coefficient(p: Polynomial, m_var: Variable, expected_degree: int) -> Fra
     return total
 
 
+def simplex_moments(forms: Sequence[Sequence[int]], weights: Sequence[int],
+                    needed: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Fraction]:
+    """The moments, one Fraction per exponent vector: the reference for the
+    integer slot sums and the layered recurrence of `_integrate`.
+
+    The integral of prod ell_i^(a_i) over {sum w_j x_j <= m, x >= 0} is
+    m^(|a|+k) times a! / ((|a|+k)! prod w_j) [t^a] prod_v 1 / (1 - sum_i t_i
+    ell_i(v)) (Baldoni, Berline, De Loera, Koeppe and Vergne 2011); the
+    vertex values are scaled by W = lcm(w_j) and the generating function is
+    expanded cell by cell in lex order, so each a - e_i precedes a."""
+    k = len(weights)
+    scale = lcm(*weights)
+    vertices = [[scale * f[0] for f in forms]]
+    for j, w in enumerate(weights, start=1):
+        vertices.append([scale * f[0] + scale // w * f[j] for f in forms])
+    needed = list(needed)
+    closure, frontier = set(needed), set(needed)
+    while frontier:
+        frontier = {a[:i] + (a[i] - 1,) + a[i + 1:]
+                    for a in frontier for i in range(len(a)) if a[i]} - closure
+        closure |= frontier
+    h = {a: int(not any(a)) for a in closure}
+    for values in vertices:
+        for a in sorted(closure):
+            h[a] += sum(values[i] * h[a[:i] + (a[i] - 1,) + a[i + 1:]]
+                        for i in range(len(a)) if a[i])
+    return {a: Fraction(h[a] * prod(map(factorial, a)),
+                        factorial(sum(a) + k) * prod(weights) * scale ** sum(a))
+            for a in needed}
+
+
+def moment_sum(expansion, forms, weights) -> Fraction:
+    """sum c * moment of a over the terms {a: c}, in Fractions."""
+    moments = simplex_moments(forms, weights, expansion)
+    return sum((c * moments[a] for a, c in expansion.items()), Fraction(0))
+
+
 def test_unit_simplex_area():
     one = Polynomial.constant(1)
     got = simplex_integral(one, [(X, 1), (Y, 1)], M)
@@ -160,8 +198,8 @@ def test_closed_form_matches_iterated_integral(seed):
         for v, e in mono:
             row[order.index(v)] = e
         exps[tuple(row)] = c
-    moments = simplex_moments(coordinates, [3, 4, 7], exps)
-    assert top == sum(c * moments[a] for a, c in exps.items())
+    assert top == moment_sum(exps, coordinates, [3, 4, 7])
+    assert top == _integrate({"f": exps}, coordinates, [3, 4, 7])["f"]
 
 
 def _form_polynomial(form, variables):
@@ -208,6 +246,11 @@ def test_simplex_moments_match_iterated_integral(seed):
     needed = sorted(needed)
     moments = simplex_moments(forms, weights, needed)
     assert sorted(moments) == needed
+    # the integrator on each vector alone, and on all of them in one expansion
+    # (of unequal total degrees from seed 8 on)
+    assert _integrate({a: {a: 1} for a in needed}, forms, weights) == moments
+    assert _integrate({"all": dict.fromkeys(needed, 1)}, forms, weights)["all"] == \
+        sum(moments.values())
     nest = list(zip(variables, weights))
     polys = [_form_polynomial(f, variables) for f in forms]
     for a in needed:
@@ -219,18 +262,89 @@ def test_simplex_moments_match_iterated_integral(seed):
 
 
 def test_simplex_moments_rejects_non_integer_forms():
-    with pytest.raises(ValueError):
-        simplex_moments([[1, Fraction(1, 2)]], [2], [(1,)])
-    with pytest.raises(ValueError):
-        simplex_moments([[1, 0.5]], [2], [(1,)])
-    with pytest.raises(ValueError):
-        simplex_moments([[1, 1]], [0], [(1,)])
-    with pytest.raises(ValueError):
-        simplex_moments([[1, 1, 1]], [2], [(1,)])
-    with pytest.raises(ValueError):
-        simplex_moments([[1, 1]], [2], [(1, 1)])
-    with pytest.raises(ValueError):
-        simplex_moments([[1, 1]], [2], [(-1,)])
+    """The integrator's input checks."""
+    for forms, weights, a in (([[1, Fraction(1, 2)]], [2], (1,)), ([[1, 0.5]], [2], (1,)),
+                              ([[1, 1]], [0], (1,)), ([[1, 1, 1]], [2], (1,)),
+                              ([[1, 1]], [2], (1, 1)), ([[1, 1]], [2], (-1,))):
+        with pytest.raises(ValueError):
+            _integrate({"f": {a: 1}}, forms, weights)
+
+
+def random_forms(rng, count, weights):
+    """`count` integer forms over m and len(weights) variables; the first has a
+    zero m-coefficient and the second is zero at the origin and at one other
+    vertex, so the recurrence meets zero vertex values."""
+    k = len(weights)
+    forms = [[rng.randint(-4, 4) for _ in range(k + 1)] for _ in range(count)]
+    forms[0][0] = 0
+    forms[1][0] = forms[1][1] = 0
+    # an o-elimination form: o = m - sum w_j x_j
+    forms[-1] = [1] + [rng.randint(0, 2) - w for w in weights]
+    return forms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integrate_matches_the_fraction_moment_oracle(seed):
+    """The integer slot sums and the layered recurrence against the moments
+    summed one Fraction at a time, on the slot expansions of dimensions 3
+    and 4 over seeded random forms and weights."""
+    rng = random.Random(900 + seed)
+    for n in (3, 4):
+        expansions = euler._abstract_slot_determinants(n)
+        weights = [rng.randint(1, 9) for _ in range(2 * n - 2)]
+        forms = random_forms(rng, n, weights)
+        assert any(v == 0 for v in forms[1])
+        got = _integrate(expansions, forms, weights)
+        assert got == {name: moment_sum(e, forms, weights) for name, e in expansions.items()}
+        assert _integrate(expansions, forms, weights, euler._slot_exponents(n)) == got
+
+
+def test_integrate_matches_the_oracle_on_the_families_and_rousseau():
+    """Every dimension-3 family, one dimension-4 family, and the forms of
+    `chi_rousseau_e33`."""
+    families = enumerate_families()
+    cases = [_family_forms(f, 3) for f in families] + [_family_forms(families[0], 4)]
+    cases.append(([[1, -2, -3, -5], [0, 1, 1, 1], [0, 0, 0, 1]], [3, 5, 6]))
+    for forms, weights in cases:
+        expansions = euler._abstract_slot_determinants(len(forms))
+        assert _integrate(expansions, forms, weights) == \
+            {name: moment_sum(e, forms, weights) for name, e in expansions.items()}
+
+
+def test_integrate_builds_one_fraction_per_slot(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(euler, "Fraction", counted)
+    forms, weights = _family_forms(enumerate_families()[0], 4)
+    slots = _integrate(euler._abstract_slot_determinants(4), forms, weights)
+    assert len(made) == len(slots) == 5
+
+
+def count_integrations(monkeypatch):
+    calls = []
+    integrate = euler._integrate
+
+    def counted(expansions, forms, *args):
+        calls.append(len(forms))
+        return integrate(expansions, forms, *args)
+    monkeypatch.setattr(euler, "_integrate", counted)
+    return calls
+
+
+def test_chi_e43_with_h2_integrates_each_family_once(monkeypatch, capsys):
+    calls = count_integrations(monkeypatch)
+    assert main(["chi", "--target", "E43", "--with-h2"]) == 0
+    capsys.readouterr()
+    assert calls == [3] * len(enumerate_families()) == [3] * 24
+
+
+def test_h0_minorant_e43_integrates_each_family_once(monkeypatch):
+    calls = count_integrations(monkeypatch)
+    h0_minorant_e43()
+    assert calls == [3] * 24
 
 
 def test_antiderivative_power_rule():
@@ -269,6 +383,17 @@ def test_positivity_threshold_cases():
     assert positivity_threshold(s) == 12
     # x^4 + x - 2: root 1, and a chain divisor -3x + 8 at an odd exponent
     assert positivity_threshold(DegreePolynomial([-2, 1, 0, 0, 1])) == 2
+
+
+def test_positivity_threshold_raises_on_an_inconsistent_sign(monkeypatch):
+    """The final sign check is an explicit raise, so python -O keeps it: the
+    integer image of d - 12 is swapped for that of d - 5, whose threshold 6
+    contradicts the sign of d - 12 at 6."""
+    p = DegreePolynomial([-12, 1])
+    assert positivity_threshold(p) == 13
+    monkeypatch.setattr(euler, "_integer_coeffs", lambda q: (1, -5))
+    with pytest.raises(AssertionError, match="threshold 6"):
+        positivity_threshold(p)
 
 
 # ---------------------------------------------------------------------------
