@@ -33,13 +33,14 @@ from .jets import (
 )
 from .polyring import (
     Packing,
-    PackedSubstitution,
     Polynomial,
     Variable,
     is_tag,
     jet,
+    packed_images,
     primitive_part,
     proportional,
+    tag,
 )
 
 
@@ -384,28 +385,23 @@ def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial
                     f1_name: str = "f1'") -> List[SyzygyCheck]:
     """Expand S(gens) + f_1'^nu R(gens) in jet variables and assert zero.
 
-    S(gens), R(gens) and f_1'^nu share one packing and the sum is tested in
-    packed form; `max_terms` is the larger term count of S(gens), R(gens).
+    S and t^nu R, t a private tag for the f_1' generator, are imaged on one
+    packing and the sum is tested on integers; `max_terms` is the larger
+    term count of S(gens) and f_1'^nu R(gens), which has as many terms as
+    R(gens).
     """
+    f1 = Polynomial.variable(tag(f1_name, 1, -1))  # every other tag indexes from 0
     results = []
-    f1 = generators[f1_name]
     for s in syzygies:
-        sub = {}
-        for v in (s.relation.variables() | s.remainder.variables()):
-            if is_tag(v):
-                sub[v] = generators[v.name[2:]]
-        products = [(s.relation,)]
-        if s.nu is not None:
-            f1_power = f1 ** s.nu
-            products.append((s.remainder, f1_power))
-        packed = PackedSubstitution(sub, products)
-        value = packed.image(s.relation)
-        peak = len(value[1])
-        if s.nu is not None:
-            rem = packed.image(s.remainder)
-            peak = max(peak, len(rem[1]))
-            value = packed.add_product(value, packed.image(f1_power), rem)
-        residual = len(value[1])
-        results.append(SyzygyCheck(s.id, not residual, peak,
+        tagged = s.remainder * f1 ** s.nu if s.nu is not None else Polynomial.zero()
+        sub = {v: generators[v.name[2:]]
+               for v in s.relation.variables() | tagged.variables() if is_tag(v)}
+        _, [(ds, image_s), (dr, image_r)] = packed_images(sub, [s.relation, tagged])
+        # the residual's numerator over the denominator ds * dr
+        acc = {k: c * dr for k, c in image_s.items()}
+        for k, c in image_r.items():
+            acc[k] = acc.get(k, 0) + c * ds
+        residual = sum(1 for c in acc.values() if c)
+        results.append(SyzygyCheck(s.id, not residual, max(len(image_s), len(image_r)),
                                    f"residual has {residual} terms" if residual else ""))
     return results

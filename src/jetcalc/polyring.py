@@ -20,17 +20,17 @@ its top fields, so comparing codes compares monomials; each order is defined
 only by those rows.
 
 Substitution, the heaviest expansion (a syzygy check expands a few tag
-monomials into ~10k-term jet polynomials), packs over the call's variables
-(`PackedSubstitution`); a polynomial is `(den, {code: int numerator})` over
-one common denominator (`Packed`, as `Packing.pack_terms` makes it; the
-generator products of Groebner membership and relation kernels are built and
-eliminated in this form too).  Image powers are cached per call, every term is
-accumulated into one dict, and the result is unpacked once at the end by
-`Packing.unpack`, the one way back to a `Polynomial`.  A product `a * b` of
-at least `PACKED_MUL_PAIRS` term pairs runs on a `Packing` of both operands'
-variables, so the large products of the catalog recipes do too; smaller
-products, the bulk of every other computation, stay on tuples.  Groebner
-computations and every ranking of monomials (`MonomialOrder.ranked`,
+polynomials into ~10k-term jet polynomials), images a list of polynomials
+over one packing of the variables they can reach (`packed_images`); a
+polynomial is `(den, {code: int numerator})` over one common denominator
+(`Packed`, as `Packing.pack_terms` makes it; the generator products of
+Groebner membership and relation kernels are built and eliminated in this
+form too).  Image powers are cached per call, each image is accumulated into
+one dict, and `Packing.unpack` is the one way back to a `Polynomial`.  A
+product `a * b` of at least `PACKED_MUL_PAIRS` term pairs runs on a `Packing`
+of both operands' variables, so the large products of the catalog recipes do
+too; smaller products, the bulk of every other computation, stay on tuples.
+Groebner computations and every ranking of monomials (`MonomialOrder.ranked`,
 `leading_monomial`) pack with an order.
 """
 
@@ -330,12 +330,10 @@ class Polynomial:
 
     def substitute(self, sigma: Mapping[Variable, "Polynomial"]) -> "Polynomial":
         """Image under variable -> polynomial, identity off the map's support."""
-        if not sigma:
+        if not sigma or sigma.keys().isdisjoint(self.variables()):
             return self
-        packed = PackedSubstitution(sigma, [(self,)])
-        if not packed.images:
-            return self
-        return packed.packing.unpack(*packed.image(self))
+        packing, [image] = packed_images(sigma, [self])
+        return packing.unpack(*image)
 
     # -- presentation ----------------------------------------------------------
 
@@ -539,8 +537,8 @@ def _support(monomials: Iterable[Monomial]) -> Tuple[frozenset, int]:
     return frozenset(variables), top
 
 
-def packing_over(monomials: Iterable[Monomial], order: Optional["MonomialOrder"] = None,
-                 headroom: int = 1) -> Packing:
+def packing_over(monomials: Iterable[Monomial], order: "MonomialOrder",
+                 headroom: int) -> Packing:
     """The packing of the variables of `monomials` whose limit is `headroom`
     times their largest total degree."""
     variables, top = _support(monomials)
@@ -563,18 +561,10 @@ def clear_denominators(terms: Mapping) -> Tuple[int, Dict]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _degree_bound(p: Polynomial, degree: Mapping[Variable, int]) -> int:
-    """Largest total degree of a term's image, `degree` giving each mapped
-    variable's image degree (1 for kept variables)."""
-    return max((sum(e * degree.get(v, 1) for v, e in m) for m in p.terms), default=0)
-
-
-def _add_packed_product(acc: Dict[int, int], a: Dict[int, int], b: Dict[int, int],
-                       scale: int = 1):
-    """acc += scale * a * b on packed numerators; zero entries stay in acc."""
+def _add_packed_product(acc: Dict[int, int], a: Dict[int, int], b: Dict[int, int]):
+    """acc += a * b on packed numerators; zero entries stay in acc."""
     get = acc.get
     for ka, ca in a.items():
-        ca *= scale
         for kb, cb in b.items():
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
@@ -586,66 +576,45 @@ def _packed_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-class PackedSubstitution:
-    """One substitution sigma, worked out on packed monomials.
+def packed_images(sigma: Mapping[Variable, Polynomial],
+                  polys: Sequence[Polynomial]) -> Tuple[Packing, List[Packed]]:
+    """The image of each polynomial under sigma (identity off its support),
+    packed, with no zero numerators.
 
-    `products` lists every image the caller will form, each as the tuple of
-    polynomials whose images get multiplied together; it fixes the variable
-    universe and the degree limit of `packing`, the order-free `Packing` of
-    that universe.  The limit is the largest total degree any requested
-    product can reach, so no field can carry into its neighbour;
-    `packing.pack_terms` and `image` raise ValueError on a polynomial whose
-    degree does not fit.  Powers of the images are cached for the life of
-    the object.
+    The images share one order-free `Packing` of the variables they can
+    reach, whose limit is the largest total degree of any term's image, so
+    no field can carry into its neighbour, and one cache of image powers.
     """
+    used = set().union(*(p.variables() for p in polys))
+    images = {v: sigma[v] for v in used if v in sigma}
+    degree = {v: max(map(mono_degree, img.terms), default=0) for v, img in images.items()}
+    universe = used - images.keys()
+    for img in images.values():
+        universe |= img.variables()
+    packing = Packing(universe, max((sum(e * degree.get(v, 1) for v, e in m)
+                                     for p in polys for m in p.terms), default=0))
+    pack = packing.pack
+    dens: Dict[Variable, int] = {}
+    powers: Dict[Variable, list] = {}
+    for v, img in images.items():
+        dens[v], num = packing.pack_terms(img.terms)
+        powers[v] = [{0: 1}, num]
 
-    def __init__(self, sigma: Mapping[Variable, Polynomial],
-                 products: Sequence[Sequence[Polynomial]]):
-        used = set()
-        for factors in products:
-            for p in factors:
-                used |= p.variables()
-        self.images = {v: sigma[v] for v in used if v in sigma}
-        self._degree = degree = {v: max((mono_degree(m) for m in img.terms), default=0)
-                                 for v, img in self.images.items()}
-        universe = used - self.images.keys()
-        for img in self.images.values():
-            universe |= img.variables()
-        bound = max((sum(_degree_bound(p, degree) for p in factors) for factors in products),
-                    default=0)
-        self.packing = Packing(universe, bound)
-        self._powers: Dict[Variable, list] = {}
-        self._dens: Dict[Variable, int] = {}
-        for v, img in self.images.items():
-            den, num = self.packing.pack_terms(img.terms)
-            self._dens[v] = den
-            self._powers[v] = [{0: 1}, num]
+    def power(v: Variable, e: int) -> Dict[int, int]:
+        cached = powers[v]
+        while len(cached) <= e:
+            nxt = _packed_mul(cached[-1], cached[1])
+            cached.append({k: c for k, c in nxt.items() if c})
+        return cached[e]
 
-    def _power(self, v: Variable, e: int) -> Dict[int, int]:
-        powers = self._powers[v]
-        while len(powers) <= e:
-            nxt = _packed_mul(powers[-1], powers[1])
-            powers.append({k: c for k, c in nxt.items() if c})
-        return powers[e]
-
-    def image(self, p: Polynomial) -> Packed:
-        """p under sigma, packed, with no zero numerators."""
-        images, dens, degree = self.images, self._dens, self._degree
-        limit, pack = self.packing.limit, self.packing.pack
-        den = 1
+    out = []
+    for p in polys:
+        den = lcm(*(c.denominator for c in p.terms.values()))
         top: Dict[Variable, int] = {}
-        for m, c in p.terms.items():
-            den = lcm(den, c.denominator)
-            d = 0
+        for m in p.terms:
             for v, e in m:
-                if v in images:
-                    d += e * degree[v]
-                    if top.get(v, 0) < e:
-                        top[v] = e
-                else:
-                    d += e
-            if d > limit:
-                raise ValueError(f"a term's image of degree {d} overflows the packed fields")
+                if v in images and top.get(v, 0) < e:
+                    top[v] = e
         for v, e in top.items():
             den *= dens[v] ** e
         acc: Dict[int, int] = {}
@@ -655,7 +624,7 @@ class PackedSubstitution:
             factors = []
             for v, e in m:
                 if v in images:
-                    f = self._power(v, e)
+                    f = power(v, e)
                     if not f:
                         break
                     factors.append(f)
@@ -670,16 +639,8 @@ class PackedSubstitution:
                 for f in factors[:-1]:
                     part = _packed_mul(part, f)
                 _add_packed_product(acc, part, factors[-1] if factors else {0: 1})
-        return den, {k: c for k, c in acc.items() if c}
-
-    @staticmethod
-    def add_product(x: Packed, y: Packed, z: Packed) -> Packed:
-        """x + y * z, packed, with no zero numerators."""
-        (dx, tx), (dy, ty), (dz, tz) = x, y, z
-        # x/dx + (y/dy)(z/dz) over the denominator dx*dy*dz
-        acc = {k: c * dy * dz for k, c in tx.items()}
-        _add_packed_product(acc, ty, tz, dx)
-        return dx * dy * dz, {k: c for k, c in acc.items() if c}
+        out.append((den, {k: c for k, c in acc.items() if c}))
+    return packing, out
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,25 @@ def test_chi_report_digest_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("catalog, digest", [
+    ("E2k2", "1bdafe991e75749899cdf25f97d73f99b46a9c6a11c26471d786c0216229961f"),
+    ("E2k3", "467a8cb524a49cc5ca22e25054b842eb556524a92e3282f31a55ddfa82c6fc06"),
+    ("E2k4", "b24e963c25d9f5541e4e1cef77c7089a122567e0d318e08367f88d1a11e3c336"),
+    ("E2k5", "4a94060589ff37f33d04b0ce55f6b762c3c5a2b1a40b3121b7398cef029252ce"),
+    ("UE2k5", "dc299ebbfc1b08489dfb6fb90d1951e4ff305aeddeb7b7b53dec5450dc5eeb30"),
+    ("E3k3", "e99e28d2bf7c597d308ffc05f9d2b91db9bb1afd516dc1f15ad6cdf02a289873"),
+    ("UE3k3", "99b9362c9c0b351c7a79ec291e9f3149cfc94ba1db81a09da6c5772754ade0fc"),
+    ("UE3k4", "f86afe113077cd09ff5efeb65ce5e9eb0b38db6ab561440b3fb337a3570ed40c"),
+    ("UE4k4", "0c5965de90a488a3f9130b8b5ff459bb293bc7eaa66ffd08d688fc084f148b7d"),
+])
+def test_verify_report_digest_pinned(capsys, catalog, digest):
+    """The verify report of every bundled catalog (pass counts, largest
+    intermediate term counts and integrity issues), byte for byte."""
+    got, out, _ = run_cli(capsys, "verify", "--catalog", catalog)
+    assert got == EX_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derive_bi_mode(capsys):
     code, out, _ = run_cli(capsys, "derive", "--n", "3", "--kappa", "3",
                            "--mode", "bi")

@@ -12,7 +12,7 @@ from jetcalc.invgen import (
     verify_syzygies,
 )
 from jetcalc.jets import JetContext, check_reparam_invariance
-from jetcalc.polyring import Polynomial, jet, proportional, tag
+from jetcalc.polyring import Polynomial, is_tag, jet, proportional, tag
 
 
 def tags_for(data):
@@ -237,6 +237,58 @@ def test_verify_ue3k4_2_keeps_its_fractional_remainder():
                                 remainder=s.remainder * Fraction(1, 3))
     [check] = verify_syzygies([third], gens, "f1")
     assert check.ok and check.max_terms == 22
+
+
+def reference_verify(syzygies, generators, f1_name):
+    """S(g) + f1^nu R(g) with Polynomial `substitute`, `+` and `*`: the
+    (ok, max_terms, detail) of each syzygy."""
+    out = []
+    for s in syzygies:
+        sub = {v: generators[v.name[2:]]
+               for v in s.relation.variables() | s.remainder.variables() if is_tag(v)}
+        image_s, image_r = s.relation.substitute(sub), s.remainder.substitute(sub)
+        value = image_s
+        if s.nu is not None:
+            value = value + generators[f1_name] ** s.nu * image_r
+        peak = max(len(image_s), len(image_r)) if s.nu is not None else len(image_s)
+        out.append((value.is_zero(), peak, f"residual has {len(value)} terms" if value else ""))
+    return out
+
+
+def _verify_cases():
+    """(syzygies, generators, f1 name) of E2k4, UE2k5 loops 1-2, the lex41
+    syzygies of UE3k4 and UE4k4 of weight at most 30, and E2k3 as the
+    generation loop derives it, whose f1' generator is named f1'."""
+    cases = []
+    for cid, keys in (("E2k4", None), ("UE2k5", ("loop1", "loop2")),
+                      ("UE3k4", ("lex41",)), ("UE4k4", ("lex41",))):
+        data = load_catalog(cid)
+        syz = [s for key in (keys or sorted(data.syzygy_sets))
+               for s in data.syzygy_sets[key] if s.weight <= 30]
+        cases.append((syz, data.generator_map(), "f1"))
+    state = run_generation(JetContext(2, 3), "full")
+    cases.append((state.syzygies, {g.name: g.poly for g in state.generators}, "f1'"))
+    return cases
+
+
+def test_verify_syzygies_matches_the_polynomial_reference():
+    """The packed check against the Polynomial-level expansion, on the
+    catalogued syzygies (those with nu = None included) and on copies of
+    the others with nu one higher, with the remainder doubled and with S
+    dropped (so that R(g) alone sets `max_terms`), all of which fail with
+    the reference's residual counts."""
+    import dataclasses
+
+    for syz, gens, f1_name in _verify_cases():
+        factored = [s for s in syz if s.nu is not None]
+        higher = [dataclasses.replace(s, nu=s.nu + 1) for s in factored]
+        doubled = [dataclasses.replace(s, remainder=2 * s.remainder) for s in factored]
+        no_s = [dataclasses.replace(s, relation=Polynomial.zero()) for s in factored]
+        for case in (syz, higher, doubled, no_s):
+            got = [(c.ok, c.max_terms, c.detail) for c in verify_syzygies(case, gens, f1_name)]
+            assert got == reference_verify(case, gens, f1_name)
+        assert factored and all(c.ok for c in verify_syzygies(syz, gens, f1_name))
+        assert not any(c.ok for c in verify_syzygies(higher + doubled + no_s, gens, f1_name))
 
 
 def test_run_generation_hands_membership_the_deadline(monkeypatch):

@@ -14,13 +14,13 @@ from jetcalc.polyring import (
     DegRevLex,
     Lex,
     Packing,
-    PackedSubstitution,
     Polynomial,
     WeightedDeg,
     jet,
     mono_degree,
     mono_divides,
     mono_mul,
+    packed_images,
     phi,
     tag,
     tuple_product,
@@ -147,6 +147,41 @@ def test_exponents_past_8_and_16_bit_fields(power):
     assert got.terms.get(((u, 1), (y, 2 * power), (z, 3)), 0) == 1
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_images_share_one_packing(seed):
+    """Several polynomials, of low and of high degree, imaged in one call:
+    each unpacks to its reference image, the packing's limit holds the
+    highest image degree, and no zero numerator is kept."""
+    p, sigma = random_case(seed)
+    polys = [p, p * p * p, Polynomial.constant(Fraction(-2, 3)), Polynomial.zero()]
+    packing, images = packed_images(sigma, polys)
+    assert len(images) == len(polys)
+    for q, image in zip(polys, images):
+        assert packing.unpack(*image) == reference_substitute(q, sigma)
+        assert all(image[1].values())
+    top = max((sum(e * max(map(mono_degree, sigma[v].terms), default=0) if v in sigma else e
+                   for v, e in m) for m in polys[1].terms), default=0)
+    assert top <= packing.limit < 2 * max(top, 1)
+
+
+def test_a_zero_image_drops_its_terms():
+    x, y, z = jet(1, 1), jet(1, 2), jet(2, 1)
+    X, Y, Z = (Polynomial.variable(v) for v in (x, y, z))
+    packing, [mixed, gone] = packed_images({x: Polynomial.zero()},
+                                           [X * Y + Fraction(2, 3) * Z, X ** 3])
+    assert len(mixed[1]) == 1 and packing.unpack(*mixed) == Fraction(2, 3) * Z
+    assert gone[1] == {}
+    assert (X ** 3 + Y).substitute({x: Polynomial.zero()}) == Y
+
+
+def test_substitute_is_the_identity_off_the_maps_support():
+    x, y = jet(1, 1), jet(1, 2)
+    p = Polynomial.variable(x) * 3 + Fraction(1, 2)
+    assert p.substitute({}) is p
+    assert p.substitute({y: Polynomial.variable(x) + 1}) is p
+    assert p.substitute({x: Polynomial.variable(y)}) == Polynomial.variable(y) * 3 + Fraction(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # products: a * b against the tuple routine, on either side of the size rule
 # ---------------------------------------------------------------------------
@@ -253,21 +288,10 @@ def test_products_cover_every_variable_kind():
 def test_pack_rejects_an_undeclared_over_degree_polynomial():
     x, y = jet(1, 1), jet(1, 2)
     X, Y = Polynomial.variable(x), Polynomial.variable(y)
-    packed = PackedSubstitution({}, [(X * Y + 1,)])  # degree 2: 2-bit fields
-    assert packed.packing.pack_terms((X * X * Y).terms)[1]  # degree 3 still fits
+    packing, _ = packed_images({}, [X * Y + 1])  # degree 2: 2-bit fields
+    assert packing.pack_terms((X * X * Y).terms)[1]  # degree 3 still fits
     with pytest.raises(ValueError, match="overflows"):
-        packed.packing.pack_terms((X ** 4 + Y).terms)  # x^4 would carry into y's field
-
-
-def test_image_rejects_an_undeclared_over_degree_polynomial():
-    x, y, z = jet(1, 1), jet(1, 2), jet(2, 1)
-    X, Y, Z = (Polynomial.variable(v) for v in (x, y, z))
-    packed = PackedSubstitution({x: Y * Y + Z}, [(X * Z,)])  # degree 3
-    assert packed.image(X * Z) == packed.image(Z * X)
-    with pytest.raises(ValueError, match="overflows"):
-        packed.image(X ** 2)  # image degree 4
-    with pytest.raises(ValueError, match="overflows"):
-        packed.image(Z ** 4)  # a kept variable alone
+        packing.pack_terms((X ** 4 + Y).terms)  # x^4 would carry into y's field
 
 
 def test_unpack_sparse_codes_over_a_wide_universe():
@@ -283,10 +307,10 @@ def test_unpack_sparse_codes_over_a_wide_universe():
         terms[tuple((v, rng.randint(1, 3)) for v in chosen)] = random_coeff(rng)
     p = Polynomial(terms)
     everything = Polynomial({((v, 1),): 1 for v in wide})
-    packed = PackedSubstitution({}, [(p, p, everything)])
-    assert packed.packing.unpack(*packed.packing.pack_terms(p.terms)) == p
-    top = Polynomial({((wide[0], packed.packing.limit),): 1, ((wide[-1], packed.packing.limit),): Fraction(5, 7)})
-    assert packed.packing.unpack(*packed.packing.pack_terms(top.terms)) == top
+    packing, _ = packed_images({}, [p, everything])
+    assert packing.unpack(*packing.pack_terms(p.terms)) == p
+    top = Polynomial({((wide[0], packing.limit),): 1, ((wide[-1], packing.limit),): Fraction(5, 7)})
+    assert packing.unpack(*packing.pack_terms(top.terms)) == top
     assert p * p == reference_mul(p, p)
 
 

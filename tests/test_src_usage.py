@@ -89,3 +89,11 @@ def test_groebner_imports_only_polyring():
     """Groebner works on packed polynomials alone: the jet calculus is its
     callers' business."""
     assert _jetcalc_imports(ROOT / "src" / "jetcalc" / "groebner.py") == {"polyring"}
+
+
+def test_no_assert_statement_in_src():
+    """`python -O` strips `assert`, so a check in the program must raise."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "jetcalc").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
