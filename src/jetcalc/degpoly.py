@@ -82,6 +82,8 @@ class DegreePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DegreePolynomial":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         out = DegreePolynomial([1])
         for _ in range(n):
             out = out * self

@@ -11,13 +11,13 @@ operations return new objects, so they are safe to share between tasks.
 Their monomials are tuples of (Variable, exponent) pairs.
 
 Heavy work runs on one packed encoding that never leaves the call
-(`Packing`; Monagan & Pearce, CASC 2007).  A monomial is one `int`: a
-total-degree field, then one exponent field per variable under a guard bit,
-the most senior variable the top one, all wide enough for a degree limit, so
-a monomial product is an integer `+` and divisibility one subtraction.  Given
-a monomial order, the code also carries the order's integer weight rows in
-its top fields, so comparing codes compares monomials; each order is defined
-only by those rows.
+(`Packing`; Monagan & Pearce, CASC 2007).  A monomial is one `int`: one
+exponent field per variable, the most senior variable the top one, each wide
+enough for a degree limit, so a monomial product is an integer `+`.  Given a
+monomial order, each field also gets a guard bit, so divisibility is one
+subtraction, and the code carries a total-degree field and the order's
+integer weight rows in its top fields, so comparing codes compares
+monomials; each order is defined only by those rows.
 
 Substitution, the heaviest expansion (a syzygy check expands a few tag
 polynomials into ~10k-term jet polynomials), images a list of polynomials
@@ -25,13 +25,14 @@ over one packing of the variables they can reach (`packed_images`); a
 polynomial is `(den, {code: int numerator})` over one common denominator
 (`Packed`, as `Packing.pack_terms` makes it; the generator products of
 Groebner membership and relation kernels are built and eliminated in this
-form too).  Image powers are cached per call, each image is accumulated into
-one dict, and `Packing.unpack` is the one way back to a `Polynomial`.  A
-product `a * b` of at least `PACKED_MUL_PAIRS` term pairs runs on a `Packing`
-of both operands' variables, so the large products of the catalog recipes do
-too; smaller products, the bulk of every other computation, stay on tuples.
-Groebner computations and every ranking of monomials (`MonomialOrder.ranked`,
-`leading_monomial`) pack with an order.
+form too).  Image powers are cached per call (a square makes each cross pair
+once), each image is accumulated into one dict, and `Packing.unpack` is the
+one way back to a `Polynomial`.  A product `a * b` of at least
+`PACKED_MUL_PAIRS` term pairs runs on a `Packing` of both operands'
+variables, so the large products of the catalog recipes do too; smaller
+products, the bulk of every other computation, stay on tuples.  Groebner
+computations and every ranking of monomials (`MonomialOrder.ranked`,
+`leading_monomial`) pack with an order; all other packings have none.
 """
 
 from __future__ import annotations
@@ -408,19 +409,20 @@ class Packing:
     """Monomials over one variable universe packed into ints (Monagan &
     Pearce, CASC 2007); the one packed encoding of the engine.
 
-    A code holds, from the top down, one field per weight row of `order`
-    (none without an order) with that row's dot product with the exponent
-    vector as a signed (balanced) digit, a total-degree field, then one
-    field per variable, the most senior on top, whose exponent sits under a
-    guard bit.  Every field holds any monomial of total degree up to `limit`
-    (rounded up to 2^w - 1), so packing is linear: a product is `+` of
-    codes and a quotient `-`.  Balanced digits of bounded size compare like
-    their digit vectors, so with an order the integer order of codes is the
-    monomial order.  `a` divides `b` exactly when
-    `((b | guards) - a) & guards == guards`: an exponent of `a` above the
-    one of `b` borrows its field's guard, and no borrow passes a guard.
-    `pack` raises ValueError on a monomial of degree over `limit`; code that
-    forms products checks their degree (`degree`) against it first.
+    A code holds one field per variable, the most senior on top, each wide
+    enough for any exponent of a monomial of total degree up to `limit`
+    (rounded up to 2^w - 1), so packing is linear: a product is `+` of codes
+    and a quotient `-`.  `pack` raises ValueError on a monomial of degree
+    over `limit`; code that forms products checks their degree first.
+
+    Only division needs more, so only with an order is each exponent under a
+    guard bit, and the code carries a total-degree field (`degree`), then
+    one field per weight row of `order` with that row's dot product with the
+    exponent vector as a signed (balanced) digit.  Balanced digits of bounded
+    size compare like their digit vectors, so codes compare like monomials.
+    `a` divides `b` exactly when `((b | guards) - a) & guards == guards`: an
+    exponent of `a` above the one of `b` borrows its field's guard, and no
+    borrow passes a guard.  Order-free, `degree` and `lcm` raise ValueError.
     """
 
     def __init__(self, variables: Iterable[Variable], limit: int,
@@ -429,11 +431,14 @@ class Packing:
         n = len(ranked)
         width = max(limit, 1).bit_length()
         self.limit = (1 << width) - 1
-        self._step = step = width + 1  # exponent bits and the guard bit
-        self.guards = sum(1 << (k * step + width) for k in range(n))
+        self.ordered = order is not None
+        # a guard bit over each exponent and a degree field only with an order
+        self._step = step = width + 1 if order else width
+        self.guards = sum(1 << (k * step + width) for k in range(n)) if order else 0
         self._deg_shift = shift = n * step
         self._exponents = (1 << shift) - 1
-        units = [(1 << ((n - 1 - j) * step)) + (1 << shift) for j in range(n)]
+        degree_unit = 1 << shift if order else 0
+        units = [(1 << ((n - 1 - j) * step)) + degree_unit for j in range(n)]
         shift += width
         for row in reversed(order.weight_rows(ranked) if order else []):
             top = 0  # the largest |entry| sizes the row's field
@@ -448,12 +453,15 @@ class Packing:
         self._fields = [(v, {}) for v in reversed(ranked)]
 
     def pack(self, m: Monomial) -> int:
-        d = mono_degree(m)
+        unit = self._unit
+        d = code = 0
+        for v, e in m:
+            d += e
+            code += e * unit[v]
         if d > self.limit:
             raise ValueError(f"a monomial of degree {d} overflows the packed fields "
                              f"(limit {self.limit})")
-        unit = self._unit
-        return sum(e * unit[v] for v, e in m)
+        return code
 
     def pack_terms(self, terms: Mapping[Monomial, Coeff]) -> Packed:
         """The terms over their least common denominator, `(den, {code:
@@ -508,10 +516,14 @@ class Packing:
         return Polynomial(_raw=out)
 
     def degree(self, code: int) -> int:
+        if not self.ordered:
+            raise ValueError("an order-free packing has no degree field")
         return (code >> self._deg_shift) & self.limit
 
     def lcm(self, a: int, b: int) -> int:
         """The code of the least common multiple."""
+        if not self.ordered:
+            raise ValueError("an order-free packing has no guard bits")
         low, guards = self._exponents, self.guards
         la, lb = a & low, b & low
         a_wins = ((la | guards) - lb) & guards  # guards of fields where a >= b
@@ -576,6 +588,21 @@ def _packed_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
+def _packed_square(a: Dict[int, int]) -> Dict[int, int]:
+    """a * a with each cross pair made once and doubled; zero entries stay."""
+    out: Dict[int, int] = {}
+    get = out.get
+    items = list(a.items())
+    for i, (ka, ca) in enumerate(items):
+        k = ka + ka
+        out[k] = get(k, 0) + ca * ca
+        ca += ca
+        for kb, cb in items[i + 1:]:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
 def packed_images(sigma: Mapping[Variable, Polynomial],
                   polys: Sequence[Polynomial]) -> Tuple[Packing, List[Packed]]:
     """The image of each polynomial under sigma (identity off its support),
@@ -603,7 +630,8 @@ def packed_images(sigma: Mapping[Variable, Polynomial],
     def power(v: Variable, e: int) -> Dict[int, int]:
         cached = powers[v]
         while len(cached) <= e:
-            nxt = _packed_mul(cached[-1], cached[1])
+            nxt = (_packed_square(cached[1]) if len(cached) == 2
+                   else _packed_mul(cached[-1], cached[1]))
             cached.append({k: c for k, c in nxt.items() if c})
         return cached[e]
 

@@ -385,6 +385,13 @@ def test_positivity_threshold_cases():
     assert positivity_threshold(DegreePolynomial([-2, 1, 0, 0, 1])) == 2
 
 
+def test_degree_polynomial_powers():
+    d = DegreePolynomial.d()
+    assert d ** 0 == 1 and (d - 2) ** 2 == DegreePolynomial([4, -4, 1])
+    with pytest.raises(ValueError, match="negative power"):
+        d ** -1
+
+
 def test_positivity_threshold_raises_on_an_inconsistent_sign(monkeypatch):
     """The final sign check is an explicit raise, so python -O keeps it: the
     integer image of d - 12 is swapped for that of d - 5, whose threshold 6

@@ -442,6 +442,39 @@ def _check_kernel_on_random_matrix(seed, rational=False):
     return sum(col[row] != 1 for row, (col, _) in kernel.pivots.items())
 
 
+def test_incremental_kernel_ignores_row_labels():
+    """Relabelling the rows by an injective map changes which row each
+    pivot sits on, not the answers: the same offers become pivots, and
+    every dependent column and query gets the same combination."""
+    dependent = moved = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        nrows = rng.randint(2, 8)
+        cols = []
+        for _ in range(rng.randint(3, 14)):
+            if cols and rng.random() < 0.4:
+                a, b = rng.choice(cols), rng.choice(cols)
+                p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+                cols.append([p * x + q * y for x, y in zip(a, b)])
+            else:
+                cols.append([rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(nrows)])
+        dens = [rng.randint(1, 5) for _ in cols]
+        rows = rng.sample(range(1000), nrows)
+        relabelled = dict(zip(rows, rng.sample(range(1 << 62), nrows)))
+        back = {new: old for old, new in relabelled.items()}
+        answers, pivot_rows = [], []
+        for label, unlabel in ((lambda r: r, lambda r: r), (relabelled.get, back.get)):
+            kernel = _IncrementalKernel()
+            answers.append([kernel.offer((den, {label(r): x for r, x in zip(rows, col) if x}),
+                                         j, keep=j % 5 != 4)
+                            for j, (den, col) in enumerate(zip(dens, cols))])
+            pivot_rows.append({unlabel(r) for r in kernel.pivots})
+        assert answers[0] == answers[1], seed
+        dependent += sum(a is not None for a in answers[0])
+        moved += pivot_rows[0] != pivot_rows[1]
+    assert dependent > 200 and moved > 20
+
+
 def _textbook_remainder(p, gens, order):
     """Division of p by gens on rational tuple-monomial terms, leading term
     first: the remainder modulo a reduced basis, whatever the divisor order."""

@@ -8,6 +8,8 @@ from functools import cmp_to_key
 import pytest
 
 from jetcalc import polyring
+from jetcalc.catalog import load_catalog
+from jetcalc.invgen import verify_syzygies
 from jetcalc.polyring import (
     PACKED_MUL_PAIRS,
     Block,
@@ -182,6 +184,56 @@ def test_substitute_is_the_identity_off_the_maps_support():
     assert p.substitute({x: Polynomial.variable(y)}) == Polynomial.variable(y) * 3 + Fraction(1, 2)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_packed_images_of_a_power(seed, e):
+    """x^e imaged through the square (e = 2) and the products of the power
+    cache, alone and beside lower powers of x."""
+    rng = random.Random(10 * seed + e)
+    x = jet(1, 1)
+    X = Polynomial.variable(x)
+    sigma = {x: random_poly(rng, rng.randint(1, 6), 3, 3) + random_coeff(rng)}
+    for p in (X ** e, X ** e - Fraction(2, 3) * X ** (e - 1) * Polynomial.variable(phi(1))):
+        packing, [image] = packed_images(sigma, [p])
+        assert packing.unpack(*image) == reference_substitute(p, sigma)
+
+
+def _counted_pairs(monkeypatch):
+    """Count the term pairs of packed products: len(a) * len(b) for a
+    product, n (n + 1) / 2 for the square of n terms."""
+    pairs = {"products": 0, "squares": 0}
+    add, square = polyring._add_packed_product, polyring._packed_square
+
+    def counted_add(acc, a, b):
+        pairs["products"] += len(a) * len(b)
+        return add(acc, a, b)
+
+    def counted_square(a):
+        pairs["squares"] += len(a) * (len(a) + 1) // 2
+        return square(a)
+
+    monkeypatch.setattr(polyring, "_add_packed_product", counted_add)
+    monkeypatch.setattr(polyring, "_packed_square", counted_square)
+    return pairs
+
+
+@pytest.mark.parametrize("catalog, syzygy, products, squares", [
+    ("UE3k4", "UE3k4.35", 249471, 47961),
+    ("UE2k5", "UE2k5.4.1", 155498, 0),
+])
+def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, products, squares):
+    """The term pairs one syzygy check makes: each image power's square
+    makes every cross pair once (as full products, UE3k4.35's squares
+    would make 95,572 pairs, not 47,961)."""
+    data = load_catalog(catalog)
+    [s] = [s for s in data.syzygies() if s.id == syzygy]
+    gens = data.generator_map()
+    pairs = _counted_pairs(monkeypatch)
+    [check] = verify_syzygies([s], gens, "f1")
+    assert check.ok
+    assert pairs == {"products": products, "squares": squares}
+
+
 # ---------------------------------------------------------------------------
 # products: a * b against the tuple routine, on either side of the size rule
 # ---------------------------------------------------------------------------
@@ -272,6 +324,39 @@ def test_product_cancellation(seed):
     assert (A - A) * B == 0 and ((A + B) * (A - A)).is_zero()
 
 
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_square_matches_the_product(seed):
+    """The symmetric square against the full product, on packed dicts of 0,
+    1 and many terms with negative coefficients."""
+    rng = random.Random(seed)
+    packing = Packing(VARS, 24)
+    for n in (0, 1, 2, rng.randint(3, 40)):
+        a = {packing.pack(m): rng.choice((-1, 1)) * rng.randint(1, 50)
+             for m in random_monomials(rng, n, 3)}
+        assert len(a) == n
+        assert _nonzero(polyring._packed_square(a)) == _nonzero(polyring._packed_mul(a, a))
+
+
+def test_packed_square_cancels_cross_terms():
+    """(x + yz + xy - z)^2: the cross pairs x * yz and xy * -z meet in xyz
+    and cancel, and both kernels leave the same nonzero terms."""
+    x, y, z = jet(1, 1), jet(1, 2), jet(2, 1)
+    packing = Packing([x, y, z], 4)
+    xyz = packing.pack(((x, 1), (y, 1), (z, 1)))
+    a = {packing.pack(((x, 1),)): 1, packing.pack(((y, 1), (z, 1))): 1,
+         packing.pack(((x, 1), (y, 1))): 1, packing.pack(((z, 1),)): -1}
+    square = polyring._packed_square(a)
+    assert square[xyz] == 0 and xyz not in _nonzero(square)
+    assert _nonzero(square) == _nonzero(polyring._packed_mul(a, a))
+    X, Y, Z = (Polynomial.variable(v) for v in (x, y, z))
+    assert packing.unpack(1, square) == reference_mul(X + Y * Z + X * Y - Z,
+                                                      X + Y * Z + X * Y - Z)
+
+
 def test_products_cover_every_variable_kind():
     rng = random.Random(0)
     seen = set()
@@ -292,6 +377,46 @@ def test_pack_rejects_an_undeclared_over_degree_polynomial():
     assert packing.pack_terms((X * X * Y).terms)[1]  # degree 3 still fits
     with pytest.raises(ValueError, match="overflows"):
         packing.pack_terms((X ** 4 + Y).terms)  # x^4 would carry into y's field
+
+
+@pytest.mark.parametrize("order", [None, Lex(), DegRevLex()])
+def test_a_monomial_past_the_limit_overflows_in_both_layouts(order):
+    packing = Packing(VARS, 12, order)
+    assert packing.limit == 15
+    assert packing.pack(((VARS[0], 15),)) >= 0 and packing.pack(((VARS[-1], 15),)) > 0
+    for m in (((VARS[0], 16),), ((VARS[0], 8), (VARS[-1], 8)), ((VARS[-1], 16),)):
+        with pytest.raises(ValueError, match="overflows"):
+            packing.pack(m)
+
+
+def test_order_free_codes_fit_in_one_field_per_variable():
+    """Without an order a code is n fields of `width` bits and nothing else:
+    no guard bits and no degree field; with an order the layout keeps both."""
+    rng = random.Random(5)
+    n, width = len(VARS), 5
+    packing = Packing(VARS, 31)
+    assert packing.guards == 0 and not packing.ordered
+    assert packing.pack(((VARS[0], 31),)) == 31 << (n - 1) * width
+    for m in random_monomials(rng, 200, 7):
+        code = packing.pack(m)
+        assert code.bit_length() <= n * width
+        assert [code >> (n - 1 - j) * width & 31 for j in range(n)] == \
+            [dict(m).get(v, 0) for v in sorted(VARS, key=lambda v: v.key)]
+    ordered = Packing(VARS, 31, Lex())
+    assert ordered.guards == sum(1 << (k * (width + 1) + width) for k in range(n))
+    assert ordered.degree(ordered.pack(((VARS[0], 3), (VARS[1], 2)))) == 5
+    assert ordered.lcm(ordered.pack(((VARS[0], 3),)), ordered.pack(((VARS[0], 1), (VARS[1], 2)))) \
+        == ordered.pack(((VARS[0], 3), (VARS[1], 2)))
+
+
+def test_order_free_packings_refuse_degree_and_lcm():
+    x, y = jet(1, 1), jet(1, 2)
+    packing = Packing([x, y], 7)
+    a, b = packing.pack(((x, 2),)), packing.pack(((y, 1),))
+    with pytest.raises(ValueError, match="no degree field"):
+        packing.degree(a)
+    with pytest.raises(ValueError, match="no guard bits"):
+        packing.lcm(a, b)
 
 
 def test_unpack_sparse_codes_over_a_wide_universe():
