@@ -413,7 +413,8 @@ class Packing:
     enough for any exponent of a monomial of total degree up to `limit`
     (rounded up to 2^w - 1), so packing is linear: a product is `+` of codes
     and a quotient `-`.  `pack` raises ValueError on a monomial of degree
-    over `limit`; code that forms products checks their degree first.
+    over `limit`; code that forms products sizes `limit` for them, or checks
+    their `degree` first.
 
     Only division needs more, so only with an order is each exponent under a
     guard bit, and the code carries a total-degree field (`degree`), then

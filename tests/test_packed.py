@@ -383,7 +383,7 @@ def test_pack_rejects_an_undeclared_over_degree_polynomial():
 def test_a_monomial_past_the_limit_overflows_in_both_layouts(order):
     packing = Packing(VARS, 12, order)
     assert packing.limit == 15
-    assert packing.pack(((VARS[0], 15),)) >= 0 and packing.pack(((VARS[-1], 15),)) > 0
+    assert packing.pack(((VARS[0], 15),)) > 0 and packing.pack(((VARS[-1], 15),)) > 0
     for m in (((VARS[0], 16),), ((VARS[0], 8), (VARS[-1], 8)), ((VARS[-1], 16),)):
         with pytest.raises(ValueError, match="overflows"):
             packing.pack(m)
