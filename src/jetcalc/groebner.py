@@ -420,28 +420,17 @@ def _relations_by_elimination(tags, defining, tag_order, budget) -> Optional[Rel
 
 
 def weight_tuples(weights: Sequence[int], total: int) -> List[Exps]:
-    """Exponent tuples a with sum a_i * weights_i == total."""
-    out = []
-
-    def rec(i: int, left: int, acc: List[int]):
-        if i == len(weights):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        w = weights[i]
-        if i == len(weights) - 1:
-            # the last exponent is forced
-            if left % w == 0:
-                out.append(tuple(acc) + (left // w,))
-            return
-        for e in range(left // w + 1):
-            acc.append(e)
-            rec(i + 1, left - e * w, acc)
-            acc.pop()
-
-    if total >= 0:
-        rec(0, total, [])
-    return out
+    """Exponent tuples a with sum a_i * weights_i == total, in lexicographic
+    order: each prefix is extended by every exponent in turn, and the last
+    exponent is forced."""
+    if total < 0 or not weights:
+        return [()] if total == 0 else []
+    level = [((), total)]
+    for w in weights[:-1]:
+        level = [(head + (e,), left - e * w) for head, left in level
+                 for e in range(left // w + 1)]
+    w = weights[-1]
+    return [head + (left // w,) for head, left in level if left % w == 0]
 
 
 def _pool_variables(gens: Sequence[Polynomial]) -> set:

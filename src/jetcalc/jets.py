@@ -27,6 +27,7 @@ oracles of the tests and live there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -103,7 +104,8 @@ def phi_total_derivative(p: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def faa_di_bruno(kappa: int, normalized: bool = True) -> List[List[Polynomial]]:
+@lru_cache(maxsize=None)
+def faa_di_bruno(kappa: int, normalized: bool = True) -> Tuple[Tuple[Polynomial, ...], ...]:
     """Lower-triangular matrix M with g_i^(lam) = sum_mu M[lam][mu] f_i^(mu).
 
     Built by the recurrence M[lam+1][mu] = D_phi(M[lam][mu]) + phi' M[lam][mu-1]
@@ -111,28 +113,19 @@ def faa_di_bruno(kappa: int, normalized: bool = True) -> List[List[Polynomial]]:
     convention) phi' is set to 1 and the diagonal becomes 1.
 
     Entries are indexed 1-based: M[lam][mu] for 1 <= mu <= lam <= kappa.
+    Built once per (kappa, normalized); the rows are tuples, so no caller
+    can change the shared matrix.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    phi1 = Polynomial.variable(phi(1))
-    rows: List[List[Polynomial]] = [[]]  # index 0 unused
-    rows.append([Polynomial.zero(), phi1])
+    zero, phi1 = Polynomial.zero(), Polynomial.variable(phi(1))
+    rows = [(), (zero, phi1)]  # row 0 unused
     for lam in range(1, kappa):
-        prev = rows[lam]
-        row = [Polynomial.zero()] * (lam + 2)
-        for mu in range(1, lam + 2):
-            term = Polynomial.zero()
-            if mu <= lam:
-                term = term + phi_total_derivative(prev[mu])
-            if mu - 1 >= 1:
-                term = term + phi1 * prev[mu - 1]
-            row[mu] = term
-        rows.append(row)
-    if normalized:
-        one = Polynomial.constant(1)
-        sub = {phi(1): one}
-        rows = [[entry.substitute(sub) for entry in row] for row in rows]
-    return rows
+        prev = rows[lam] + (zero,)
+        rows.append((zero,) + tuple(phi_total_derivative(prev[mu]) + phi1 * prev[mu - 1]
+                                    for mu in range(1, lam + 2)))
+    sub = {phi(1): Polynomial.constant(1)} if normalized else {}
+    return tuple(tuple(entry.substitute(sub) for entry in row) for row in rows)
 
 
 def reparam_images(variables: Iterable[Variable]) -> Dict[Variable, Polynomial]:

@@ -26,13 +26,16 @@ polynomial is `(den, {code: int numerator})` over one common denominator
 (`Packed`, as `Packing.pack_terms` makes it; the generator products of
 Groebner membership and relation kernels are built and eliminated in this
 form too).  Image powers are cached per call (a square makes each cross pair
-once), each image is accumulated into one dict, and `Packing.unpack` is the
-one way back to a `Polynomial`.  A product `a * b` of at least
-`PACKED_MUL_PAIRS` term pairs runs on a `Packing` of both operands'
-variables, so the large products of the catalog recipes do too; smaller
-products, the bulk of every other computation, stay on tuples.  Groebner
-computations and every ranking of monomials (`MonomialOrder.ranked`,
-`leading_monomial`) pack with an order; all other packings have none.
+once), and each polynomial is expanded distributively, a multivariate Horner
+scheme (Ceberio & Kreinovich, 2004): its terms are grouped by their powers of
+the largest images, so a power shared by many terms multiplies the sum of
+their cofactors once.  `Packing.unpack` is the one way back to a
+`Polynomial`.  A product `a * b` of at least `PACKED_MUL_PAIRS` term pairs
+runs on a `Packing` of both operands' variables, so the large products of
+the catalog recipes do too; smaller products, the bulk of every other
+computation, stay on tuples.  Groebner computations and every ranking of
+monomials (`MonomialOrder.ranked`, `leading_monomial`) pack with an order;
+all other packings have none.
 """
 
 from __future__ import annotations
@@ -604,6 +607,37 @@ def _packed_square(a: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
+def _expand(acc: Dict[int, int], terms: list, rank: Sequence[Variable], i: int, power) -> None:
+    """acc += the sum of `terms`, each `(exponents, code, numerator)` for
+    numerator * monomial(code) * the product of power(rank[j], exponents[j])
+    over j >= i.  The terms split by their exponent e of rank[i]; each e > 0
+    group's cofactors are summed first and multiply power(rank[i], e) once.
+    A lone term multiplies its factors, the smallest first, each partial
+    product without its zero numerators, and the largest straight into acc."""
+    if len(terms) == 1 or i == len(rank):
+        for exps, code, num in terms:
+            factors = sorted((power(v, e) for v, e in zip(rank[i:], exps[i:]) if e), key=len)
+            part = {code: num}
+            for f in factors[:-1]:
+                part = {k: c for k, c in _packed_mul(part, f).items() if c}
+            _add_packed_product(acc, part, factors[-1] if factors else {0: 1})
+        return
+    groups: Dict[int, list] = {}
+    for t in terms:
+        groups.setdefault(t[0][i], []).append(t)
+    for e, group in groups.items():
+        if not e:
+            _expand(acc, group, rank, i + 1, power)
+        elif len(group) == 1:  # its own product, power(rank[i], e) among the factors
+            _expand(acc, group, rank, i, power)
+        else:
+            inner: Dict[int, int] = {}
+            _expand(inner, group, rank, i + 1, power)
+            inner = {k: c for k, c in inner.items() if c}
+            if inner:
+                _add_packed_product(acc, *sorted((inner, power(rank[i], e)), key=len))
+
+
 def packed_images(sigma: Mapping[Variable, Polynomial],
                   polys: Sequence[Polynomial]) -> Tuple[Packing, List[Packed]]:
     """The image of each polynomial under sigma (identity off its support),
@@ -612,6 +646,9 @@ def packed_images(sigma: Mapping[Variable, Polynomial],
     The images share one order-free `Packing` of the variables they can
     reach, whose limit is the largest total degree of any term's image, so
     no field can carry into its neighbour, and one cache of image powers.
+    Each polynomial is expanded distributively (`_expand`), its imaged
+    variables ranked by image size, the largest first, so an image power
+    shared by many terms multiplies the sum of their cofactors once.
     """
     used = set().union(*(p.variables() for p in polys))
     images = {v: sigma[v] for v in used if v in sigma}
@@ -627,6 +664,8 @@ def packed_images(sigma: Mapping[Variable, Polynomial],
     for v, img in images.items():
         dens[v], num = packing.pack_terms(img.terms)
         powers[v] = [{0: 1}, num]
+    rank = sorted(images, key=lambda v: (-len(powers[v][1]), v.key))
+    slot = {v: j for j, v in enumerate(rank)}
 
     def power(v: Variable, e: int) -> Dict[int, int]:
         cached = powers[v]
@@ -646,28 +685,23 @@ def packed_images(sigma: Mapping[Variable, Polynomial],
                     top[v] = e
         for v, e in top.items():
             den *= dens[v] ** e
-        acc: Dict[int, int] = {}
+        terms = []
         for m, c in p.terms.items():
             kept = ()
             scale = den // c.denominator
-            factors = []
+            exps = [0] * len(rank)
             for v, e in m:
-                if v in images:
-                    f = power(v, e)
-                    if not f:
-                        break
-                    factors.append(f)
-                    if dens[v] != 1:
-                        scale //= dens[v] ** e
-                else:
+                if v not in images:
                     kept += ((v, e),)
+                elif not powers[v][1]:
+                    break  # a zero image
+                else:
+                    exps[slot[v]] = e
+                    scale //= dens[v] ** e
             else:
-                # smallest factors first; the largest goes straight into acc
-                factors.sort(key=len)
-                part = {pack(kept) if kept else 0: c.numerator * scale}
-                for f in factors[:-1]:
-                    part = _packed_mul(part, f)
-                _add_packed_product(acc, part, factors[-1] if factors else {0: 1})
+                terms.append((exps, pack(kept) if kept else 0, c.numerator * scale))
+        acc: Dict[int, int] = {}
+        _expand(acc, terms, rank, 0, power)
         out.append((den, {k: c for k, c in acc.items() if c}))
     return packing, out
 

@@ -30,19 +30,16 @@ from .polyring import format_terms, signed_permutations
 
 
 def partitions(n: int) -> List[Tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples (padded with zeros)."""
+    """All partitions of n as weakly decreasing tuples (padded with zeros),
+    in decreasing lexicographic order."""
     out: List[Tuple[int, ...]] = []
-
-    def rec(left: int, top: int, acc: List[int]):
-        if left == 0:
-            out.append(tuple(acc + [0] * (n - len(acc))))
-            return
-        for part in range(min(left, top), 0, -1):
-            acc.append(part)
-            rec(left - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
+    stack = [((), n)]  # (parts so far, what is left), the largest next part on top
+    while stack:
+        head, left = stack.pop()
+        if not left:
+            out.append(head + (0,) * (n - len(head)))
+        stack.extend((head + (part,), left - part)
+                     for part in range(1, min(left, head[-1] if head else n) + 1))
     return out
 
 

@@ -374,6 +374,42 @@ def test_weight_tuples_match_brute_force(seed):
         assert weight_tuples(weights, total) == brute
 
 
+def weight_tuples_by_recursion(weights, total):
+    """The enumeration `weight_tuples` replaced: depth first, the first
+    exponent slowest, the last one forced."""
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(weights):
+            if left == 0:
+                out.append(tuple(acc))
+            return
+        w = weights[i]
+        if i == len(weights) - 1:
+            if left % w == 0:
+                out.append(tuple(acc) + (left // w,))
+            return
+        for e in range(left // w + 1):
+            acc.append(e)
+            rec(i + 1, left - e * w, acc)
+            acc.pop()
+
+    if total >= 0:
+        rec(0, total, [])
+    return out
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 3], [2, 3, 5, 7], [1, 2, 3, 4, 5, 6],
+                                     [4, 6, 7, 8, 10, 10, 12, 12, 14, 15, 17, 19, 21, 23, 25],
+                                     [3], [5, 2]])
+def test_weight_tuples_order_is_the_recursions(weights):
+    """`_eliminate_products` reuses the longest common start of consecutive
+    tuples, so the order is part of the contract: it is the old recursion's,
+    tuple for tuple, up to weight 30."""
+    for total in range(-1, 31):
+        assert weight_tuples(weights, total) == weight_tuples_by_recursion(weights, total)
+
+
 def test_weight_tuples_edge_cases():
     assert weight_tuples([], 0) == [()]
     assert weight_tuples([], 3) == []

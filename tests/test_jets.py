@@ -17,6 +17,7 @@ from jetcalc.jets import (
     initial_bi_invariants,
     initial_invariants,
     maximal_f1_power,
+    phi_total_derivative,
     poly_jet,
     restrict_f1,
     total_derivative,
@@ -114,6 +115,39 @@ def test_faa_di_bruno_normalized_matrix():
     assert M[4][2] == 4 * P(phi(3)) + 3 * P(phi(2)) ** 2
     for lam in range(1, 5):
         assert M[lam][lam] == Polynomial.constant(1)
+
+
+def faa_di_bruno_fresh(kappa, normalized):
+    """The recurrence M[lam+1][mu] = D_phi(M[lam][mu]) + phi' M[lam][mu-1]
+    from M[1][1] = phi', built anew as lists on every call."""
+    phi1 = P(phi(1))
+    rows = [[], [Polynomial.zero(), phi1]]
+    for lam in range(1, kappa):
+        prev = rows[lam] + [Polynomial.zero()]
+        row = [Polynomial.zero()]
+        for mu in range(1, lam + 2):
+            row.append(phi_total_derivative(prev[mu]) + phi1 * prev[mu - 1])
+        rows.append(row)
+    if normalized:
+        rows = [[entry.substitute({phi(1): Polynomial.constant(1)}) for entry in row]
+                for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_faa_di_bruno_is_built_once_with_immutable_rows(normalized):
+    """One matrix per (kappa, normalized), shared by every caller: a second
+    call returns the same object, its rows are tuples, and after invariance
+    checks have used it, it still equals a fresh build."""
+    for kappa in range(1, 7):
+        M = faa_di_bruno(kappa, normalized)
+        assert faa_di_bruno(kappa, normalized) is M
+        assert isinstance(M, tuple) and all(isinstance(row, tuple) for row in M)
+    lam3 = wronskian([1, 2])
+    assert check_reparam_invariance(lam3) and check_reparam_invariance(lam3 * lam3)
+    for kappa in range(1, 7):
+        assert [list(row) for row in faa_di_bruno(kappa, normalized)] == \
+            faa_di_bruno_fresh(kappa, normalized)
 
 
 @pytest.mark.parametrize("kappa,bell", [(1, 1), (2, 2), (3, 5), (4, 15),

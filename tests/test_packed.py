@@ -1,6 +1,7 @@
 """The packed substitution, products and monomial orders against the
 tuple-monomial routines they replaced."""
 
+import gc
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -10,6 +11,7 @@ import pytest
 from jetcalc import polyring
 from jetcalc.catalog import load_catalog
 from jetcalc.invgen import verify_syzygies
+from jetcalc.jets import reparam_images
 from jetcalc.polyring import (
     PACKED_MUL_PAIRS,
     Block,
@@ -18,6 +20,7 @@ from jetcalc.polyring import (
     Packing,
     Polynomial,
     WeightedDeg,
+    is_tag,
     jet,
     mono_degree,
     mono_divides,
@@ -198,6 +201,106 @@ def test_packed_images_of_a_power(seed, e):
         assert packing.unpack(*image) == reference_substitute(p, sigma)
 
 
+def shared_powers_case(seed):
+    """Polynomials whose terms share image powers at several depths: every
+    exponent combination of a few mapped variables (one with a zero image,
+    one with a constant image) times a few cofactors, some of them off the
+    map's support, and a constant term; images and coefficients have
+    denominators."""
+    rng = random.Random(seed)
+    mapped = rng.sample(VARS, 4)
+    kept = [v for v in VARS if v not in mapped]
+    sigma = {mapped[0]: poly_of_size(rng, 5), mapped[1]: poly_of_size(rng, 3),
+             mapped[2]: Polynomial.constant(random_coeff(rng)),
+             mapped[3]: Polynomial.zero()}
+    cofactors = [(), ((rng.choice(kept), 1),), ((rng.choice(kept), 2),),
+                 ((rng.choice(mapped[1:]), 1),)]
+    polys = []
+    for _ in range(2):
+        terms = {(): random_coeff(rng)}
+        for e0 in range(3):
+            for e1 in range(3):
+                for extra in rng.sample(cofactors, 3):
+                    m = mono_mul(((mapped[0], e0),) if e0 else (),
+                                 ((mapped[1], e1),) if e1 else ())
+                    m = mono_mul(m, extra)
+                    if not e1 and not extra:
+                        m = mono_mul(m, ((mapped[3], 1),))
+                    terms[m] = terms.get(m, 0) + random_coeff(rng)
+        polys.append(Polynomial(terms))
+    return sigma, polys
+
+
+def _shared_groups(sigma, p, depth):
+    """The largest number of terms that share the same nonzero exponents of
+    the `depth` largest images (ties by seniority) and carry no zero image."""
+    ranked = sorted((v for v in sigma if sigma[v]), key=lambda v: (-len(sigma[v]), v.key))
+    counts = {}
+    for m in p.terms:
+        exps = dict(m)
+        if any(v in exps for v in sigma if not sigma[v]):
+            continue
+        key = tuple(exps.get(v, 0) for v in ranked[:depth])
+        if all(key):
+            counts[key] = counts.get(key, 0) + 1
+    return max(counts.values(), default=0)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_grouped_expansion_matches_reference(seed):
+    """Terms grouped by shared image powers, two levels deep, beside a
+    constant and the zero polynomial on one packing: each image is the
+    term-by-term reference, with no zero numerator kept."""
+    sigma, polys = shared_powers_case(seed)
+    polys += [Polynomial.constant(Fraction(-5, 3)), Polynomial.zero()]
+    packing, images = packed_images(sigma, polys)
+    for q, image in zip(polys, images):
+        assert packing.unpack(*image) == reference_substitute(q, sigma)
+        assert all(image[1].values())
+    assert images[-1] == (1, {})
+
+
+def test_grouped_cases_share_powers_at_two_depths():
+    """The cases above do exercise the grouping: terms share the power of
+    the largest image, and of the two largest, in every seed; some terms
+    hit the zero image, one is constant, some keep a variable."""
+    for seed in range(16):
+        sigma, polys = shared_powers_case(seed)
+        assert all(_shared_groups(sigma, p, 1) >= 2 for p in polys)
+        assert all(_shared_groups(sigma, p, 2) >= 2 for p in polys)
+        terms = [m for p in polys for m in p.terms]
+        zero = next(v for v in sigma if not sigma[v])
+        assert any(v is zero for m in terms for v, _ in m)
+        assert () in terms and any(dict(m).keys() - sigma.keys() for m in terms)
+
+
+def _ue3k4_35_inputs():
+    """The map and the two polynomials (S and t^nu R) of the check of
+    syzygy UE3k4.35, as `verify_syzygies` images them."""
+    data = load_catalog("UE3k4")
+    [s] = [s for s in data.syzygies() if s.id == "UE3k4.35"]
+    gens = data.generator_map()
+    f1 = Polynomial.variable(tag("f1", 1, -1))
+    tagged = s.remainder * f1 ** s.nu
+    sub = {v: gens[v.name[2:]] for v in s.relation.variables() | tagged.variables() if is_tag(v)}
+    return sub, [s.relation, tagged]
+
+
+def test_packed_images_leave_nothing_for_the_collector():
+    """One expansion makes no reference cycle (a self-recursive closure
+    would keep each call's power cache alive until the collector runs)."""
+    sub, polys = _ue3k4_35_inputs()
+    gc.collect()
+    gc.disable()
+    try:
+        _, images = packed_images(sub, polys)
+        assert all(len(num) for _, num in images)
+        del images
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _counted_pairs(monkeypatch):
     """Count the term pairs of packed products: len(a) * len(b) for a
     product, n (n + 1) / 2 for the square of n terms."""
@@ -218,13 +321,15 @@ def _counted_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("catalog, syzygy, products, squares", [
-    ("UE3k4", "UE3k4.35", 249471, 47961),
+    ("UE3k4", "UE3k4.35", 246343, 47961),
     ("UE2k5", "UE2k5.4.1", 155498, 0),
 ])
 def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, products, squares):
     """The term pairs one syzygy check makes: each image power's square
     makes every cross pair once (as full products, UE3k4.35's squares
-    would make 95,572 pairs, not 47,961)."""
+    would make 95,572 pairs, not 47,961), and a lone term's partial
+    products drop their zero numerators (UE3k4.35 made 249,471 product
+    pairs without)."""
     data = load_catalog(catalog)
     [s] = [s for s in data.syzygies() if s.id == syzygy]
     gens = data.generator_map()
@@ -232,6 +337,18 @@ def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, products, 
     [check] = verify_syzygies([s], gens, "f1")
     assert check.ok
     assert pairs == {"products": products, "squares": squares}
+
+
+def test_reparam_substitution_term_pairs_pinned(monkeypatch):
+    """The invariance substitution of UE2k5's X25 (580 terms, and so many in
+    its image): grouped by shared image powers it makes at most a fifth of
+    the 327,345 product pairs that expanding term by term made."""
+    [x25] = [e for e in load_catalog("UE2k5").entries if e.name == "X25"]
+    sigma = reparam_images(x25.poly.variables())  # the matrix is built outside the count
+    pairs = _counted_pairs(monkeypatch)
+    assert x25.poly.substitute(sigma) == x25.poly
+    assert pairs == {"products": 40512, "squares": 106}
+    assert pairs["products"] <= 327345 // 5
 
 
 # ---------------------------------------------------------------------------

@@ -97,3 +97,21 @@ def test_no_assert_statement_in_src():
              for path in sorted((ROOT / "src" / "jetcalc").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_self_recursive_closure_in_src():
+    """A nested function that calls itself refers to its own closure cell,
+    so every call of the enclosing function leaves a reference cycle (and
+    whatever the closure holds) for the cyclic collector; recursion belongs
+    in a module-level helper or a loop."""
+    found = []
+    for path in sorted((ROOT / "src" / "jetcalc").glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and any(isinstance(node, ast.Name) and node.id == inner.name
+                                for node in ast.walk(inner)):
+                    found.append(f"{path.stem}.{outer.name}.{inner.name}")
+    assert sorted(set(found)) == []
