@@ -1,11 +1,12 @@
 """Machine-readable catalog of the explicitly known invariants and syzygies.
 
-Entries are constructed from first principles (iterated brackets, Wronskian
-minors, exact division behind maximal powers of f_1') rather than transcribed
-as raw coefficient lists, so a transcription slip in a long printed expansion
-cannot silently enter; the printed Delta-determinant expansions are used as
-cross-checks in the test suite instead.  Syzygy tables are transcribed
-verbatim in a small sum-of-products notation and verified by full expansion.
+Entries are built from first principles, not transcribed as raw coefficient
+lists, so a slip in a long printed expansion cannot silently enter; the tests
+check them against the printed Delta-determinant expansions.  Brackets,
+Wronskian minors and N10's determinant are built in `jets`; each quotient
+generator, '(S) / f1^k' over the generators before it, is built by running its
+recipe string, its only written form.  Syzygy tables are transcribed verbatim
+in the same notation and verified by full expansion.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ from .polyring import (
     Polynomial,
     Variable,
     format_polynomial,
+    jet,
+    packed_images,
+    parse_polynomial,
     poly_from_json,
     poly_to_json,
+    proportional,
     tag,
 )
 
@@ -147,27 +152,37 @@ def _make_syzygies(rows: Sequence[Tuple[str, Optional[int], str]],
 # generator constructions
 # ---------------------------------------------------------------------------
 
+_QUOTIENT_RE = re.compile(r"\((.+)\) / f1(?:\^(\d+))?")
+
+
+def _run_recipes(base: Mapping[str, Polynomial],
+                 recipes: Mapping[str, str]) -> Dict[str, Polynomial]:
+    """The generators of `recipes` in their order: `base` holds those built
+    in `jets`, and each other recipe, '(S) / f1^k' over the generators before
+    it (its first form, before ' = '), runs as written: S is imaged on packed
+    integers, and each term's code drops f1^k, which it must carry."""
+    built: Dict[str, Polynomial] = {}
+    for name, recipe in recipes.items():
+        if name in base:
+            built[name] = base[name]
+            continue
+        m = _QUOTIENT_RE.fullmatch(recipe.partition(" = ")[0])
+        if m is None:
+            raise ValueError(f"{name}: not a quotient recipe: {recipe!r}")
+        s = parse_tag_expression(m[1], {g: tag(g) for g in built})
+        packing, [(den, terms)] = packed_images({tag(g): p for g, p in built.items()}, [s])
+        f1, k = jet(1, 1), int(m[2] or 1)
+        if any(packing.exponent(code, f1) < k for code in terms):
+            raise ValueError(f"{name}: {recipe!r} is not divisible by f_1'^{k}")
+        f1k = packing.pack(((f1, k),)) if terms else 0
+        built[name] = packing.unpack(den, {code - f1k: c for code, c in terms.items()})
+    return built
+
 
 def _entries_2k5() -> Dict[str, Polynomial]:
-    f1 = poly_jet(1, 1)
     L3, L5, L7, L9 = [inv.poly for inv in lambda_chain(2, 5)]
-    M8 = divide_f1_power(3 * L3 * L7 - 5 * L5 * L5, 2)
-    M10 = divide_f1_power(3 * L3 * L9 - 7 * L5 * L7, 2)
-    K12 = divide_f1_power(5 * L5 * L9 - 7 * L7 * L7, 2)
-    N12 = divide_f1_power(3 * L3 * M10 - 8 * L5 * M8, 1)
-    H14 = divide_f1_power(3 * L3 * K12 - L7 * M8, 1)
-    F16 = divide_f1_power(7 * L5 * K12 - L9 * M8, 1)
-    X18 = divide_f1_power(56 * L7 * K12 - 5 * L9 * M10, 1)
-    X19 = divide_f1_power(64 * M8 * K12 - 5 * M10 * M10, 1)
-    X21 = divide_f1_power(8 * M8 * H14 - 5 * M10 * N12, 1)
-    X23 = divide_f1_power(M10 * H14 - 8 * K12 * N12, 1)
-    X25 = divide_f1_power(5 * M10 * F16 - 56 * K12 * H14, 1)
-    Y27 = divide_f1_power(M10 * X18 - 56 * K12 * F16, 1)
-    return {
-        "f1": f1, "L3": L3, "L5": L5, "L7": L7, "L9": L9, "M8": M8, "M10": M10,
-        "K12": K12, "N12": N12, "H14": H14, "F16": F16, "X18": X18, "X19": X19,
-        "X21": X21, "X23": X23, "X25": X25, "Y27": Y27,
-    }
+    return _run_recipes({"f1": poly_jet(1, 1), "L3": L3, "L5": L5, "L7": L7, "L9": L9},
+                        _RECIPES_2K5)
 
 
 _RECIPES_2K5 = {
@@ -193,26 +208,13 @@ _RECIPES_2K5 = {
 def _entries_4k4() -> Mapping[str, Polynomial]:
     """The UE4k4 generators, built once per process and shared read-only:
     UE3k4 is UE4k4 without W10."""
-    f1 = poly_jet(1, 1)
     L3, L5, L7 = [inv.poly for inv in lambda_chain(2, 4)]
     L3c, L5c, L7c = [inv.poly for inv in lambda_chain(3, 4)]
-    D6 = wronskian([1, 2, 3])
-    D8 = bracket(D6, f1, weights=(6, 1))
-    N10 = divide_f1_power(L5 * L7c - L5c * L7, 2)
-    W10 = wronskian([1, 2, 3, 4])
-    M8 = divide_f1_power(3 * L3 * L7 - 5 * L5 * L5, 2)
-    E10 = divide_f1_power(3 * L3 * D8 - 6 * L5 * D6, 1)
-    L12 = divide_f1_power(5 * L3 * N10 - L7 * D6, 1)
-    Q14 = divide_f1_power(L7 * D8 - 10 * L5 * N10, 1)
-    R15 = divide_f1_power(D8 * D8 - 12 * D6 * N10, 1)
-    U17 = divide_f1_power(4 * D8 * E10 + 3 * L3 * R15, 1)
-    V19 = divide_f1_power(8 * N10 * E10 + L5 * R15, 1)
-    X21 = divide_f1_power(4 * D8 * Q14 - 5 * L7 * R15, 1)
-    return MappingProxyType({
-        "f1": f1, "L3": L3, "L5": L5, "L7": L7, "D6": D6, "D8": D8, "N10": N10,
-        "W10": W10, "M8": M8, "E10": E10, "L12": L12, "Q14": Q14, "R15": R15,
-        "U17": U17, "V19": V19, "X21": X21,
-    })
+    D6, f1 = wronskian([1, 2, 3]), poly_jet(1, 1)
+    base = {"f1": f1, "L3": L3, "L5": L5, "L7": L7, "D6": D6,
+            "D8": bracket(D6, f1, weights=(6, 1)),
+            "N10": divide_f1_power(L5 * L7c - L5c * L7, 2), "W10": wronskian([1, 2, 3, 4])}
+    return MappingProxyType(_run_recipes(base, _RECIPES_4K4))
 
 
 _RECIPES_4K4 = {
@@ -238,9 +240,8 @@ def _entries_2k4() -> Dict[str, Polynomial]:
     L5b = bracket(L3, f2, weights=(3, 1))
     L7ab = bracket(L5a, f2, weights=(5, 1))
     L7bb = bracket(L5b, f2, weights=(5, 1))
-    M8 = divide_f1_power(3 * L3 * L7aa - 5 * L5a * L5a, 2)
-    return {"f1": f1, "f2": f2, "L3": L3, "L5a": L5a, "L5b": L5b,
-            "L7aa": L7aa, "L7ab": L7ab, "L7bb": L7bb, "M8": M8}
+    return _run_recipes({"f1": f1, "f2": f2, "L3": L3, "L5a": L5a, "L5b": L5b,
+                         "L7aa": L7aa, "L7ab": L7ab, "L7bb": L7bb}, _RECIPES_2K4)
 
 
 _RECIPES_2K4 = {
@@ -623,9 +624,8 @@ def build_catalog(catalog_id: str) -> CatalogData:
         loops = (_SYZ_2K5_LOOP1, _SYZ_2K5_LOOP2, _SYZ_2K5_LOOP3, _SYZ_2K5_LOOP4)
         tables = {f"loop{k}": (rows, f"UE2k5.{k}") for k, rows in enumerate(loops, start=1)}
     elif catalog_id == "UE3k3":
-        f1 = poly_jet(1, 1)
         L3, L5 = [inv.poly for inv in lambda_chain(2, 3)]
-        polys = {"f1": f1, "L3": L3, "L5": L5, "D6": wronskian([1, 2, 3])}
+        polys = {"f1": poly_jet(1, 1), "L3": L3, "L5": L5, "D6": wronskian([1, 2, 3])}
         recipes = {"f1": "f[1]'", "L3": "Delta(1,2)", "L5": "[L3, f1]",
                    "D6": "Delta(1,2,3)"}
         entries = _as_entries(polys, recipes, n)
@@ -678,7 +678,6 @@ def normalizer_for(ctx: JetContext, mode: str):
     if cid is None:
         return None
     entries = load_catalog(cid).entries
-    from .polyring import proportional
 
     def normalize(core):
         for e in entries:
@@ -756,8 +755,6 @@ def catalog_from_json(doc: dict) -> CatalogData:
     data = CatalogData(doc["id"], ctx, doc["context"]["mode"], entries)
     nw = [(e.name, e.weight) for e in entries]
     tags = {n: tag(n, w, k) for k, (n, w) in enumerate(nw)}
-    from .polyring import parse_polynomial
-
     for key, rows in doc.get("syzygies", {}).items():
         out = []
         for s in rows:

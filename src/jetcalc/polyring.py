@@ -31,11 +31,10 @@ scheme (Ceberio & Kreinovich, 2004): its terms are grouped by their powers of
 the largest images, so a power shared by many terms multiplies the sum of
 their cofactors once.  `Packing.unpack` is the one way back to a
 `Polynomial`.  A product `a * b` of at least `PACKED_MUL_PAIRS` term pairs
-runs on a `Packing` of both operands' variables, so the large products of
-the catalog recipes do too; smaller products, the bulk of every other
-computation, stay on tuples.  Groebner computations and every ranking of
-monomials (`MonomialOrder.ranked`, `leading_monomial`) pack with an order;
-all other packings have none.
+runs on a `Packing` of both operands' variables; smaller products, the bulk
+of every computation, stay on tuples.  Groebner computations and every
+ranking of monomials (`MonomialOrder.ranked`, `leading_monomial`) pack with
+an order; all other packings have none.
 """
 
 from __future__ import annotations
@@ -363,8 +362,7 @@ class Polynomial:
 # `a * b` multiplies on packed monomials when len(a) * len(b) reaches this
 # many term pairs.  Packing both operands and unpacking the result costs more
 # than it saves on small products, which are nearly all of the products in
-# determinants, derivations and Groebner reduction; the catalog recipes'
-# large bracket and quotient products gain.
+# determinants, derivations and Groebner reduction; larger ones gain.
 PACKED_MUL_PAIRS = 256
 
 
@@ -518,6 +516,11 @@ class Packing:
                 b = lowers[lo] = walk(lo, 0)
             out[a + b] = Fraction(c) if den == 1 else Fraction(c, den)
         return Polynomial(_raw=out)
+
+    def exponent(self, code: int, v: Variable) -> int:
+        """The exponent of `v` in the monomial of `code`, 0 off the universe."""
+        unit = self._unit.get(v, 0)  # its lowest bit is the bottom of v's field
+        return (code >> (unit & -unit).bit_length() - 1) & self.limit if unit else 0
 
     def degree(self, code: int) -> int:
         if not self.ordered:

@@ -20,6 +20,7 @@ from jetcalc.jets import (
     check_unipotent_invariance,
     delta_minor,
     divide_f1_power,
+    lambda_chain,
     poly_jet,
     restrict_f1,
     wronskian,
@@ -180,6 +181,128 @@ def test_quotient_identities_section8():
     assert f1 * G["X23"] == -7 * G["N12"] * G["K12"] + G["M8"] * G["F16"]
     assert f1 * G["X25"] == -56 * G["K12"] * G["H14"] + 5 * G["M10"] * G["F16"]
     assert f1 * G["Y27"] == -56 * G["K12"] * G["F16"] + G["M10"] * G["X18"]
+
+
+# ---------------------------------------------------------------------------
+# the quotient recipes, run as written, against hand-written formula chains
+# ---------------------------------------------------------------------------
+
+
+def _chain_2k5():
+    f1 = poly_jet(1, 1)
+    L3, L5, L7, L9 = [inv.poly for inv in lambda_chain(2, 5)]
+    M8 = divide_f1_power(3 * L3 * L7 - 5 * L5 * L5, 2)
+    M10 = divide_f1_power(3 * L3 * L9 - 7 * L5 * L7, 2)
+    K12 = divide_f1_power(5 * L5 * L9 - 7 * L7 * L7, 2)
+    N12 = divide_f1_power(3 * L3 * M10 - 8 * L5 * M8, 1)
+    H14 = divide_f1_power(3 * L3 * K12 - L7 * M8, 1)
+    F16 = divide_f1_power(7 * L5 * K12 - L9 * M8, 1)
+    X18 = divide_f1_power(56 * L7 * K12 - 5 * L9 * M10, 1)
+    X19 = divide_f1_power(64 * M8 * K12 - 5 * M10 * M10, 1)
+    X21 = divide_f1_power(8 * M8 * H14 - 5 * M10 * N12, 1)
+    X23 = divide_f1_power(M10 * H14 - 8 * K12 * N12, 1)
+    X25 = divide_f1_power(5 * M10 * F16 - 56 * K12 * H14, 1)
+    Y27 = divide_f1_power(M10 * X18 - 56 * K12 * F16, 1)
+    return {
+        "f1": f1, "L3": L3, "L5": L5, "L7": L7, "L9": L9, "M8": M8, "M10": M10,
+        "K12": K12, "N12": N12, "H14": H14, "F16": F16, "X18": X18, "X19": X19,
+        "X21": X21, "X23": X23, "X25": X25, "Y27": Y27,
+    }
+
+
+def _chain_4k4():
+    f1 = poly_jet(1, 1)
+    L3, L5, L7 = [inv.poly for inv in lambda_chain(2, 4)]
+    L3c, L5c, L7c = [inv.poly for inv in lambda_chain(3, 4)]
+    D6 = wronskian([1, 2, 3])
+    D8 = bracket(D6, f1, weights=(6, 1))
+    N10 = divide_f1_power(L5 * L7c - L5c * L7, 2)
+    W10 = wronskian([1, 2, 3, 4])
+    M8 = divide_f1_power(3 * L3 * L7 - 5 * L5 * L5, 2)
+    E10 = divide_f1_power(3 * L3 * D8 - 6 * L5 * D6, 1)
+    L12 = divide_f1_power(5 * L3 * N10 - L7 * D6, 1)
+    Q14 = divide_f1_power(L7 * D8 - 10 * L5 * N10, 1)
+    R15 = divide_f1_power(D8 * D8 - 12 * D6 * N10, 1)
+    U17 = divide_f1_power(4 * D8 * E10 + 3 * L3 * R15, 1)
+    V19 = divide_f1_power(8 * N10 * E10 + L5 * R15, 1)
+    X21 = divide_f1_power(4 * D8 * Q14 - 5 * L7 * R15, 1)
+    return {
+        "f1": f1, "L3": L3, "L5": L5, "L7": L7, "D6": D6, "D8": D8, "N10": N10,
+        "W10": W10, "M8": M8, "E10": E10, "L12": L12, "Q14": Q14, "R15": R15,
+        "U17": U17, "V19": V19, "X21": X21,
+    }
+
+
+def _chain_2k4():
+    f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
+    L3, L5a, L7aa = [inv.poly for inv in lambda_chain(2, 4)]
+    L5b = bracket(L3, f2, weights=(3, 1))
+    L7ab = bracket(L5a, f2, weights=(5, 1))
+    L7bb = bracket(L5b, f2, weights=(5, 1))
+    M8 = divide_f1_power(3 * L3 * L7aa - 5 * L5a * L5a, 2)
+    return {"f1": f1, "f2": f2, "L3": L3, "L5a": L5a, "L5b": L5b,
+            "L7aa": L7aa, "L7ab": L7ab, "L7bb": L7bb, "M8": M8}
+
+
+@pytest.mark.parametrize("cid, chain", [
+    ("UE2k5", _chain_2k5), ("UE4k4", _chain_4k4), ("UE3k4", _chain_4k4), ("E2k4", _chain_2k4),
+], ids=["UE2k5", "UE4k4", "UE3k4", "E2k4"])
+def test_recipe_builds_match_formula_chains(cid, chain):
+    """Every entry built by running its recipe string equals the same
+    construction written out as Polynomial arithmetic in Fractions, entry
+    by entry and in the same order (UE3k4 is UE4k4 without W10)."""
+    want = {name: p for name, p in chain().items() if cid != "UE3k4" or name != "W10"}
+    got = load_catalog(cid).generator_map()
+    assert list(got) == list(want)
+    for name, p in want.items():
+        assert got[name] == p, name
+
+
+def test_e2k4_m8_second_form():
+    """E2k4's M8 recipe names two forms; the second, [L5a, L3] / f1, is the
+    quotient of a bracket and agrees with the first, which is the one run."""
+    entry = load_catalog("E2k4").entry("M8")
+    assert entry.recipe == "(3 L3.L7aa - 5 L5a^2) / f1^2 = [L5a, L3] / f1"
+    G = load_catalog("E2k4").generator_map()
+    assert divide_f1_power(bracket(G["L5a"], G["L3"], weights=(5, 3)), 1) == entry.poly
+
+
+def _base_2k5():
+    G = load_catalog("UE2k5").generator_map()
+    return {name: G[name] for name in ("f1", "L3", "L5")}
+
+
+def test_quotient_recipe_that_does_not_divide_raises():
+    """Exact division is checked on every term's f1' exponent, also when f1'
+    is not among the image's variables at all."""
+    from jetcalc.catalog import _run_recipes
+
+    recipes = {"f1": "f[1]'", "L3": "Delta(1,2)", "L5": "[L3, f1]"}
+    built = _run_recipes(_base_2k5(), {**recipes, "Z": "(2 f1^3.L3 - f1^2.L5) / f1^2"})
+    assert built["Z"] == 2 * poly_jet(1, 1) * built["L3"] - built["L5"]
+    with pytest.raises(ValueError, match="not divisible"):
+        _run_recipes(_base_2k5(), {**recipes, "Z": "(L3.L5) / f1^9"})
+    with pytest.raises(ValueError, match="not divisible"):
+        _run_recipes({"f2": poly_jet(2, 1)}, {"f2": "f[2]'", "Z": "(f2^2) / f1"})
+
+
+@pytest.mark.parametrize("recipe", [
+    "[L3, L5] / f1",         # a bracket, not a quotient of tag products
+    "3 L3.L5 / f1",          # no parentheses
+    "(3 L3.L5 / f1",         # unbalanced
+    "(3 L3.L5) / f2",        # divides by something other than f1
+    "(3 L3.L5) / f1^",       # no exponent after ^
+    "(3 L3..L5) / f1",       # an empty factor
+    "(3 L3) - (5 L5) / f1",  # two quotients run together
+    "(3 L3.L9) / f1",        # L9 is not built before it
+    "(3 L3.Z) / f1",         # refers to itself
+])
+def test_malformed_quotient_recipe_raises(recipe):
+    from jetcalc.catalog import _run_recipes
+
+    recipes = {"f1": "f[1]'", "L3": "Delta(1,2)", "L5": "[L3, f1]", "Z": recipe}
+    with pytest.raises((ValueError, KeyError)):
+        _run_recipes(_base_2k5(), recipes)
 
 
 def test_bi_invariance_of_ue4k4_entries():
