@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .invgen import Syzygy
@@ -204,17 +203,15 @@ _RECIPES_2K5 = {
 }
 
 
-@lru_cache(maxsize=None)
-def _entries_4k4() -> Mapping[str, Polynomial]:
-    """The UE4k4 generators, built once per process and shared read-only:
-    UE3k4 is UE4k4 without W10."""
+def _entries_4k4() -> Dict[str, Polynomial]:
+    """The UE4k4 generators; UE3k4 is UE4k4 without W10."""
     L3, L5, L7 = [inv.poly for inv in lambda_chain(2, 4)]
     L3c, L5c, L7c = [inv.poly for inv in lambda_chain(3, 4)]
     D6, f1 = wronskian([1, 2, 3]), poly_jet(1, 1)
     base = {"f1": f1, "L3": L3, "L5": L5, "L7": L7, "D6": D6,
             "D8": bracket(D6, f1, weights=(6, 1)),
             "N10": divide_f1_power(L5 * L7c - L5c * L7, 2), "W10": wronskian([1, 2, 3, 4])}
-    return MappingProxyType(_run_recipes(base, _RECIPES_4K4))
+    return _run_recipes(base, _RECIPES_4K4)
 
 
 _RECIPES_4K4 = {

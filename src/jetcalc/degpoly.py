@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .polyring import format_terms
+from .polyring import exact, format_terms
 
 Scalar = Union[int, Fraction]
 
@@ -16,9 +16,7 @@ class DegreePolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar] = ()):
-        if any(isinstance(c, float) for c in coeffs):
-            raise TypeError("a float coefficient would bring in its binary value")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -231,7 +231,7 @@ def run_generation(ctx: JetContext, mode: str = "full",
             all_expressible = False
             # strip any residual f_1' power so the new generator is primitive
             extra = maximal_f1_power(rem)
-            core = divide_f1_power(rem, extra) if extra else rem
+            core = divide_f1_power(rem, extra)
             known = next((g for g in pool if proportional(core, g.poly)), None)
             if known is None:
                 cw = core.weighted_degree()

@@ -382,42 +382,26 @@ def initial_invariants(ctx: JetContext) -> List[Invariant]:
 
 
 def maximal_f1_power(p: Polynomial) -> int:
-    """Largest nu with f_1'^nu dividing p (p nonzero)."""
+    """Largest nu with f_1'^nu dividing p (p nonzero).  f_1', the most senior
+    variable, is the first factor of any monomial that contains it."""
     if p.is_zero():
         raise ValueError("zero polynomial divisible by every power")
     f1 = jet(1, 1)
-    best = None
-    for m in p.terms:
-        e = 0
-        for v, ee in m:
-            if v is f1:
-                e = ee
-                break
-        best = e if best is None else min(best, e)
-        if best == 0:
-            return 0
-    return best
+    return min(m[0][1] if m and m[0][0] is f1 else 0 for m in p.terms)
 
 
 def divide_f1_power(p: Polynomial, nu: int) -> Polynomial:
-    """Exact quotient p / f_1'^nu (every term must carry the factor)."""
+    """Exact quotient p / f_1'^nu (every term must carry the factor, as the
+    first factor of its monomial)."""
     if nu == 0:
         return p
     f1 = jet(1, 1)
     terms = {}
     for m, c in p.terms.items():
-        new = []
-        found = 0
-        for v, e in m:
-            if v is f1:
-                found = e
-                if e - nu > 0:
-                    new.append((v, e - nu))
-            else:
-                new.append((v, e))
-        if found < nu:
+        if not m or m[0][0] is not f1 or m[0][1] < nu:
             raise ValueError("not divisible by that power of f_1'")
-        terms[tuple(new)] = c
+        e = m[0][1] - nu
+        terms[((f1, e),) + m[1:] if e else m[1:]] = c
     return Polynomial(_raw=terms)
 
 

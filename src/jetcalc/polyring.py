@@ -30,11 +30,9 @@ once), and each polynomial is expanded distributively, a multivariate Horner
 scheme (Ceberio & Kreinovich, 2004): its terms are grouped by their powers of
 the largest images, so a power shared by many terms multiplies the sum of
 their cofactors once.  `Packing.unpack` is the one way back to a
-`Polynomial`.  A product `a * b` of at least `PACKED_MUL_PAIRS` term pairs
-runs on a `Packing` of both operands' variables; smaller products, the bulk
-of every computation, stay on tuples.  Groebner computations and every
-ranking of monomials (`MonomialOrder.ranked`, `leading_monomial`) pack with
-an order; all other packings have none.
+`Polynomial`.  A product `a * b` runs on tuples.  Groebner computations and
+every ranking of monomials (`MonomialOrder.ranked`, `leading_monomial`) pack
+with an order; all other packings have none.
 """
 
 from __future__ import annotations
@@ -46,6 +44,15 @@ from operator import gt
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
+
+
+def exact(c: Coeff) -> Fraction:
+    """c as a Fraction; a float is refused, since Fraction(0.1) would be the
+    float's binary value."""
+    if isinstance(c, float):
+        raise TypeError("a float coefficient would bring in its binary value")
+    return Fraction(c)
+
 
 _JET, _PHI, _UNI, _TAG = 0, 1, 2, 3
 _KIND_NAMES = ("jet", "phi", "uni", "tag")
@@ -198,7 +205,7 @@ class Polynomial:
         self.terms: Dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.terms[m] = c
 
@@ -210,7 +217,7 @@ class Polynomial:
 
     @staticmethod
     def constant(c: Coeff) -> "Polynomial":
-        c = Fraction(c)
+        c = exact(c)
         return Polynomial(_raw={ONE_MONOMIAL: c} if c else {})
 
     @staticmethod
@@ -287,22 +294,45 @@ class Polynomial:
         return Polynomial.constant(other) - self
 
     def __mul__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
-        """The product; on packed monomials from PACKED_MUL_PAIRS term pairs
-        up, on tuples below."""
+        """The product, term pair by term pair on tuple monomials."""
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = exact(other)
             if not c:
                 return Polynomial.zero()
             return Polynomial(_raw={m: k * c for m, k in self.terms.items()})
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return Polynomial.zero()
-        if len(self.terms) * len(other.terms) < PACKED_MUL_PAIRS:
-            return tuple_product(self, other)
-        (va, top_a), (vb, top_b) = _support(self.terms), _support(other.terms)
-        packing = Packing(va | vb, top_a + top_b)
-        da, ta = packing.pack_terms(self.terms)
-        db, tb = packing.pack_terms(other.terms)
-        return packing.unpack(da * db, _packed_mul(ta, tb))
+        if len(a) < len(b):
+            a, b = b, a
+        acc: Dict[Monomial, Fraction] = {}
+        for mb, cb in b.items():
+            if not mb:
+                for ma, ca in a.items():
+                    s = acc.get(ma)
+                    p = ca * cb
+                    if s is None:
+                        acc[ma] = p
+                    else:
+                        s = s + p
+                        if s:
+                            acc[ma] = s
+                        else:
+                            del acc[ma]
+                continue
+            for ma, ca in a.items():
+                m = mono_mul(ma, mb)
+                s = acc.get(m)
+                p = ca * cb
+                if s is None:
+                    acc[m] = p
+                else:
+                    s = s + p
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+        return Polynomial(_raw=acc)
 
     __rmul__ = __mul__
 
@@ -353,52 +383,6 @@ class Polynomial:
         if len(s) > 120:
             s = s[:117] + "..."
         return f"Polynomial({s})"
-
-
-# ---------------------------------------------------------------------------
-# products
-# ---------------------------------------------------------------------------
-
-# `a * b` multiplies on packed monomials when len(a) * len(b) reaches this
-# many term pairs.  Packing both operands and unpacking the result costs more
-# than it saves on small products, which are nearly all of the products in
-# determinants, derivations and Groebner reduction; larger ones gain.
-PACKED_MUL_PAIRS = 256
-
-
-def tuple_product(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b term pair by term pair on tuple monomials."""
-    a, b = a.terms, b.terms
-    if len(a) < len(b):
-        a, b = b, a
-    acc: Dict[Monomial, Fraction] = {}
-    for mb, cb in b.items():
-        if not mb:
-            for ma, ca in a.items():
-                s = acc.get(ma)
-                p = ca * cb
-                if s is None:
-                    acc[ma] = p
-                else:
-                    s = s + p
-                    if s:
-                        acc[ma] = s
-                    else:
-                        del acc[ma]
-            continue
-        for ma, ca in a.items():
-            m = mono_mul(ma, mb)
-            s = acc.get(m)
-            p = ca * cb
-            if s is None:
-                acc[m] = p
-            else:
-                s = s + p
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-    return Polynomial(_raw=acc)
 
 
 # ---------------------------------------------------------------------------

@@ -347,16 +347,17 @@ def test_built_documents_match_pinned_checksums():
 
 def test_ue3k4_and_ue4k4_share_one_read_only_build():
     """The 4k4 recipes run once per process; UE3k4 is UE4k4 without W10."""
-    from jetcalc.catalog import _entries_4k4
+    from jetcalc.catalog import _counted_entries_4k4
 
     ue3, ue4 = build_catalog("UE3k4"), build_catalog("UE4k4")
     assert [e.name for e in ue4.entries if e.name != "W10"] == [e.name for e in ue3.entries]
-    shared = _entries_4k4()
-    assert _entries_4k4() is shared
+    shared = _counted_entries_4k4()
+    assert _counted_entries_4k4() is shared
+    built = {x.name: x.poly for x in shared}
     for e in ue3.entries:
-        assert e.poly is shared[e.name] is ue4.entry(e.name).poly
+        assert e.poly is built[e.name] is ue4.entry(e.name).poly
     with pytest.raises(TypeError):
-        shared["W10"] = shared["f1"]
+        shared[0] = shared[1]
 
 
 def test_json_checksum_guards():

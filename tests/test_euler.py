@@ -708,6 +708,21 @@ def test_degree_polynomial_refuses_floats():
     assert 3 * p == DegreePolynomial([3, 6]) and p * 0 == DegreePolynomial()
 
 
+def test_polynomial_refuses_floats():
+    """The jet polynomials refuse floats as DegreePolynomial does: p * 0.1
+    would otherwise carry 3602879701896397/36028797018963968."""
+    x = tag("x", 1, 0)
+    p = Polynomial.variable(x)
+    for bad in (lambda: p * 0.1, lambda: 0.1 * p, lambda: p + 0.25, lambda: 0.25 + p,
+                lambda: p - 0.25, lambda: 0.25 - p, lambda: Polynomial.constant(0.5),
+                lambda: Polynomial({((x, 1),): 0.5}), lambda: p * 0.0):
+        with pytest.raises(TypeError, match="binary value"):
+            bad()
+    assert p * Fraction(1, 10) == Polynomial({((x, 1),): Fraction(1, 10)})
+    assert Polynomial.constant(Fraction(1, 2)) + p == Polynomial({(): Fraction(1, 2), ((x, 1),): 1})
+    assert 3 * p - p == 2 * p and (p * 0).is_zero()
+
+
 def test_assemble_chi_keeps_integer_slot_values_exact():
     """An int slot value over its factorial denominator stays a Fraction."""
     for n in (2, 3, 4):

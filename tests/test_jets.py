@@ -23,7 +23,7 @@ from jetcalc.jets import (
     total_derivative,
     wronskian,
 )
-from jetcalc.polyring import Polynomial, jet, phi
+from jetcalc.polyring import Packing, Polynomial, jet, mono_mul, phi, tag, uni
 
 
 def P(v):
@@ -299,6 +299,63 @@ def test_f1_power_helpers():
     assert divide_f1_power(p, 2) == wronskian([1, 2])
     with pytest.raises(ValueError):
         divide_f1_power(wronskian([1, 2]), 1)
+
+
+def scan_maximal_f1_power(p: Polynomial) -> int:
+    """The least exponent of f_1' over all terms, each monomial scanned
+    whole."""
+    f1 = jet(1, 1)
+    return min(next((e for v, e in m if v is f1), 0) for m in p.terms)
+
+
+def scan_divide_f1_power(p: Polynomial, nu: int) -> Polynomial:
+    """p / f_1'^nu, each monomial scanned whole for its f_1' factor."""
+    f1 = jet(1, 1)
+    terms = {}
+    for m, c in p.terms.items():
+        if next((e for v, e in m if v is f1), 0) < nu:
+            raise ValueError("not divisible by that power of f_1'")
+        terms[tuple((v, e - nu if v is f1 else e) for v, e in m
+                    if v is not f1 or e > nu)] = c
+    return Polynomial(terms)
+
+
+F1_MIXED_VARS = [jet(1, 2), jet(2, 1), jet(3, 4), phi(1), phi(3), uni(2, 1), uni(3, 1),
+                 tag("A", 3, 0), tag("B", 5, 1)]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_f1_power_reads_match_whole_monomial_scans(seed):
+    """Reading f_1' off the first factor agrees with scanning every factor,
+    on monomials made by mono_mul and by Packing.unpack, with jet, phi, uni
+    and tag variables and, in some cases, a constant term."""
+    import random
+
+    rng = random.Random(seed)
+    f1 = jet(1, 1)
+    base = 0 if seed % 4 == 0 else rng.randint(0, 3)
+    terms = {(): Fraction(rng.randint(1, 9), 2)} if base == 0 and seed % 2 == 0 else {}
+    for _ in range(rng.randint(1, 8)):
+        e = base + rng.randint(0, 2)
+        m = ((f1, e),) if e else ()
+        for v in rng.sample(F1_MIXED_VARS, rng.randint(0, 4)):
+            m = mono_mul(((v, rng.randint(1, 3)),), m)
+        terms[m] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+    p = Polynomial(terms)
+    packing = Packing([f1] + F1_MIXED_VARS, 24)
+    unpacked = packing.unpack(*packing.pack_terms(p.terms))
+    assert unpacked == p
+    for q in (p, unpacked):
+        top = maximal_f1_power(q)
+        assert top == scan_maximal_f1_power(q) >= base
+        for nu in range(top + 2):
+            if nu <= top:
+                assert divide_f1_power(q, nu) == scan_divide_f1_power(q, nu)
+            else:
+                with pytest.raises(ValueError):
+                    divide_f1_power(q, nu)
+                with pytest.raises(ValueError):
+                    scan_divide_f1_power(q, nu)
 
 
 def diagonal_weights(factors: list, n: int):

@@ -1,5 +1,5 @@
-"""The packed substitution, products and monomial orders against the
-tuple-monomial routines they replaced."""
+"""The packed substitution and monomial orders against the tuple-monomial
+routines they replaced, and the tuple product against the packed one."""
 
 import gc
 import random
@@ -13,7 +13,6 @@ from jetcalc.catalog import load_catalog
 from jetcalc.invgen import verify_syzygies
 from jetcalc.jets import reparam_images
 from jetcalc.polyring import (
-    PACKED_MUL_PAIRS,
     Block,
     DegRevLex,
     Lex,
@@ -28,7 +27,6 @@ from jetcalc.polyring import (
     packed_images,
     phi,
     tag,
-    tuple_product,
     uni,
 )
 
@@ -38,13 +36,18 @@ IMAGE_KINDS = ("zero", "constant", "polynomial", "polynomial")
 
 
 def reference_mul(a, b):
-    """a * b on tuple monomials, whatever the size of the product."""
-    return tuple_product(a, b)
+    """a * b on packed integers: both operands packed on one order-free
+    Packing of their variables, wide enough for the product's degree."""
+    (va, top_a), (vb, top_b) = polyring._support(a.terms), polyring._support(b.terms)
+    packing = Packing(va | vb, top_a + top_b)
+    da, ta = packing.pack_terms(a.terms)
+    db, tb = packing.pack_terms(b.terms)
+    return packing.unpack(da * db, polyring._packed_mul(ta, tb))
 
 
 def reference_substitute(p, sigma):
-    """Term by term on tuple monomials, image powers by repeated tuple
-    products, summed with `+`."""
+    """Term by term on tuple monomials, image powers by repeated products
+    `*`, summed with `+`."""
     if not sigma:
         return p
     pow_cache = {}
@@ -54,7 +57,7 @@ def reference_substitute(p, sigma):
         if got is None:
             got = Polynomial.constant(1)
             for _ in range(e):
-                got = reference_mul(got, sigma[v])
+                got = got * sigma[v]
             pow_cache[(v, e)] = got
         return got
 
@@ -69,7 +72,7 @@ def reference_substitute(p, sigma):
                 kept.append((v, e))
         term = Polynomial(_raw={tuple(kept): c})
         for f in factors:
-            term = reference_mul(term, f)
+            term = term * f
             if not term:
                 break
         acc = acc + term
@@ -352,7 +355,7 @@ def test_reparam_substitution_term_pairs_pinned(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# products: a * b against the tuple routine, on either side of the size rule
+# products: a * b on tuples against the packed product
 # ---------------------------------------------------------------------------
 
 
@@ -372,10 +375,8 @@ def poly_of_size(rng, n, big=()):
     return Polynomial(terms)
 
 
-# term counts of the two factors: below, at and above PACKED_MUL_PAIRS
-SIZES = [(1, PACKED_MUL_PAIRS - 1), (PACKED_MUL_PAIRS // 16 - 1, 16),
-         (PACKED_MUL_PAIRS // 16, 16), (1, PACKED_MUL_PAIRS),
-         (PACKED_MUL_PAIRS // 8, 16), (3 * PACKED_MUL_PAIRS, 2)]
+# term counts of the two factors, 240 to 1,536 term pairs
+SIZES = [(1, 255), (15, 16), (16, 16), (1, 256), (32, 16), (768, 2)]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -392,24 +393,9 @@ def test_product_matches_reference(seed, sizes):
 def test_constant_products():
     rng = random.Random(3)
     c = Polynomial.constant(Fraction(-5, 3))
-    for n in (PACKED_MUL_PAIRS - 1, PACKED_MUL_PAIRS, 2 * PACKED_MUL_PAIRS):
+    for n in (255, 256, 512):
         a = poly_of_size(rng, n)
         assert c * a == a * c == reference_mul(c, a)
-
-
-def test_products_take_the_packed_path_from_the_rule_up(monkeypatch):
-    rng = random.Random(7)
-    tuple_pairs = []
-
-    def spy(a, b):
-        tuple_pairs.append(len(a) * len(b))
-        return tuple_product(a, b)
-
-    monkeypatch.setattr(polyring, "tuple_product", spy)
-    for na, nb in SIZES:
-        poly_of_size(rng, na) * poly_of_size(rng, nb)
-    assert tuple_pairs == [na * nb for na, nb in SIZES if na * nb < PACKED_MUL_PAIRS]
-    assert tuple_pairs
 
 
 @pytest.mark.parametrize("top", [200, 40000])
@@ -470,14 +456,14 @@ def test_packed_square_cancels_cross_terms():
     assert square[xyz] == 0 and xyz not in _nonzero(square)
     assert _nonzero(square) == _nonzero(polyring._packed_mul(a, a))
     X, Y, Z = (Polynomial.variable(v) for v in (x, y, z))
-    assert packing.unpack(1, square) == reference_mul(X + Y * Z + X * Y - Z,
-                                                      X + Y * Z + X * Y - Z)
+    s = X + Y * Z + X * Y - Z
+    assert packing.unpack(1, square) == s * s
 
 
 def test_products_cover_every_variable_kind():
     rng = random.Random(0)
     seen = set()
-    for n in (PACKED_MUL_PAIRS // 16, 16):
+    for n in (16, 16):
         seen |= {v.kind for v in poly_of_size(rng, n).variables()}
     assert seen == {0, 1, 2, 3}
 
