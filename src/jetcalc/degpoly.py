@@ -88,6 +88,7 @@ class DegreePolynomial:
         return out
 
     def __call__(self, x: Scalar) -> Fraction:
+        x = exact(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -23,9 +23,11 @@ from .jets import (
     JetContext,
     check_reparam_invariance,
     check_unipotent_invariance,
+    derivation_moves,
     divide_f1_power,
     initial_bi_invariants,
     initial_invariants,
+    killed,
     maximal_f1_power,
     reparam_derivations,
     restrict_f1,
@@ -35,6 +37,7 @@ from .polyring import (
     Packing,
     Polynomial,
     Variable,
+    is_jet,
     is_tag,
     jet,
     packed_images,
@@ -332,12 +335,10 @@ def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
     (and, when `bi`, the lower-triangular unipotent group) is connected and
     unipotent, so the invariants of weight m are the common kernel of its
     Lie algebra's generators D_2, D_3 (and the E_i) on the span of all jet
-    monomials of weight m.  Each sends a jet variable to c times another, so
-    on one `Packing` the image term of the monomial with exponent vector a is
-    its code plus unit[target] - unit[source], times a[source] * c.  Each
-    monomial offers one column to one `_IncrementalKernel`, with row
-    K * code + k for operator k of K; the dimension is the number of columns
-    that reduce to zero.
+    monomials of weight m.  Each monomial offers its image under them, read
+    off their moves on one `Packing` (`derivation_moves`), as one column to
+    one `_IncrementalKernel`; the dimension is the number of columns that
+    reduce to zero.
     """
     variables = [jet(i, lam) for i in range(1, ctx.n + 1)
                  for lam in range(1, ctx.kappa + 1)]
@@ -346,17 +347,9 @@ def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
         operators += unipotent_derivations(variables)
     packing = Packing(variables, m)  # every jet weighs at least 1
     unit = [packing.pack(((v, 1),)) for v in variables]
-    index = {v: k for k, v in enumerate(variables)}
+    table = derivation_moves(operators, packing)
+    moves = [(k, offset, c) for k, v in enumerate(variables) for offset, c in table.get(v, ())]
     count = len(operators)
-    moves = []  # (source index, row offset, c) per image term c * target
-    for k, images in enumerate(operators):
-        for v, img in images.items():
-            for mono, c in img.terms.items():
-                if len(mono) != 1 or mono[0][1] != 1 or c.denominator != 1:
-                    raise ValueError(f"the derivation image of {v} is not an integer "
-                                     f"times one variable: {img}")
-                source, target = index[v], index[mono[0][0]]
-                moves.append((source, count * (unit[target] - unit[source]) + k, c.numerator))
     kernel = _IncrementalKernel()
     dim = 0
     for a in weight_tuples([v.weight for v in variables], m):
@@ -375,33 +368,67 @@ def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
 
 @dataclass
 class SyzygyCheck:
+    """`ok` when S(gens) + f_1'^nu R(gens) is zero; `max_terms` is the larger
+    term count of S(gens) and f_1'^nu R(gens), so that of R(gens) when ok."""
+
     syzygy_id: str
     ok: bool
     max_terms: int
     detail: str = ""
 
 
+def _expand_sum(sub: Dict[Variable, Polynomial], s: Polynomial, r: Polynomial) -> Tuple[int, int]:
+    """The term counts of s(sub) + r(sub) and of its larger part, both imaged
+    on one packing and summed on integers."""
+    _, [(ds, image_s), (dr, image_r)] = packed_images(sub, [s, r])
+    acc = {k: c * dr for k, c in image_s.items()}  # over the denominator ds * dr
+    for k, c in image_r.items():
+        acc[k] = acc.get(k, 0) + c * ds
+    return sum(1 for c in acc.values() if c), max(len(image_s), len(image_r))
+
+
+def _certified_slice(g: Polynomial) -> Optional[Polynomial]:
+    """g's terms free of f_1^(lam), lam >= 2, if g is a jet polynomial that
+    D_2 and D_3 kill, else None.  f_1's jets lead a monomial, by order."""
+    variables = g.variables()
+    if all(map(is_jet, variables)) and killed(g, reparam_derivations(variables)):
+        return Polynomial(_raw={m: c for m, c in g.terms.items()
+                                if all(v.i > 1 or v.j == 1 for v, _ in m[:2])})
+    return None
+
+
 def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial],
                     f1_name: str = "f1'") -> List[SyzygyCheck]:
-    """Expand S(gens) + f_1'^nu R(gens) in jet variables and assert zero.
+    """Decide S(gens) + f_1'^nu R(gens) == 0, imaging S and t^nu R, t a
+    private tag for the f_1' generator.
 
-    S and t^nu R, t a private tag for the f_1' generator, are imaged on one
-    packing and the sum is tested on integers; `max_terms` is the larger
-    term count of S(gens) and f_1'^nu R(gens), which has as many terms as
-    R(gens).
+    First on the slice f_1'' = ... = f_1^(kappa) = 0 of the moving frame
+    (Fels & Olver, Acta Appl. Math. 55, 1999): each generator is imaged as
+    its terms free of f_1^(lam), lam >= 2, once D_2 and D_3 kill it (`killed`,
+    worked out per call).  They then kill the sum, which is so invariant
+    under t + a_2 t^2 + ... + a_kappa t^kappa; that map moves any jet with
+    f_1' != 0 onto the slice (solve for the a_j one order at a time), so the
+    sum is zero if it vanishes there, and only R(gens) is expanded in full,
+    for `max_terms`.  A generator with a variable that is not a jet or not
+    killed, or a slice residual that is not zero, expands the sum in full.
     """
     f1 = Polynomial.variable(tag(f1_name, 1, -1))  # every other tag indexes from 0
+    slices: Dict[str, Optional[Polynomial]] = {}  # None: not certified
     results = []
     for s in syzygies:
         tagged = s.remainder * f1 ** s.nu if s.nu is not None else Polynomial.zero()
         sub = {v: generators[v.name[2:]]
                for v in s.relation.variables() | tagged.variables() if is_tag(v)}
-        _, [(ds, image_s), (dr, image_r)] = packed_images(sub, [s.relation, tagged])
-        # the residual's numerator over the denominator ds * dr
-        acc = {k: c * dr for k, c in image_s.items()}
-        for k, c in image_r.items():
-            acc[k] = acc.get(k, 0) + c * ds
-        residual = sum(1 for c in acc.values() if c)
-        results.append(SyzygyCheck(s.id, not residual, max(len(image_s), len(image_r)),
+        for v, g in sub.items():
+            if v.name not in slices:
+                slices[v.name] = _certified_slice(g)
+        cut = {v: slices[v.name] for v in sub}
+        certified = all(c is not None for c in cut.values())
+        residual, peak = _expand_sum(cut if certified else sub, s.relation, tagged)
+        if certified and residual:  # the slice cannot decide
+            residual, peak = _expand_sum(sub, s.relation, tagged)
+        elif certified:  # S(gens) + f_1'^nu R(gens) == 0 has as many terms as R(gens)
+            peak = len(packed_images(sub, [s.remainder])[1][0][1]) if s.nu is not None else 0
+        results.append(SyzygyCheck(s.id, not residual, peak,
                                    f"residual has {residual} terms" if residual else ""))
     return results

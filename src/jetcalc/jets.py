@@ -16,12 +16,13 @@ t^j d/dt acts on jets as D_j f_i^(lam) = lam!/(lam-j)! f_i^(lam-j+1), and
 since [t^2 d/dt, t^j d/dt] = (j-2) t^(j+1) d/dt, D_2 and D_3 generate the
 algebra.  The unipotent algebra is generated by the lowering derivations
 E_i: f_(i+1)^(lam) -> f_i^(lam).  Each sends a jet variable to an integer
-times another, so the dimension oracle (`invgen.invariant_space_dimension`)
-reads them as moves between packed exponent fields.  The invariance checks of
-single polynomials apply the group actions themselves, by substitution, and
-return the residual as the witness of a failure.  The bracket identities
-(Jacobi, Pluecker) and the Bell-number count that check this calculus are
-oracles of the tests and live there.
+times another, a move between packed exponent fields (`derivation_moves`),
+read so by the dimension oracle (`invgen.invariant_space_dimension`) and by
+`killed`, which certifies the generators of a syzygy check.  The
+invariance checks of single polynomials apply the group actions themselves,
+by substitution, and return the residual as the witness of a failure.  The
+bracket identities (Jacobi, Pluecker) and the Bell-number count that check
+this calculus are oracles of the tests and live there.
 """
 
 from __future__ import annotations
@@ -32,12 +33,15 @@ from math import factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polyring import (
+    Packing,
     Polynomial,
     Variable,
+    clear_denominators,
     determinant,
     is_jet,
     is_phi,
     jet,
+    mono_degree,
     mono_mul,
     phi,
     uni,
@@ -203,6 +207,38 @@ def unipotent_derivations(variables: Iterable[Variable]) -> Derivations:
         if is_jet(v) and v.i > 1:
             by_row.setdefault(v.i - 1, {})[v] = poly_jet(v.i - 1, v.j)
     return [by_row[i] for i in sorted(by_row)]
+
+
+def derivation_moves(operators: Derivations, packing: Packing) -> Dict[Variable, list]:
+    """Per variable v, one move (offset, c) for each term v -> c * target of
+    operator k of K, on a `packing` that holds both variables: the monomial
+    of `code` sends a_v * c to row K * code + offset, offset = K *
+    (unit[target] - unit[v]) + k, the row of operator k and the image."""
+    count, unit, moves = len(operators), lambda v: packing.pack(((v, 1),)), {}
+    for k, images in enumerate(operators):
+        for v, img in images.items():
+            for mono, c in img.terms.items():
+                if len(mono) != 1 or mono[0][1] != 1 or c.denominator != 1:
+                    raise ValueError(f"the derivation image of {v} is not an integer "
+                                     f"times one variable: {img}")
+                moves.setdefault(v, []).append((count * (unit(mono[0][0]) - unit(v)) + k,
+                                                c.numerator))
+    return moves
+
+
+def killed(p: Polynomial, operators: Derivations) -> bool:
+    """Whether every derivation of `operators` kills p, by their moves on p's
+    packed integer numerators."""
+    packing = Packing(p.variables().union(*(img.variables() for images in operators
+                                            for img in images.values())),
+                      max(map(mono_degree, p.terms), default=0))
+    moves, count, acc = derivation_moves(operators, packing), len(operators), {}
+    for m, c in clear_denominators(p.terms)[1].items():
+        base = count * packing.pack(m)
+        for v, e in m:
+            for offset, d in moves.get(v, ()):
+                acc[base + offset] = acc.get(base + offset, 0) + e * d * c
+    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------

@@ -708,6 +708,18 @@ def test_degree_polynomial_refuses_floats():
     assert 3 * p == DegreePolynomial([3, 6]) and p * 0 == DegreePolynomial()
 
 
+def test_degree_polynomial_evaluation_refuses_floats():
+    """p(0.1) would be 1.2, a float out of exact evaluation; ints and
+    Fractions keep their exact values."""
+    p = DegreePolynomial([1, 2])
+    for bad in (0.1, 0.0, 2.0):
+        with pytest.raises(TypeError, match="binary value"):
+            p(bad)
+    assert p(3) == 7 and isinstance(p(3), Fraction)
+    assert p(Fraction(1, 10)) == Fraction(6, 5)
+    assert DegreePolynomial()(5) == 0
+
+
 def test_polynomial_refuses_floats():
     """The jet polynomials refuse floats as DegreePolynomial does: p * 0.1
     would otherwise carry 3602879701896397/36028797018963968."""

@@ -7,7 +7,9 @@ phi''..phi^(kappa) (phi' = 1), and the formal unipotent action
 f_i -> f_i + sum_{j<i} u_ij f_j.  A polynomial is invariant when its image
 equals it, and the substitution dimension oracle here counts the kernel of
 p -> image(p) - p.  The derivation verdicts of single polynomials are
-computed here as well, so both criteria are compared on the same inputs.
+computed here as well, so both criteria are compared on the same inputs,
+and `killed_by` (Leibniz on tuple monomials) is the oracle of `jets.killed`,
+the certificate that decides by moves on packed integer numerators.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from jetcalc.jets import (
     check_unipotent_invariance,
     derivation,
     faa_di_bruno,
+    killed,
     poly_jet,
     reparam_derivations,
     reparam_images,
@@ -32,7 +35,7 @@ from jetcalc.jets import (
     unipotent_images,
     unipotent_substitution,
 )
-from jetcalc.polyring import Polynomial, clear_denominators, jet, phi
+from jetcalc.polyring import Polynomial, clear_denominators, jet, phi, tag, uni
 
 
 def killed_by(p: Polynomial, derivations) -> bool:
@@ -71,6 +74,16 @@ def verdicts(p: Polynomial):
     return w, killed_by(p, unipotent_derivations(p.variables()))
 
 
+def packed_verdicts(p: Polynomial):
+    """The pair of `verdicts`, by the packed certificate `jets.killed`."""
+    if p.is_zero():
+        return 0, True
+    w = p.weighted_degree()
+    if w is not None and not killed(p, reparam_derivations(p.variables())):
+        w = None
+    return w, killed(p, unipotent_derivations(p.variables()))
+
+
 def substitution_verdicts(p: Polynomial):
     """The same pair from the checks, which apply the group actions."""
     rep = check_reparam_invariance(p)
@@ -86,7 +99,7 @@ def test_catalog_entries_agree(cid):
     data = load_catalog(cid)
     for e in data.entries:
         got = verdicts(e.poly)
-        assert got == substitution_verdicts(e.poly), e.name
+        assert got == substitution_verdicts(e.poly) == packed_verdicts(e.poly), e.name
         assert got[0] == e.weight, e.name
         if data.mode == "bi":
             assert got[1], e.name
@@ -104,14 +117,33 @@ def test_perturbed_entries_agree(cid):
             continue
         bent = e.poly + f1pp * f1 ** (w - 2)
         got = verdicts(bent)
-        assert got == substitution_verdicts(bent), e.name
+        assert got == substitution_verdicts(bent) == packed_verdicts(bent), e.name
         assert got[0] is None, e.name
         shifted = e.poly + f2 ** w
         got = verdicts(shifted)
-        assert got == substitution_verdicts(shifted), e.name
+        assert got == substitution_verdicts(shifted) == packed_verdicts(shifted), e.name
         assert got[0] == w, e.name
         if data.mode == "bi":
             assert not got[1], e.name
+
+
+def test_packed_certificate_reads_other_variables_as_constants():
+    """Derivations leave phi, u and tag variables alone, so on polynomials
+    with such variables the certificate agrees with `killed_by` too, and
+    with Fraction coefficients, constants and zero."""
+    f1, f2 = poly_jet(1, 1), poly_jet(2, 1)
+    w12 = f1 * poly_jet(2, 2) - poly_jet(1, 2) * f2  # a Wronskian: reparametrization-invariant
+    x, u, p2 = (Polynomial.variable(v) for v in (tag("x", 1, 0), uni(2, 1), phi(2)))
+    cases = [x * w12, p2 * w12 + u, Fraction(2, 3) * x * poly_jet(1, 2), p2 * f1 ** 3 * f2,
+             u * f2 + f1, (x + u) * w12 * f1 - Fraction(1, 7) * f2 ** 2, x ** 2 * poly_jet(3, 4),
+             Polynomial.constant(Fraction(5, 2)), Polynomial.zero()]
+    seen = set()
+    for p in cases:
+        for operators in (reparam_derivations(p.variables()), unipotent_derivations(p.variables())):
+            got = killed(p, operators)
+            assert got == killed_by(p, operators), p
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_failure_witness_is_the_substitution_residual():

@@ -4,6 +4,7 @@ import pytest
 
 from jetcalc.catalog import load_catalog
 from jetcalc.invgen import (
+    Syzygy,
     extract_remainder,
     invariant_space_dimension,
     normal_form_monomials,
@@ -12,7 +13,7 @@ from jetcalc.invgen import (
     verify_syzygies,
 )
 from jetcalc.jets import JetContext, check_reparam_invariance
-from jetcalc.polyring import Polynomial, is_tag, jet, proportional, tag
+from jetcalc.polyring import Polynomial, is_tag, jet, phi, proportional, tag
 
 
 def tags_for(data):
@@ -289,6 +290,69 @@ def test_verify_syzygies_matches_the_polynomial_reference():
             assert got == reference_verify(case, gens, f1_name)
         assert factored and all(c.ok for c in verify_syzygies(syz, gens, f1_name))
         assert not any(c.ok for c in verify_syzygies(higher + doubled + no_s, gens, f1_name))
+
+
+def test_verify_syzygies_expands_in_full_what_the_slice_cannot_decide(monkeypatch):
+    """f_1'' vanishes on the slice f_1'' = 0 but is no invariant (D_2 f_1'' =
+    2 f_1'), and phi'' f_1' has a variable that is not a jet, whose terms the
+    slice would drop.  Syzygies over such "generators" are decided by the
+    full expansion, as the reference does it.  With the certificate skipped,
+    the slice alone would accept the first two."""
+    import jetcalc.invgen as invgen
+
+    f1, f1pp, p2 = (Polynomial.variable(v) for v in (jet(1, 1), jet(1, 2), phi(2)))
+    t = {name: Polynomial.variable(tag(name, w, 0)) for name, w in
+         (("f1", 1), ("P", 2), ("B", 2), ("Q", 3), ("Q2", 4))}
+    gens = {"f1": f1, "P": f1pp, "B": f1pp + f1 ** 2, "Q": p2 * f1, "Q2": p2 * f1 ** 2}
+    cases = [
+        Syzygy("P", t["P"], 2, None, Polynomial.zero()),
+        # B - f_1'^2 = f_1'', though zero on the slice; max_terms from B
+        Syzygy("B", t["B"], 2, 2, Polynomial.constant(-1)),
+        Syzygy("Q", t["Q"], 3, None, Polynomial.zero()),
+        # a true syzygy over a generator with a phi'' still holds in full
+        Syzygy("Q2", t["Q2"] - t["Q"] * t["f1"], 4, None, Polynomial.zero()),
+    ]
+    got = [(c.ok, c.max_terms, c.detail) for c in verify_syzygies(cases, gens, "f1")]
+    assert got == reference_verify(cases, gens, "f1") == [
+        (False, 1, "residual has 1 terms"), (False, 2, "residual has 1 terms"),
+        (False, 1, "residual has 1 terms"), (True, 0, "")]
+    monkeypatch.setattr(invgen, "killed", lambda p, operators: True)
+    assert [c.ok for c in verify_syzygies(cases[:2], gens, "f1")] == [True, True]
+
+
+def test_slice_decisions_match_full_expansions(monkeypatch):
+    """Every syzygy of the four catalogs that `verify` is benchmarked on gets
+    the same (ok, max_terms, detail) decided on the slice as expanded in full
+    (`killed` made to certify nothing).  Copies with nu one higher, the
+    remainder doubled or S dropped leave f_1'^nu R(gens), times f_1' - 1 for
+    the first, as their full residual, which is not zero since R(gens) is
+    not; the slice rejects each one (the full expansion that would follow
+    is stubbed out as a one-term residual)."""
+    import dataclasses
+
+    import jetcalc.invgen as invgen
+
+    expand = invgen._expand_sum
+    for cid in ("E2k4", "UE2k5", "UE3k4", "UE4k4"):
+        data = load_catalog(cid)
+        gens = data.generator_map()
+        f1_name = "f1" if "f1" in gens else "f1'"
+        for key in sorted(data.syzygy_sets):
+            syz = data.syzygy_sets[key]
+            fast = verify_syzygies(syz, gens, f1_name)
+            with monkeypatch.context() as m:
+                m.setattr(invgen, "killed", lambda p, operators: False)
+                assert verify_syzygies(syz, gens, f1_name) == fast
+            assert all(c.ok for c in fast)
+            factored = [s for s, c in zip(syz, fast) if s.nu is not None and c.max_terms]
+            assert len(factored) == sum(1 for s in syz if s.nu is not None)
+            perturbed = [dataclasses.replace(s, nu=s.nu + 1) for s in factored]
+            perturbed += [dataclasses.replace(s, remainder=2 * s.remainder) for s in factored]
+            perturbed += [dataclasses.replace(s, relation=Polynomial.zero()) for s in factored]
+            with monkeypatch.context() as m:
+                m.setattr(invgen, "_expand_sum", lambda sub, *polys: (1, 0) if all(
+                    g is gens[v.name[2:]] for v, g in sub.items()) else expand(sub, *polys))
+                assert not any(c.ok for c in verify_syzygies(perturbed, gens, f1_name))
 
 
 def test_run_generation_hands_membership_the_deadline(monkeypatch):

@@ -323,23 +323,31 @@ def _counted_pairs(monkeypatch):
     return pairs
 
 
-@pytest.mark.parametrize("catalog, syzygy, products, squares", [
-    ("UE3k4", "UE3k4.35", 246343, 47961),
-    ("UE2k5", "UE2k5.4.1", 155498, 0),
+@pytest.mark.parametrize("catalog, syzygy, sliced, full", [
+    ("UE3k4", "UE3k4.35", (10480, 47022), (246343, 47961)),
+    ("UE2k5", "UE2k5.4.1", (63, 0), (155498, 0)),
 ], ids=["UE3k4.35", "UE2k5.4.1"])
-def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, products, squares):
-    """The term pairs one syzygy check makes: each image power's square
-    makes every cross pair once (as full products, UE3k4.35's squares
-    would make 95,572 pairs, not 47,961), and a lone term's partial
-    products drop their zero numerators (UE3k4.35 made 249,471 product
-    pairs without)."""
+def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, sliced, full):
+    """The term pairs (products, squares) one syzygy check makes.  Decided on
+    the slice f_1'' = ... = 0, it expands S and t^nu R there and R(gens)
+    alone in full (UE2k5.4.1 has nu = None, so no R).  Expanded in full, as
+    when a generator is not certified: each image power's square makes every
+    cross pair once (as full products, UE3k4.35's squares would make 95,572
+    pairs, not 47,961), and a lone term's partial products drop their zero
+    numerators (UE3k4.35 made 249,471 product pairs without)."""
+    import jetcalc.invgen as invgen
+
     data = load_catalog(catalog)
     [s] = [s for s in data.syzygies() if s.id == syzygy]
     gens = data.generator_map()
     pairs = _counted_pairs(monkeypatch)
     [check] = verify_syzygies([s], gens, "f1")
     assert check.ok
-    assert pairs == {"products": products, "squares": squares}
+    assert (pairs["products"], pairs["squares"]) == sliced
+    monkeypatch.setattr(invgen, "killed", lambda p, operators: False)
+    pairs.update(products=0, squares=0)
+    assert verify_syzygies([s], gens, "f1") == [check]
+    assert (pairs["products"], pairs["squares"]) == full
 
 
 def test_reparam_substitution_term_pairs_pinned(monkeypatch):
