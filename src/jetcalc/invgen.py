@@ -409,21 +409,23 @@ def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial
     under t + a_2 t^2 + ... + a_kappa t^kappa; that map moves any jet with
     f_1' != 0 onto the slice (solve for the a_j one order at a time), so the
     sum is zero if it vanishes there, and only R(gens) is expanded in full,
-    for `max_terms`.  A generator with a variable that is not a jet or not
-    killed, or a slice residual that is not zero, expands the sum in full.
+    for `max_terms`.  A variable of S or R that is not a generator's tag, a
+    generator with a variable that is not a jet or not killed, or a slice
+    residual that is not zero expands the sum in full.
     """
     f1 = Polynomial.variable(tag(f1_name, 1, -1))  # every other tag indexes from 0
     slices: Dict[str, Optional[Polynomial]] = {}  # None: not certified
     results = []
     for s in syzygies:
         tagged = s.remainder * f1 ** s.nu if s.nu is not None else Polynomial.zero()
-        sub = {v: generators[v.name[2:]]
-               for v in s.relation.variables() | tagged.variables() if is_tag(v)}
+        variables = s.relation.variables() | tagged.variables()
+        sub = {v: generators[v.name[2:]] for v in variables if is_tag(v)}
         for v, g in sub.items():
             if v.name not in slices:
                 slices[v.name] = _certified_slice(g)
         cut = {v: slices[v.name] for v in sub}
-        certified = all(c is not None for c in cut.values())
+        # a variable of S or R that is no tag is not restricted to the slice
+        certified = len(sub) == len(variables) and all(c is not None for c in cut.values())
         residual, peak = _expand_sum(cut if certified else sub, s.relation, tagged)
         if certified and residual:  # the slice cannot decide
             residual, peak = _expand_sum(sub, s.relation, tagged)

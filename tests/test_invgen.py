@@ -295,15 +295,20 @@ def test_verify_syzygies_matches_the_polynomial_reference():
 def test_verify_syzygies_expands_in_full_what_the_slice_cannot_decide(monkeypatch):
     """f_1'' vanishes on the slice f_1'' = 0 but is no invariant (D_2 f_1'' =
     2 f_1'), and phi'' f_1' has a variable that is not a jet, whose terms the
-    slice would drop.  Syzygies over such "generators" are decided by the
-    full expansion, as the reference does it.  With the certificate skipped,
-    the slice alone would accept the first two."""
+    slice would drop.  A raw jet in S or R, such as f_2'' beside the tag of
+    the Wronskian W = f_1' f_2'' - f_1'' f_2', is not restricted to the slice
+    either, though W is certified.  Syzygies over such "generators" or with
+    such jets are decided by the full expansion, as the reference does it.
+    With the certificate skipped, the slice alone would accept the first
+    two."""
     import jetcalc.invgen as invgen
 
     f1, f1pp, p2 = (Polynomial.variable(v) for v in (jet(1, 1), jet(1, 2), phi(2)))
+    f2, f2pp = Polynomial.variable(jet(2, 1)), Polynomial.variable(jet(2, 2))
     t = {name: Polynomial.variable(tag(name, w, 0)) for name, w in
-         (("f1", 1), ("P", 2), ("B", 2), ("Q", 3), ("Q2", 4))}
-    gens = {"f1": f1, "P": f1pp, "B": f1pp + f1 ** 2, "Q": p2 * f1, "Q2": p2 * f1 ** 2}
+         (("f1", 1), ("P", 2), ("B", 2), ("Q", 3), ("Q2", 4), ("W", 3))}
+    gens = {"f1": f1, "P": f1pp, "B": f1pp + f1 ** 2, "Q": p2 * f1, "Q2": p2 * f1 ** 2,
+            "W": f1 * f2pp - f1pp * f2}
     cases = [
         Syzygy("P", t["P"], 2, None, Polynomial.zero()),
         # B - f_1'^2 = f_1'', though zero on the slice; max_terms from B
@@ -311,11 +316,16 @@ def test_verify_syzygies_expands_in_full_what_the_slice_cannot_decide(monkeypatc
         Syzygy("Q", t["Q"], 3, None, Polynomial.zero()),
         # a true syzygy over a generator with a phi'' still holds in full
         Syzygy("Q2", t["Q2"] - t["Q"] * t["f1"], 4, None, Polynomial.zero()),
+        # W - f_1' f_2'' = -f_1'' f_2', though zero on the slice: a raw jet in S
+        Syzygy("WS", t["W"] - f1 * f2pp, 3, None, Polynomial.zero()),
+        # f_1' W - f_1'^2 f_2'' = -f_1' f_1'' f_2': a raw jet in R
+        Syzygy("WR", t["W"] * t["f1"], 4, 1, -f1 * f2pp),
     ]
     got = [(c.ok, c.max_terms, c.detail) for c in verify_syzygies(cases, gens, "f1")]
     assert got == reference_verify(cases, gens, "f1") == [
         (False, 1, "residual has 1 terms"), (False, 2, "residual has 1 terms"),
-        (False, 1, "residual has 1 terms"), (True, 0, "")]
+        (False, 1, "residual has 1 terms"), (True, 0, ""),
+        (False, 1, "residual has 1 terms"), (False, 2, "residual has 1 terms")]
     monkeypatch.setattr(invgen, "killed", lambda p, operators: True)
     assert [c.ok for c in verify_syzygies(cases[:2], gens, "f1")] == [True, True]
 
