@@ -755,8 +755,13 @@ def catalog_from_json(doc: dict) -> CatalogData:
     for key, rows in doc.get("syzygies", {}).items():
         out = []
         for s in rows:
+            nu = s["nu"]
+            if nu is not None and (type(nu) is not int or nu < 0):
+                raise ValueError(f"syzygy {s['id']}: nu {nu!r} is not a power")
+            if nu is not None and not tags.keys() & {"f1", "f1'"}:
+                raise ValueError(f"syzygy {s['id']} has nu, but no entry is f1 or f1'")
             rel = parse_polynomial(s["S"], tags)
             rem = parse_polynomial(s["R"], tags)
-            out.append(Syzygy(s["id"], rel, s["weight"], s["nu"], rem))
+            out.append(Syzygy(s["id"], rel, s["weight"], nu, rem))
         data.syzygy_sets[key] = out
     return data

@@ -15,10 +15,12 @@ Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, 2006).
 t^j d/dt acts on jets as D_j f_i^(lam) = lam!/(lam-j)! f_i^(lam-j+1), and
 since [t^2 d/dt, t^j d/dt] = (j-2) t^(j+1) d/dt, D_2 and D_3 generate the
 algebra.  The unipotent algebra is generated by the lowering derivations
-E_i: f_(i+1)^(lam) -> f_i^(lam).  Each sends a jet variable to an integer
-times another, a move between packed exponent fields (`derivation_moves`),
-read so by the dimension oracle (`invgen.invariant_space_dimension`) and by
-`killed`, which certifies the generators of a syzygy check.  The
+E_i: f_(i+1)^(lam) -> f_i^(lam).  These and the total derivatives each send
+a variable to an integer times another: a derivation is a move table
+{v: (target, c)} (`Derivation`), applied to packed integer numerators by one
+kernel, read as the image (`derivative`), as a verdict (`killed`, which
+certifies the generators of a syzygy check) and, move by move
+(`derivation_moves`), by the dimension oracle of `invgen`.  The
 invariance checks of single polynomials apply the group actions themselves,
 by substitution, and return the residual as the witness of a failure.  The
 bracket identities (Jacobi, Pluecker) and the Bell-number count that check
@@ -42,7 +44,6 @@ from .polyring import (
     is_phi,
     jet,
     mono_degree,
-    mono_mul,
     phi,
     uni,
 )
@@ -64,43 +65,58 @@ def poly_jet(i: int, lam: int) -> Polynomial:
     return Polynomial.variable(jet(i, lam))
 
 
-def derivation(p: Polynomial, images: Dict[Variable, Polynomial]) -> Polynomial:
-    """Apply the derivation sending each variable to its image (Leibniz)."""
-    acc = {}
-    for m, c in p.terms.items():
-        for idx, (v, e) in enumerate(m):
-            img = images.get(v)
-            if img is None:
-                continue
-            rest = list(m)
-            if e == 1:
-                del rest[idx]
-            else:
-                rest[idx] = (v, e - 1)
-            rest = tuple(rest)
-            ce = c * e
-            for mi, ci in img.terms.items():
-                key = mono_mul(rest, mi)
-                acc[key] = acc.get(key, 0) + ci * ce
-    return Polynomial(_raw={m: c for m, c in acc.items() if c})
+# v -> c * target for each {v: (target, c)}, c an int; a variable not listed is killed
+Derivation = Dict[Variable, Tuple[Variable, int]]
+
+
+def derivation_moves(operators: Sequence[Derivation], packing: Packing) -> Dict[Variable, list]:
+    """Per variable v, one move (offset, c) for each v -> c * target of
+    operator k of K, on a `packing` that holds both variables: the monomial
+    of `code` sends a_v * c to row K * code + offset, offset = K *
+    (unit[target] - unit[v]) + k, the row of operator k and the image."""
+    count, unit, moves = len(operators), lambda v: packing.pack(((v, 1),)), {}
+    for k, table in enumerate(operators):
+        for v, (target, c) in table.items():
+            moves.setdefault(v, []).append((count * (unit(target) - unit(v)) + k, c))
+    return moves
+
+
+def _images(p: Polynomial, operators: Sequence[Derivation]) -> Tuple[Packing, int, Dict[int, int]]:
+    """p's images under the K derivations of `operators`, as (packing, den,
+    {K * code + k: numerator}): operator k's image is the sum of numerator /
+    den * monomial(code).  p is packed once, over its variables and the
+    moves'; a move keeps the total degree, so p's largest one is the limit."""
+    support = p.variables().union(*((v, t) for table in operators for v, (t, _) in table.items()))
+    packing = Packing(support, max(map(mono_degree, p.terms), default=0))
+    moves, count, acc = derivation_moves(operators, packing), len(operators), {}
+    den, num = clear_denominators(p.terms)
+    for m, c in num.items():
+        base = count * packing.pack(m)
+        for v, e in m:
+            for offset, d in moves.get(v, ()):
+                acc[base + offset] = acc.get(base + offset, 0) + e * d * c
+    return packing, den, acc
+
+
+def killed(p: Polynomial, operators: Sequence[Derivation]) -> bool:
+    """Whether every derivation of `operators` kills p."""
+    return not any(_images(p, operators)[2].values())
+
+
+def derivative(p: Polynomial, operator: Derivation) -> Polynomial:
+    """The image of p under one derivation; with K = 1 its rows are codes."""
+    packing, den, acc = _images(p, [operator])
+    return packing.unpack(den, acc)
 
 
 def total_derivative(p: Polynomial) -> Polynomial:
     """The total differentiation operator: f_k^(lam) -> f_k^(lam+1)."""
-    images = {}
-    for v in p.variables():
-        if is_jet(v):
-            images[v] = poly_jet(v.i, v.j + 1)
-    return derivation(p, images)
+    return derivative(p, {v: (jet(v.i, v.j + 1), 1) for v in p.variables() if is_jet(v)})
 
 
 def phi_total_derivative(p: Polynomial) -> Polynomial:
     """Derivation on reparametrization jets: phi^(j) -> phi^(j+1)."""
-    images = {}
-    for v in p.variables():
-        if is_phi(v):
-            images[v] = Polynomial.variable(phi(v.j + 1))
-    return derivation(p, images)
+    return derivative(p, {v: (phi(v.j + 1), 1) for v in p.variables() if is_phi(v)})
 
 
 # ---------------------------------------------------------------------------
@@ -177,68 +193,26 @@ def unipotent_substitution(p: Polynomial) -> Polynomial:
 # the Lie algebras of the two actions
 # ---------------------------------------------------------------------------
 
-Derivations = List[Dict[Variable, Polynomial]]
+def reparam_derivations(variables: Iterable[Variable]) -> List[Derivation]:
+    """D_2 and D_3: f_i^(lam) -> lam!/(lam-j)! f_i^(lam-j+1), j = 2, 3.
 
-
-def reparam_derivations(variables: Iterable[Variable]) -> Derivations:
-    """Images of D_2 and D_3: f_i^(lam) -> lam!/(lam-j)! f_i^(lam-j+1), j = 2, 3.
-
-    Jets of order lam < j are killed, so they have no image.
+    Jets of order lam < j are killed, so they have no move.
     """
     jets = [v for v in variables if is_jet(v)]
-    out = []
-    for j in (2, 3):
-        images = {}
-        for v in jets:
-            if v.j >= j:
-                falling = factorial(v.j) // factorial(v.j - j)
-                images[v] = falling * poly_jet(v.i, v.j - j + 1)
-        out.append(images)
-    return out
+    return [{v: (jet(v.i, v.j - j + 1), factorial(v.j) // factorial(v.j - j))
+             for v in jets if v.j >= j} for j in (2, 3)]
 
 
-def unipotent_derivations(variables: Iterable[Variable]) -> Derivations:
-    """Images of the lowering derivations E_i: f_(i+1)^(lam) -> f_i^(lam).
+def unipotent_derivations(variables: Iterable[Variable]) -> List[Derivation]:
+    """The lowering derivations E_i: f_(i+1)^(lam) -> f_i^(lam).
 
     Only the E_i that move a variable present are listed; the others kill.
     """
-    by_row: Dict[int, Dict[Variable, Polynomial]] = {}
+    by_row: Dict[int, Derivation] = {}
     for v in variables:
         if is_jet(v) and v.i > 1:
-            by_row.setdefault(v.i - 1, {})[v] = poly_jet(v.i - 1, v.j)
+            by_row.setdefault(v.i - 1, {})[v] = (jet(v.i - 1, v.j), 1)
     return [by_row[i] for i in sorted(by_row)]
-
-
-def derivation_moves(operators: Derivations, packing: Packing) -> Dict[Variable, list]:
-    """Per variable v, one move (offset, c) for each term v -> c * target of
-    operator k of K, on a `packing` that holds both variables: the monomial
-    of `code` sends a_v * c to row K * code + offset, offset = K *
-    (unit[target] - unit[v]) + k, the row of operator k and the image."""
-    count, unit, moves = len(operators), lambda v: packing.pack(((v, 1),)), {}
-    for k, images in enumerate(operators):
-        for v, img in images.items():
-            for mono, c in img.terms.items():
-                if len(mono) != 1 or mono[0][1] != 1 or c.denominator != 1:
-                    raise ValueError(f"the derivation image of {v} is not an integer "
-                                     f"times one variable: {img}")
-                moves.setdefault(v, []).append((count * (unit(mono[0][0]) - unit(v)) + k,
-                                                c.numerator))
-    return moves
-
-
-def killed(p: Polynomial, operators: Derivations) -> bool:
-    """Whether every derivation of `operators` kills p, by their moves on p's
-    packed integer numerators."""
-    packing = Packing(p.variables().union(*(img.variables() for images in operators
-                                            for img in images.values())),
-                      max(map(mono_degree, p.terms), default=0))
-    moves, count, acc = derivation_moves(operators, packing), len(operators), {}
-    for m, c in clear_denominators(p.terms)[1].items():
-        base = count * packing.pack(m)
-        for v, e in m:
-            for offset, d in moves.get(v, ()):
-                acc[base + offset] = acc.get(base + offset, 0) + e * d * c
-    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------

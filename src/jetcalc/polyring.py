@@ -857,7 +857,9 @@ def parse_polynomial(text: str, tags: Optional[Mapping[str, Variable]] = None) -
     """Parse the canonical text form produced by format_polynomial.
 
     Tag weights and ordering indices are context, not syntax: pass `tags`
-    mapping bare tag names to their Variables to round-trip them bit-exactly.
+    mapping bare tag names to their Variables to round-trip them bit-exactly;
+    a tag not in them raises ValueError, as do an exponent below 1 and a
+    zero denominator.
     """
     text = text.strip()
     if text in ("0", ""):
@@ -876,15 +878,20 @@ def parse_polynomial(text: str, tags: Optional[Mapping[str, Variable]] = None) -
             if not fac:
                 continue
             if fac[0].isdigit():
-                coeff *= Fraction(fac)
+                try:
+                    coeff *= Fraction(fac)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator: {fac!r}") from None
                 continue
             if "^" in fac:
                 vname, _, e = fac.partition("^")
-                exp = int(e)
+                exp = _exponent(e, vname)
             else:
                 vname, exp = fac, 1
             vname = vname.strip()
-            if tags and vname.startswith("t:") and vname[2:] in tags:
+            if tags is not None and vname.startswith("t:"):
+                if vname[2:] not in tags:
+                    raise ValueError(f"unknown tag: {vname!r}")
                 v = tags[vname[2:]]
             else:
                 v = parse_variable(vname)
@@ -907,19 +914,24 @@ def poly_to_json(p: Polynomial) -> list:
     return out
 
 
-def poly_from_json(data: Iterable, tags: Optional[Mapping[str, Variable]] = None) -> Polynomial:
+def poly_from_json(data: Iterable) -> Polynomial:
+    """Inverse of `poly_to_json`; an exponent below 1 or a zero denominator
+    raises ValueError."""
     terms: Dict[Monomial, Fraction] = {}
     for expmap, num, den in data:
-        mono = []
-        for name, e in expmap.items():
-            if tags and name.startswith("t:") and name[2:] in tags:
-                v = tags[name[2:]]
-            else:
-                v = parse_variable(name)
-            mono.append((v, int(e)))
-        mono.sort(key=lambda pair: pair[0].key)
+        mono = sorted(((parse_variable(name), _exponent(e, name)) for name, e in expmap.items()),
+                      key=lambda pair: pair[0].key)
+        if not int(den):
+            raise ValueError(f"zero denominator: {num}/{den}")
         terms[tuple(mono)] = Fraction(int(num), int(den))
     return Polynomial(_raw=terms)
+
+
+def _exponent(text, name: str) -> int:
+    e = int(text)
+    if e < 1:
+        raise ValueError(f"exponent {e} of {name} is below 1")
+    return e
 
 
 def content(p: Polynomial) -> Fraction:

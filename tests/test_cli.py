@@ -218,6 +218,49 @@ def test_verify_corrupted_fixture(tmp_path, capsys, monkeypatch):
     assert report["syzygy_sets"]["fundamental"]["failing"] == ["E2k3.1"]
 
 
+def _tag_nope(doc):
+    doc["syzygies"]["fundamental"][0]["S"] += " + t:Nope"
+
+
+def _no_f1_entry(doc):
+    doc["entries"][0]["name"] = "g1"  # no syzygy names f1, but nu needs it
+
+
+def _negative_nu(doc):
+    doc["syzygies"]["fundamental"][0]["nu"] = -1
+
+
+def _zero_denominator(doc):
+    doc["entries"][2]["polynomial"][0][2] = "0"
+
+
+def _zero_exponent(doc):
+    doc["entries"][0]["polynomial"][0][0] = {"f[1]'": 0}
+
+
+def _negative_exponent(doc):
+    doc["entries"][0]["polynomial"][0][0] = {"f[1]'": -1}
+
+
+@pytest.mark.parametrize("corrupt", [_tag_nope, _no_f1_entry, _negative_nu, _zero_denominator,
+                                     _zero_exponent, _negative_exponent],
+                         ids=lambda f: f.__name__[1:])
+def test_verify_malformed_checksummed_catalog(tmp_path, capsys, monkeypatch, corrupt):
+    """A checksummed override that cannot be a catalog is a usage error: one
+    stderr line, never a traceback, and not an integrity failure."""
+    from jetcalc.catalog import catalog_checksum, catalog_to_json, load_catalog
+
+    doc = catalog_to_json(load_catalog("E2k3"))
+    corrupt(doc)
+    del doc["checksum"]
+    doc["checksum"] = catalog_checksum(doc)
+    (tmp_path / "E2k3.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("JETCALC_CATALOG_DIR", str(tmp_path))
+    code, err = exit_code(capsys, "verify", "--catalog", "E2k3")
+    assert code == EX_USAGE
+    assert err.count("\n") == 1 and "cannot load catalog" in err
+
+
 def test_chi_rousseau(capsys):
     code, out, _ = run_cli(capsys, "chi", "--target", "rousseau-E33")
     assert code == EX_OK

@@ -26,7 +26,6 @@ from jetcalc.groebner import (
 from jetcalc.jets import (
     JetContext,
     bracket,
-    derivation,
     initial_invariants,
     poly_jet,
     restrict_f1,
@@ -44,6 +43,7 @@ from jetcalc.polyring import (
     tag,
     uni,
 )
+from test_jets import derivation
 
 
 def T(name, weight=0, index=0):

@@ -8,8 +8,8 @@ f_i -> f_i + sum_{j<i} u_ij f_j.  A polynomial is invariant when its image
 equals it, and the substitution dimension oracle here counts the kernel of
 p -> image(p) - p.  The derivation verdicts of single polynomials are
 computed here as well, so both criteria are compared on the same inputs,
-and `killed_by` (Leibniz on tuple monomials) is the oracle of `jets.killed`,
-the certificate that decides by moves on packed integer numerators.
+and `killed_by` (Leibniz on tuple monomials, `test_jets.derivation`) is the
+oracle of `jets.killed`, which decides by moves on packed integer numerators.
 """
 
 from fractions import Fraction
@@ -24,7 +24,7 @@ from jetcalc.jets import (
     JetContext,
     check_reparam_invariance,
     check_unipotent_invariance,
-    derivation,
+    derivative,
     faa_di_bruno,
     killed,
     poly_jet,
@@ -36,6 +36,7 @@ from jetcalc.jets import (
     unipotent_substitution,
 )
 from jetcalc.polyring import Polynomial, clear_denominators, jet, phi, tag, uni
+from test_jets import derivation
 
 
 def killed_by(p: Polynomial, derivations) -> bool:
@@ -182,14 +183,16 @@ def test_reparam_derivations_are_the_linear_part_of_faa_di_bruno(j):
     matrix = faa_di_bruno(kappa)
     others = {phi(k): Polynomial.zero() for k in range(2, kappa + 1) if k != j}
     variables = [jet(2, lam) for lam in range(1, kappa + 1)]
-    images = reparam_derivations(variables)[j - 2]
+    table = reparam_derivations(variables)[j - 2]
+    assert all(type(c) is int for _, c in table.values())
     for v in variables:
         linear = Polynomial.zero()
         for mu in range(1, v.j):
             entry = matrix[v.j][mu].substitute(others)
             coeff = entry.terms.get(((phi(j), 1),), 0)
             linear = linear + factorial(j) * coeff * poly_jet(2, mu)
-        assert images.get(v, Polynomial.zero()) == linear, v
+        target, c = table.get(v, (v, 0))  # a jet the table omits is killed
+        assert linear == c * Polynomial.variable(target), v
 
 
 def test_d2_d3_generate_the_reparametrization_algebra():
@@ -198,7 +201,7 @@ def test_d2_d3_generate_the_reparametrization_algebra():
     d2, d3 = reparam_derivations(variables)
     for v in variables:
         p = Polynomial.variable(v)
-        bracket = derivation(derivation(p, d3), d2) - derivation(derivation(p, d2), d3)
+        bracket = derivative(derivative(p, d3), d2) - derivative(derivative(p, d2), d3)
         d4 = (factorial(v.j) // factorial(v.j - 4)) * poly_jet(1, v.j - 3) \
             if v.j >= 4 else Polynomial.zero()
         assert bracket == -d4, v
@@ -207,7 +210,7 @@ def test_d2_d3_generate_the_reparametrization_algebra():
 def test_unipotent_derivations_lower_one_component():
     variables = [jet(i, lam) for i in (1, 2, 3) for lam in (1, 2)]
     e1, e2 = unipotent_derivations(variables)
-    assert e1 == {jet(2, 1): poly_jet(1, 1), jet(2, 2): poly_jet(1, 2)}
-    assert e2 == {jet(3, 1): poly_jet(2, 1), jet(3, 2): poly_jet(2, 2)}
+    assert e1 == {jet(2, 1): (jet(1, 1), 1), jet(2, 2): (jet(1, 2), 1)}
+    assert e2 == {jet(3, 1): (jet(2, 1), 1), jet(3, 2): (jet(2, 2), 1)}
     # f_3' alone: E_1 has nothing to move and is left out
-    assert unipotent_derivations([jet(3, 1)]) == [{jet(3, 1): poly_jet(2, 1)}]
+    assert unipotent_derivations([jet(3, 1)]) == [{jet(3, 1): (jet(2, 1), 1)}]

@@ -12,6 +12,7 @@ from jetcalc.jets import (
     check_unipotent_invariance,
     component_degrees,
     delta_minor,
+    derivative,
     divide_f1_power,
     faa_di_bruno,
     initial_bi_invariants,
@@ -19,11 +20,13 @@ from jetcalc.jets import (
     maximal_f1_power,
     phi_total_derivative,
     poly_jet,
+    reparam_derivations,
     restrict_f1,
     total_derivative,
+    unipotent_derivations,
     wronskian,
 )
-from jetcalc.polyring import Packing, Polynomial, jet, mono_mul, phi, tag, uni
+from jetcalc.polyring import Packing, Polynomial, is_jet, is_phi, jet, mono_mul, phi, tag, uni
 
 
 def P(v):
@@ -63,6 +66,28 @@ def plucker2(p: Weighted, q: Weighted, r: Weighted, s: Weighted) -> Polynomial:
             + bracket(S, P, weights=(ws, wp)) * bracket(R, Q, weights=(wr, wq))
             + bracket(Q, S, weights=(wq, ws)) * bracket(R, P, weights=(wr, wp)))
 
+
+def derivation(p: Polynomial, images) -> Polynomial:
+    """Leibniz on tuple monomials: the derivation sending each variable v of
+    `images` to images[v], a Polynomial or a move (target, c) for c * target;
+    the oracle of the packed kernel behind `jets.derivative` and `jets.killed`."""
+    acc = {}
+    for m, c in p.terms.items():
+        for idx, (v, e) in enumerate(m):
+            img = images.get(v)
+            if img is None:
+                continue
+            if isinstance(img, tuple):
+                img = img[1] * P(img[0])
+            rest = list(m)
+            if e == 1:
+                del rest[idx]
+            else:
+                rest[idx] = (v, e - 1)
+            for mi, ci in img.terms.items():
+                key = mono_mul(tuple(rest), mi)
+                acc[key] = acc.get(key, 0) + ci * c * e
+    return Polynomial(_raw={m: c for m, c in acc.items() if c})
 
 
 def bell_number_by_set_partitions(k: int) -> int:
@@ -179,6 +204,34 @@ def test_total_derivative_is_a_derivation(seed):
     rng = random.Random(400 + seed)
     p, q = random_poly(rng), random_poly(rng)
     assert total_derivative(p * q) == total_derivative(p) * q + p * total_derivative(q)
+
+
+def test_derivative_matches_the_leibniz_oracle():
+    """The one packed kernel against Leibniz on tuple monomials, for D_2,
+    D_3, each E_i and the total derivatives of jets and of phi, on random
+    polynomials in jet, phi, u and tag variables with Fraction coefficients,
+    a constant and zero."""
+    import random
+
+    from test_packed import VARS, random_poly
+
+    variables = [jet(i, lam) for i in (1, 2, 3) for lam in (1, 2, 3, 4)] + VARS
+    operators = reparam_derivations(variables) + unipotent_derivations(variables) + [
+        {v: (jet(v.i, v.j + 1), 1) for v in variables if is_jet(v)},
+        {v: (phi(v.j + 1), 1) for v in variables if is_phi(v)}]
+    assert len(operators) == 6
+    rng = random.Random(27)
+    cases = [random_poly(rng, rng.randint(1, 8), 4, 3) for _ in range(40)]
+    cases += [Polynomial.constant(Fraction(-5, 3)), Polynomial.zero()]
+    nonzero = 0
+    for p in cases:
+        for table in operators:
+            got = derivative(p, table)
+            assert got == derivation(p, table), (p, table)
+            nonzero += bool(got)
+        assert total_derivative(p) == derivation(p, operators[4])
+        assert phi_total_derivative(p) == derivation(p, operators[5])
+    assert nonzero > len(cases) * 2
 
 
 def test_bracket_basics_and_antisymmetry():
