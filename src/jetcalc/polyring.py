@@ -915,14 +915,14 @@ def poly_to_json(p: Polynomial) -> list:
 
 
 def poly_from_json(data: Iterable) -> Polynomial:
-    """Inverse of `poly_to_json`; an exponent below 1 or a zero denominator
-    raises ValueError."""
+    """Inverse of `poly_to_json`; an exponent below 1, a zero numerator or a
+    zero denominator raises ValueError."""
     terms: Dict[Monomial, Fraction] = {}
     for expmap, num, den in data:
         mono = sorted(((parse_variable(name), _exponent(e, name)) for name, e in expmap.items()),
                       key=lambda pair: pair[0].key)
-        if not int(den):
-            raise ValueError(f"zero denominator: {num}/{den}")
+        if not int(num) or not int(den):
+            raise ValueError(f"zero numerator or denominator: {num}/{den}")
         terms[tuple(mono)] = Fraction(int(num), int(den))
     return Polynomial(_raw=terms)
 

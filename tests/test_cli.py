@@ -234,6 +234,10 @@ def _zero_denominator(doc):
     doc["entries"][2]["polynomial"][0][2] = "0"
 
 
+def _zero_numerator(doc):
+    doc["entries"][2]["polynomial"][0][1] = "0"
+
+
 def _zero_exponent(doc):
     doc["entries"][0]["polynomial"][0][0] = {"f[1]'": 0}
 
@@ -243,7 +247,7 @@ def _negative_exponent(doc):
 
 
 @pytest.mark.parametrize("corrupt", [_tag_nope, _no_f1_entry, _negative_nu, _zero_denominator,
-                                     _zero_exponent, _negative_exponent],
+                                     _zero_numerator, _zero_exponent, _negative_exponent],
                          ids=lambda f: f.__name__[1:])
 def test_verify_malformed_checksummed_catalog(tmp_path, capsys, monkeypatch, corrupt):
     """A checksummed override that cannot be a catalog is a usage error: one
