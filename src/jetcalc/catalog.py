@@ -36,8 +36,6 @@ from .polyring import (
     Polynomial,
     Variable,
     format_polynomial,
-    jet,
-    packed_images,
     parse_polynomial,
     poly_from_json,
     poly_to_json,
@@ -82,13 +80,8 @@ class CatalogData:
     def generator_map(self) -> Dict[str, Polynomial]:
         return {e.name: e.poly for e in self.entries}
 
-    def syzygies(self, which: Optional[str] = None) -> List[Syzygy]:
-        if which is not None:
-            return self.syzygy_sets[which]
-        out = []
-        for key in sorted(self.syzygy_sets):
-            out.extend(self.syzygy_sets[key])
-        return out
+    def syzygies(self) -> List[Syzygy]:
+        return [s for key in sorted(self.syzygy_sets) for s in self.syzygy_sets[key]]
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +151,8 @@ def _run_recipes(base: Mapping[str, Polynomial],
                  recipes: Mapping[str, str]) -> Dict[str, Polynomial]:
     """The generators of `recipes` in their order: `base` holds those built
     in `jets`, and each other recipe, '(S) / f1^k' over the generators before
-    it (its first form, before ' = '), runs as written: S is imaged on packed
-    integers, and each term's code drops f1^k, which it must carry."""
+    it (its first form, before ' = '), runs as written: S is imaged and
+    divided by f1^k (`divide_f1_power`), which each term must carry."""
     built: Dict[str, Polynomial] = {}
     for name, recipe in recipes.items():
         if name in base:
@@ -169,12 +162,8 @@ def _run_recipes(base: Mapping[str, Polynomial],
         if m is None:
             raise ValueError(f"{name}: not a quotient recipe: {recipe!r}")
         s = parse_tag_expression(m[1], {g: tag(g) for g in built})
-        packing, [(den, terms)] = packed_images({tag(g): p for g, p in built.items()}, [s])
-        f1, k = jet(1, 1), int(m[2] or 1)
-        if any(packing.exponent(code, f1) < k for code in terms):
-            raise ValueError(f"{name}: {recipe!r} is not divisible by f_1'^{k}")
-        f1k = packing.pack(((f1, k),)) if terms else 0
-        built[name] = packing.unpack(den, {code - f1k: c for code, c in terms.items()})
+        value = s.substitute({tag(g): p for g, p in built.items()})
+        built[name] = divide_f1_power(value, int(m[2] or 1))
     return built
 
 

@@ -176,13 +176,13 @@ def cmd_chi(args) -> int:
         doc["approximate_roots"] = [round(r, 8) for r in euler.real_roots_approx(chi)]
     elif args.target == "E43":
         totals = euler.e43_slot_totals()
-        chi = euler.chi_e43_leading(totals=totals)
+        chi = euler.chi_e43_leading(totals)
         den = 206133591045620367360000000
         doc["chi_m11_coefficient"] = _poly_report(chi, den)
         doc["positivity_threshold"] = euler.positivity_threshold(chi)
         doc["approximate_roots"] = [round(r, 8) for r in euler.real_roots_approx(chi)]
         if args.with_h2:
-            h2c = euler.h2_majorant_coefficient(totals=totals)
+            h2c = euler.h2_majorant_coefficient(totals)
             h0 = euler.h0_minorant(chi, h2c)
             doc["h2_majorant_coefficient"] = str(h2c)
             doc["h0_minorant"] = _poly_report(h0, den)

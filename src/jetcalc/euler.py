@@ -228,18 +228,16 @@ def e43_slot_totals(families: Optional[List[FamilySpec]] = None) -> Dict[str, Fr
     return slot_totals(family_contributions(families, 3))
 
 
-def chi_e43_leading(families: Optional[List[FamilySpec]] = None,
-                    totals: Optional[Dict[str, Fraction]] = None) -> DegreePolynomial:
+def chi_e43_leading(totals: Dict[str, Fraction]) -> DegreePolynomial:
     """Coefficient of m^11 in chi of the dimension-3 order-4 jet bundle, from
-    the `e43_slot_totals` when given."""
-    return assemble_chi(totals if totals is not None else e43_slot_totals(families), 3)
+    the `e43_slot_totals`."""
+    return assemble_chi(totals, 3)
 
 
 H2_FACTOR = Fraction(3, 2)
 
 
-def h2_majorant_coefficient(families: Optional[List[FamilySpec]] = None,
-                            totals: Optional[Dict[str, Fraction]] = None) -> Fraction:
+def h2_majorant_coefficient(totals: Dict[str, Fraction]) -> Fraction:
     """Sum over the families of the integrated h^2 bound kernel.
 
     The imported per-bundle bound is d(d+13) * (3/2)(l1+l2+l3)^3 *
@@ -247,11 +245,9 @@ def h2_majorant_coefficient(families: Optional[List[FamilySpec]] = None,
     coefficient multiplying d(d+13).  By the bialternant formula and Pieri's
     rule, (l1+l2+l3)^3 times the Vandermonde product is -(D015 + 2 D024 +
     D123) in the ascending slot determinants, so the kernel integrates to
-    that combination of the dimension-3 slot totals (the `e43_slot_totals`,
-    when given).
+    that combination of the dimension-3 slot totals, the `e43_slot_totals`.
     """
-    t = totals if totals is not None else e43_slot_totals(families)
-    return -H2_FACTOR * (t["015"] + 2 * t["024"] + t["123"])
+    return -H2_FACTOR * (totals["015"] + 2 * totals["024"] + totals["123"])
 
 
 def h0_minorant(chi43: DegreePolynomial, h2_coefficient: Fraction) -> DegreePolynomial:
@@ -262,7 +258,7 @@ def h0_minorant(chi43: DegreePolynomial, h2_coefficient: Fraction) -> DegreePoly
 
 def h0_minorant_e43(families: Optional[List[FamilySpec]] = None) -> DegreePolynomial:
     totals = e43_slot_totals(families)
-    return h0_minorant(chi_e43_leading(totals=totals), h2_majorant_coefficient(totals=totals))
+    return h0_minorant(chi_e43_leading(totals), h2_majorant_coefficient(totals))
 
 
 def chi_rousseau_e33() -> DegreePolynomial:

@@ -30,7 +30,7 @@ from .jets import (
     killed,
     maximal_f1_power,
     reparam_derivations,
-    restrict_f1,
+    restrict_f1_higher,
     unipotent_derivations,
 )
 from .polyring import (
@@ -75,14 +75,10 @@ def extract_remainder(s: Polynomial,
     value = s.substitute(generators)
     if value.is_zero():
         return None, Polynomial.zero()
-    restricted = restrict_f1(value)
-    if not restricted.is_zero():
+    nu = maximal_f1_power(value)  # 0 exactly when a term survives f_1' = 0
+    if nu == 0:
         raise ValueError("relation does not vanish on the restriction f_1'=0")
-    nu = maximal_f1_power(value)
-    if nu < 1:
-        raise ValueError("vanishing on restriction but no f_1' factor; not a relation")
-    remainder = -divide_f1_power(value, nu)
-    return nu, remainder
+    return nu, -divide_f1_power(value, nu)
 
 
 @dataclass
@@ -232,19 +228,17 @@ def run_generation(ctx: JetContext, mode: str = "full",
                                        membership.expression))
                 continue
             all_expressible = False
-            # strip any residual f_1' power so the new generator is primitive
-            extra = maximal_f1_power(rem)
-            core = divide_f1_power(rem, extra)
-            known = next((g for g in pool if proportional(core, g.poly)), None)
+            # rem carries no f_1' factor: extract_remainder divided out the largest power
+            known = next((g for g in pool if proportional(rem, g.poly)), None)
             if known is None:
-                cw = core.weighted_degree()
-                renamed = normalizer(core) if normalizer else None
+                cw = rem.weighted_degree()
+                renamed = normalizer(rem) if normalizer else None
                 if renamed is not None:
-                    name, core = renamed
+                    name, rem = renamed
                 else:
                     name = _next_name(cw, taken)
                 taken.add(name)
-                inv = Invariant(name, cw, core, provenance=f"remainder:L{state.loop_count}.{k}")
+                inv = Invariant(name, cw, rem, provenance=f"remainder:L{state.loop_count}.{k}")
                 new_invariants.append(inv)
                 state.transcript.append(
                     f"loop {state.loop_count}: new invariant {name} (weight {cw})")
@@ -389,11 +383,10 @@ def _expand_sum(sub: Dict[Variable, Polynomial], s: Polynomial, r: Polynomial) -
 
 def _certified_slice(g: Polynomial) -> Optional[Polynomial]:
     """g's terms free of f_1^(lam), lam >= 2, if g is a jet polynomial that
-    D_2 and D_3 kill, else None.  f_1's jets lead a monomial, by order."""
+    D_2 and D_3 kill, else None."""
     variables = g.variables()
     if all(map(is_jet, variables)) and killed(g, reparam_derivations(variables)):
-        return Polynomial(_raw={m: c for m, c in g.terms.items()
-                                if all(v.i > 1 or v.j == 1 for v, _ in m[:2])})
+        return restrict_f1_higher(g)
     return None
 
 

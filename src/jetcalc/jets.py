@@ -323,6 +323,14 @@ def restrict_f1(p: Polynomial) -> Polynomial:
     return Polynomial(_raw={m: c for m, c in p.terms.items() if not m or m[0][0] is not f1})
 
 
+def restrict_f1_higher(p: Polynomial) -> Polynomial:
+    """Substitute f_1'' = ... = f_1^(kappa) = 0, the slice of the moving frame:
+    the terms free of f_1^(lam), lam >= 2.  f_1's jets are the most senior
+    variables, by order, so one of them leads a monomial or follows f_1'."""
+    return Polynomial(_raw={m: c for m, c in p.terms.items()
+                            if not any(is_jet(v) and v.i == 1 and v.j > 1 for v, _ in m[:2])})
+
+
 def component_degrees(p: Polynomial, n: int) -> Optional[Tuple[int, ...]]:
     """Per-component jet degree vector when constant across terms, else None.
 

@@ -501,11 +501,6 @@ class Packing:
             out[a + b] = Fraction(c) if den == 1 else Fraction(c, den)
         return Polynomial(_raw=out)
 
-    def exponent(self, code: int, v: Variable) -> int:
-        """The exponent of `v` in the monomial of `code`, 0 off the universe."""
-        unit = self._unit.get(v, 0)  # its lowest bit is the bottom of v's field
-        return (code >> (unit & -unit).bit_length() - 1) & self.limit if unit else 0
-
     def degree(self, code: int) -> int:
         if not self.ordered:
             raise ValueError("an order-free packing has no degree field")

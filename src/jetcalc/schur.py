@@ -175,24 +175,18 @@ def chi_slots(n: int) -> Tuple[ChiSlot, ...]:
 # the 24 monomial families of the dimension-4 decomposition
 # ---------------------------------------------------------------------------
 
-# exponent letters in the fixed generator order; o and p are the free
-# powers of f_1' and of the full Wronskian
+# exponent letters of the sixteen UE4k4 generators (`_letter_entries`); o and
+# p are the free powers of f_1' and of the full Wronskian
 FAMILY_LETTERS = "abcdefghijklmnop"
 
-GENERATOR_ORDER = ("L3", "L5", "L7", "D6", "D8", "N10", "M8", "E10",
-                   "L12", "Q14", "R15", "U17", "V19", "X21", "f1", "W10")
 
-GENERATOR_WEIGHTS = dict(L3=3, L5=5, L7=7, D6=6, D8=8, N10=10, M8=8, E10=10,
-                         L12=12, Q14=14, R15=15, U17=17, V19=19, X21=21,
-                         f1=1, W10=10)
-
-
-def generator_schur_counts() -> Dict[str, Tuple[int, int, int, int]]:
-    """Per-component index counts of the sixteen bi-invariants (computed)."""
+def _letter_entries() -> dict:
+    """The UE4k4 `CatalogEntry`s by letter: a..n in catalog order, then f1
+    and W10."""
     from .catalog import load_catalog
 
-    data = load_catalog("UE4k4")
-    return {e.name: tuple(e.counts) for e in data.entries}
+    entries = load_catalog("UE4k4").entries  # a stable sort keeps their order
+    return dict(zip(FAMILY_LETTERS, sorted(entries, key=lambda e: e.name in ("f1", "W10"))))
 
 
 @dataclass
@@ -276,19 +270,15 @@ def quadrant_complement_words(vertices: List[Dict[str, int]]) -> List[Constraint
 
 
 def syzygy_lead_vertices_lex() -> List[Dict[str, int]]:
-    """Leading-term quadrants of the 41 syzygies under the listing Lex order,
-    which is the catalog tags' Lex order while its entries follow it."""
+    """Leading-term quadrants of the 41 syzygies under the Lex order of the
+    catalog's tags, which the letters a..n follow."""
     from .catalog import load_catalog
     from .polyring import Lex
 
-    data = load_catalog("UE4k4")
-    letters = {name: FAMILY_LETTERS[k] for k, name in enumerate(GENERATOR_ORDER)}
-    active = [name for name in GENERATOR_ORDER if name not in ("f1", "W10")]
-    if [e.name for e in data.entries if e.name not in ("f1", "W10")] != active:
-        raise AssertionError("UE4k4 entries are not listed in GENERATOR_ORDER")
+    letters = {e.name: x for x, e in _letter_entries().items()}
     order = Lex()
     return [{letters[v.name[2:]]: e for v, e in order.leading_monomial(s.relation)}
-            for s in data.syzygy_sets["lex41"]]
+            for s in load_catalog("UE4k4").syzygy_sets["lex41"]]
 
 
 @lru_cache(maxsize=None)
@@ -302,10 +292,9 @@ def _family_words() -> Tuple[Tuple[str, int], ...]:
 def enumerate_families() -> List[FamilySpec]:
     """The 24 families with multiplicities from the quadrant-word computation;
     every call returns new lists and dicts."""
-    counts = generator_schur_counts()
-    letter_of = {name: FAMILY_LETTERS[k] for k, name in enumerate(GENERATOR_ORDER)}
-    weights = {letter_of[n]: GENERATOR_WEIGHTS[n] for n in GENERATOR_ORDER}
-    lcounts = {letter_of[n]: counts[n] for n in GENERATOR_ORDER}
+    entries = _letter_entries()
+    weights = {x: e.weight for x, e in entries.items()}
+    lcounts = {x: tuple(e.counts) for x, e in entries.items()}
     if len(_family_words()) > 26:
         raise AssertionError("unexpected family count")
     out = []

@@ -329,7 +329,7 @@ def test_criterion_12a_threshold_96_and_h2(dim4_data, families):
     clock = Clock(60)
     _, _, chi44, _ = dim4_data
     assert euler.positivity_threshold(chi44) == 96
-    assert euler.h2_majorant_coefficient(families) == H2_COEFFICIENT
+    assert euler.h2_majorant_coefficient(euler.e43_slot_totals(families)) == H2_COEFFICIENT
     record_criterion("12a", "threshold 96 (dim 4) + exact h^2 constant", True,
                      f"{clock.done():.1f}s")
 
@@ -341,7 +341,7 @@ def test_criterion_12a_threshold_96_and_h2(dim4_data, families):
                           "test_euler.test_dimension3_chi_threshold_is_26)")
 def test_criterion_12b_threshold_29(families):
     """Printed threshold 29 for the dimension-3 characteristic."""
-    chi43 = euler.chi_e43_leading(families)
+    chi43 = euler.chi_e43_leading(euler.e43_slot_totals(families))
     threshold = euler.positivity_threshold(chi43)
     record_criterion("12b", "threshold 29 (dim 3 chi)", threshold == 29,
                      f"computed {threshold}; documented source defect")

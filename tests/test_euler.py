@@ -24,6 +24,7 @@ from jetcalc.euler import (
     cauchy_bound,
     chi_e43_leading,
     chi_rousseau_e33,
+    e43_slot_totals,
     family_contributions,
     h0_minorant_e43,
     h2_majorant_coefficient,
@@ -575,7 +576,7 @@ def test_integer_chain_members_are_positive_multiples_of_the_oracle():
     chi(E44) and rousseau-E33."""
     chi44 = assemble_chi(slot_totals(family_contributions(enumerate_families(), 4)), 4)
     polys = [sturm_case(case)[0] for case in CASE_IDS]
-    polys += [chi_e43_leading(), h0_minorant_e43(), chi44, chi_rousseau_e33()]
+    polys += [chi_e43_leading(e43_slot_totals()), h0_minorant_e43(), chi44, chi_rousseau_e33()]
     for p in polys:
         chain, oracle = integer_sturm_chain(p), fraction_sturm_chain(p)
         assert len(chain) == len(oracle)
@@ -690,7 +691,7 @@ def test_h2_majorant_matches_the_kernel_integrated_per_family():
     kernel = {"h2": h2_kernel()}
     total = sum(f.multiplicity * _integrate(kernel, *_family_forms(f, 3))["h2"]
                 for f in families)
-    assert h2_majorant_coefficient(families) == total
+    assert h2_majorant_coefficient(e43_slot_totals(families)) == total
     for f in families:
         t = family_contributions([f], 3)[0].slots
         assert _integrate(kernel, *_family_forms(f, 3))["h2"] == \
@@ -753,7 +754,7 @@ def test_rousseau_cross_check():
 def test_dimension3_chi_threshold_is_26():
     """The exact dimension-3 assembly gives 26; criterion 12b keeps the
     printed 29 as a strict expected failure."""
-    chi43 = chi_e43_leading()
+    chi43 = chi_e43_leading(e43_slot_totals())
     assert positivity_threshold(chi43) == 26
     assert chi43(26) > 0 >= chi43(25)
 

@@ -12,7 +12,7 @@ from jetcalc.invgen import (
     state_normal_form_monomials,
     verify_syzygies,
 )
-from jetcalc.jets import JetContext, check_reparam_invariance
+from jetcalc.jets import JetContext, check_reparam_invariance, maximal_f1_power
 from jetcalc.polyring import Polynomial, is_tag, jet, phi, proportional, tag
 
 
@@ -81,6 +81,18 @@ def test_generated_invariants_pass_invariance():
     for g in state.generators:
         rep = check_reparam_invariance(g.poly)
         assert rep and rep.weight == g.weight
+
+
+@pytest.mark.parametrize("n,kappa,mode,added", [
+    (2, 3, "full", 1), (2, 4, "full", 4), (3, 3, "bi", 0), (2, 4, "bi", 1),
+])
+def test_remainder_generators_carry_no_f1_factor(n, kappa, mode, added):
+    """A generator made from a remainder is added as `extract_remainder`
+    leaves it, with the largest power of f_1' already divided out."""
+    state = run_generation(JetContext(n, kappa), mode)
+    made = [g for g in state.generators if g.provenance.startswith("remainder:")]
+    assert len(made) == added
+    assert all(maximal_f1_power(g.poly) == 0 for g in made)
 
 
 def test_normal_form_monomials_basics():

@@ -22,6 +22,7 @@ from jetcalc.jets import (
     poly_jet,
     reparam_derivations,
     restrict_f1,
+    restrict_f1_higher,
     total_derivative,
     unipotent_derivations,
     wronskian,
@@ -373,15 +374,22 @@ def scan_divide_f1_power(p: Polynomial, nu: int) -> Polynomial:
     return Polynomial(terms)
 
 
-F1_MIXED_VARS = [jet(1, 2), jet(2, 1), jet(3, 4), phi(1), phi(3), uni(2, 1), uni(3, 1),
+def scan_restrict_f1_higher(p: Polynomial) -> Polynomial:
+    """The terms with no f_1^(lam), lam >= 2, each monomial scanned whole."""
+    return Polynomial({m: c for m, c in p.terms.items()
+                       if not any(is_jet(v) and v.i == 1 and v.j >= 2 for v, _ in m)})
+
+
+F1_MIXED_VARS = [jet(1, 2), jet(1, 3), jet(2, 1), jet(3, 4), phi(1), phi(3), uni(2, 1), uni(3, 1),
                  tag("A", 3, 0), tag("B", 5, 1)]
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_f1_power_reads_match_whole_monomial_scans(seed):
-    """Reading f_1' off the first factor agrees with scanning every factor,
-    on monomials made by mono_mul and by Packing.unpack, with jet, phi, uni
-    and tag variables and, in some cases, a constant term."""
+    """Reading f_1' off the first factor, and f_1'', f_1''' off the first
+    two, agrees with scanning every factor, on monomials made by mono_mul and
+    by Packing.unpack, with jet, phi, uni and tag variables and, in some
+    cases, a constant term."""
     import random
 
     rng = random.Random(seed)
@@ -401,6 +409,7 @@ def test_f1_power_reads_match_whole_monomial_scans(seed):
     for q in (p, unpacked):
         top = maximal_f1_power(q)
         assert top == scan_maximal_f1_power(q) >= base
+        assert restrict_f1_higher(q) == scan_restrict_f1_higher(q)
         for nu in range(top + 2):
             if nu <= top:
                 assert divide_f1_power(q, nu) == scan_divide_f1_power(q, nu)

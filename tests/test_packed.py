@@ -520,25 +520,6 @@ def test_order_free_codes_fit_in_one_field_per_variable():
         == ordered.pack(((VARS[0], 3), (VARS[1], 2)))
 
 
-@pytest.mark.parametrize("order", [None, Lex(), DegRevLex(), WeightedDeg()],
-                         ids=["order-free", "lex", "degrevlex", "weighted"])
-def test_exponent_reads_one_field_in_both_layouts(order):
-    """`exponent` reads a variable's field at any exponent up to the limit,
-    under weight-row fields and next to full neighbours, and is 0 for a
-    variable outside the packing."""
-    rng = random.Random(17)
-    packing = Packing(VARS[:-1], 15, order)
-    for m in random_monomials(rng, 200, 15):
-        m = tuple((v, e) for v, e in m if v is not VARS[-1])
-        if mono_degree(m) > packing.limit:
-            continue
-        code = packing.pack(m)
-        assert [packing.exponent(code, v) for v in VARS] == \
-            [dict(m).get(v, 0) for v in VARS[:-1]] + [0]
-    full = packing.pack(((VARS[0], 5), (VARS[1], 5), (VARS[2], 5)))
-    assert [packing.exponent(full, v) for v in VARS[:3]] == [5, 5, 5]
-
-
 def test_order_free_packings_refuse_degree_and_lcm():
     x, y = jet(1, 1), jet(1, 2)
     packing = Packing([x, y], 7)

@@ -7,6 +7,7 @@ from math import factorial, prod
 import pytest
 
 from jetcalc.degpoly import DegreePolynomial
+from jetcalc.catalog import load_catalog
 from jetcalc.euler import chi_schur_leading
 from jetcalc.polyring import Polynomial, determinant, signed_permutations, tag
 from jetcalc.schur import (
@@ -16,7 +17,6 @@ from jetcalc.schur import (
     conjugate,
     enumerate_families,
     format_chern_combo,
-    generator_schur_counts,
     giambelli,
     partitions,
     quadrant_complement_words,
@@ -220,7 +220,7 @@ def test_determinant_antisymmetry():
 
 
 def test_generator_counts_match_eigenvalue_table():
-    counts = generator_schur_counts()
+    counts = {e.name: tuple(e.counts) for e in load_catalog("UE4k4").entries}
     assert counts["L3"] == (1, 1, 0, 0)
     assert counts["L5"] == (2, 1, 0, 0)
     assert counts["L7"] == (3, 1, 0, 0)

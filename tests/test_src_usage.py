@@ -3,11 +3,15 @@
 Every public top-level function or class of a `src/jetcalc` module, and
 every public method of such a class, must be referenced somewhere in `src/`
 or `perfbench/` outside its own definition, or be listed below with its
-reason.  A helper only the tests call belongs in the tests.
+reason.  A helper only the tests call belongs in the tests.  Likewise every
+optional parameter of such a function or method must be passed by some call
+in `src/` or `perfbench/`, or be listed with its reason.
 
 References are matched by name, not resolved: a method passes when any
 attribute or name of the same spelling is used elsewhere (so
-`CatalogData.syzygies` passes on the other `syzygies` in `src/`).
+`CatalogData.syzygies` passes on the other `syzygies` in `src/`), and an
+optional parameter passes when any call of that name writes its position or
+keyword.
 """
 
 import ast
@@ -67,6 +71,79 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
     assert set(ALLOWED) <= defined, "allowlisted names must exist"
+
+
+# optional parameters no call in `src/` or `perfbench/` passes, by callable
+# and parameter (a constructor is called by its class's name)
+OPTIONAL_ALLOWED = {
+    "Polynomial.terms": "the tests' checked constructor; src/ passes clean _raw",
+    "faa_di_bruno.normalized": "the tests compare the phi' = 1 matrix with the full one",
+    "h0_minorant_e43.families": "paper-facing API: the minorant of any family list",
+    "invariant_space_dimension.bi": "the bi-invariant dimension oracle of the tests",
+    "normal_form.budget": "reference check (see ALLOWED), run unbounded",
+    "subalgebra_membership.budget": "the tests bound a one-off membership call by steps or time",
+}
+
+
+def _optional_parameters(module):
+    """(callable, parameter, position) of each public optional parameter of
+    a public top-level function or method; the position counts the
+    arguments a call writes (None for keyword-only), and a constructor is
+    called by its class's name."""
+    def optional(name, args, skip):
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k, a in enumerate(positional[first:], start=first):
+            yield name, a.arg, k - skip
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, a.arg, None
+
+    found = []
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            found += optional(node.name, node.args, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = node.name if item.name == "__init__" else item.name
+                    found += optional(name, item.args, 0 if static else 1)
+    return [f for f in found if not f[0].startswith("_") and not f[1].startswith("_")]
+
+
+def _passed(tree):
+    """Per called name, what its calls write: positions, keywords, and "*" or
+    "**" for an unpacked sequence or mapping."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            seen = out.setdefault(name, set())
+            seen.update(range(len(node.args)))
+            seen.update("*" for a in node.args if isinstance(a, ast.Starred))
+            seen.update(kw.arg or "**" for kw in node.keywords)
+    return out
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    """An optional parameter that no program call passes is a second path
+    only the tests run.  Calls are matched by name, as above."""
+    modules = sorted((ROOT / "src" / "jetcalc").glob("*.py"))
+    passed = {}
+    for path in modules + sorted((ROOT / "perfbench").glob("*.py")):
+        for name, seen in _passed(ast.parse(path.read_text())).items():
+            passed.setdefault(name, set()).update(seen)
+    defined, unpassed = set(), []
+    for path in modules:
+        for name, param, position in _optional_parameters(ast.parse(path.read_text())):
+            defined.add(f"{name}.{param}")
+            ways = {param, "**"} if position is None else {param, position, "*", "**"}
+            if not passed.get(name, set()) & ways and f"{name}.{param}" not in OPTIONAL_ALLOWED:
+                unpassed.append(f"{path.stem}.{name}.{param}")
+    assert unpassed == []
+    assert set(OPTIONAL_ALLOWED) <= defined, "allowlisted parameters must exist"
 
 
 def _jetcalc_imports(path):
