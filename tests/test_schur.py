@@ -6,8 +6,8 @@ from math import factorial, prod
 
 import pytest
 
-from jetcalc.degpoly import DegreePolynomial
 from jetcalc.catalog import load_catalog
+from jetcalc.degpoly import DegreePolynomial
 from jetcalc.euler import chi_schur_leading
 from jetcalc.polyring import Polynomial, determinant, signed_permutations, tag
 from jetcalc.schur import (
