@@ -261,8 +261,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
                          complete=complete, steps_used=budget.used)
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis,
-                budget: Optional[Budget] = None) -> Polynomial:
+def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """The unique remainder of p modulo the (reduced) basis.
 
     No program path calls it: it is the reference check the acceptance tests
@@ -274,7 +273,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis,
     basis = [(d, max(d), max(map(packing.degree, d)))
              for d in (packing.pack_terms(g)[1] for g in polys)]
     p_den, p_num = packing.pack_terms(p.terms)
-    rem, num, den = _reduce_full(p_num, basis, packing, budget or Budget())
+    rem, num, den = _reduce_full(p_num, basis, packing, Budget())
     # the remainder of p is rem * den / (num * p_den)
     return packing.unpack(num * p_den, {m: c * den for m, c in rem.items()})
 

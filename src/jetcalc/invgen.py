@@ -381,13 +381,20 @@ def _expand_sum(sub: Dict[Variable, Polynomial], s: Polynomial, r: Polynomial) -
     return sum(1 for c in acc.values() if c), max(len(image_s), len(image_r))
 
 
+# id(g) -> (g, its slice or None); holding g keeps its id from being reused,
+# so an id found here is g's own
+_slices: Dict[int, Tuple[Polynomial, Optional[Polynomial]]] = {}
+
+
 def _certified_slice(g: Polynomial) -> Optional[Polynomial]:
     """g's terms free of f_1^(lam), lam >= 2, if g is a jet polynomial that
-    D_2 and D_3 kill, else None."""
-    variables = g.variables()
-    if all(map(is_jet, variables)) and killed(g, reparam_derivations(variables)):
-        return restrict_f1_higher(g)
-    return None
+    D_2 and D_3 kill, else None; worked out once per object g."""
+    entry = _slices.get(id(g))
+    if entry is None:
+        variables = g.variables()
+        certified = all(map(is_jet, variables)) and killed(g, reparam_derivations(variables))
+        entry = _slices[id(g)] = (g, restrict_f1_higher(g) if certified else None)
+    return entry[1]
 
 
 def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial],
@@ -398,25 +405,22 @@ def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial
     First on the slice f_1'' = ... = f_1^(kappa) = 0 of the moving frame
     (Fels & Olver, Acta Appl. Math. 55, 1999): each generator is imaged as
     its terms free of f_1^(lam), lam >= 2, once D_2 and D_3 kill it (`killed`,
-    worked out per call).  They then kill the sum, which is so invariant
-    under t + a_2 t^2 + ... + a_kappa t^kappa; that map moves any jet with
-    f_1' != 0 onto the slice (solve for the a_j one order at a time), so the
-    sum is zero if it vanishes there, and only R(gens) is expanded in full,
-    for `max_terms`.  A variable of S or R that is not a generator's tag, a
-    generator with a variable that is not a jet or not killed, or a slice
-    residual that is not zero expands the sum in full.
+    worked out once per generator object per process).  They then kill the
+    sum, which is so invariant under t + a_2 t^2 + ... + a_kappa t^kappa;
+    that map moves any jet with f_1' != 0 onto the slice (solve for the a_j
+    one order at a time), so the sum is zero if it vanishes there, and only
+    R(gens) is expanded in full, for `max_terms`.  A variable of S or R that
+    is not a generator's tag, a generator with a variable that is not a jet
+    or not killed, or a slice residual that is not zero expands the sum in
+    full.
     """
     f1 = Polynomial.variable(tag(f1_name, 1, -1))  # every other tag indexes from 0
-    slices: Dict[str, Optional[Polynomial]] = {}  # None: not certified
     results = []
     for s in syzygies:
         tagged = s.remainder * f1 ** s.nu if s.nu is not None else Polynomial.zero()
         variables = s.relation.variables() | tagged.variables()
         sub = {v: generators[v.name[2:]] for v in variables if is_tag(v)}
-        for v, g in sub.items():
-            if v.name not in slices:
-                slices[v.name] = _certified_slice(g)
-        cut = {v: slices[v.name] for v in sub}
+        cut = {v: _certified_slice(g) for v, g in sub.items()}  # None: not certified
         # a variable of S or R that is no tag is not restricted to the slice
         certified = len(sub) == len(variables) and all(c is not None for c in cut.values())
         residual, peak = _expand_sum(cut if certified else sub, s.relation, tagged)

@@ -325,6 +325,7 @@ def test_verify_syzygies_expands_in_full_what_the_slice_cannot_decide(monkeypatc
         (False, 1, "residual has 1 terms"), (False, 2, "residual has 1 terms"),
         (False, 1, "residual has 1 terms"), (True, 0, ""),
         (False, 1, "residual has 1 terms"), (False, 2, "residual has 1 terms")]
+    monkeypatch.setattr(invgen, "_slices", {})  # so the stub, not a memo, decides
     monkeypatch.setattr(invgen, "killed", lambda p, operators: True)
     assert [c.ok for c in verify_syzygies(cases[:2], gens, "f1")] == [True, True]
 
@@ -350,6 +351,7 @@ def test_slice_decisions_match_full_expansions(monkeypatch):
             syz = data.syzygy_sets[key]
             fast = verify_syzygies(syz, gens, f1_name)
             with monkeypatch.context() as m:
+                m.setattr(invgen, "_slices", {})
                 m.setattr(invgen, "killed", lambda p, operators: False)
                 assert verify_syzygies(syz, gens, f1_name) == fast
             assert all(c.ok for c in fast)
@@ -362,6 +364,89 @@ def test_slice_decisions_match_full_expansions(monkeypatch):
                 m.setattr(invgen, "_expand_sum", lambda sub, *polys: (1, 0) if all(
                     g is gens[v.name[2:]] for v, g in sub.items()) else expand(sub, *polys))
                 assert not any(c.ok for c in verify_syzygies(perturbed, gens, f1_name))
+
+
+def _spied_killed(monkeypatch):
+    """A fresh slice memo, and the list of polynomials `killed` is asked
+    about from now on."""
+    import jetcalc.invgen as invgen
+
+    seen, certify = [], invgen.killed
+    monkeypatch.setattr(invgen, "_slices", {})
+    monkeypatch.setattr(invgen, "killed", lambda p, operators: seen.append(p) or certify(p, operators))
+    return seen
+
+
+def _imaged(syzygies, generators, f1_name):
+    """The generator objects the syzygies image, f_1' with any nu."""
+    names = {v.name[2:] for s in syzygies
+             for v in s.relation.variables() | s.remainder.variables() if is_tag(v)}
+    names |= {f1_name} if any(s.nu is not None for s in syzygies) else set()
+    return {id(generators[n]) for n in names}
+
+
+def test_generators_are_certified_once_per_object(monkeypatch):
+    """`killed` runs once per generator object: not again when the same map
+    is checked twice, nor for UE4k4 after UE3k4, whose entries are the same
+    objects (all but W10, which no syzygy images)."""
+    seen = _spied_killed(monkeypatch)
+    imaged = set()
+    for cid in ("UE3k4", "UE3k4", "UE4k4"):
+        data = load_catalog(cid)
+        gens = data.generator_map()
+        syz = data.syzygies()
+        assert all(c.ok for c in verify_syzygies(syz, gens, "f1"))
+        imaged |= _imaged(syz, gens, "f1")
+        assert [id(p) for p in seen] == list(dict.fromkeys(id(p) for p in seen))
+        assert {id(p) for p in seen} == imaged
+    assert len(imaged) == 15
+
+
+def _perturbed_ue3k4():
+    """The UE3k4 syzygies of weight at most 13 that image L3, and the map
+    with L3 replaced by L3 + f_1'' f_2', which D_2 does not kill but whose
+    slice is L3's."""
+    data = load_catalog("UE3k4")
+    gens = data.generator_map()
+    syz = [s for s in data.syzygies()
+           if s.weight <= 13 and tag("L3", 3, 1) in s.relation.variables()]
+    perturbed = dict(gens, L3=gens["L3"] + Polynomial.variable(jet(1, 2)) * Polynomial.variable(jet(2, 1)))
+    return syz, gens, perturbed
+
+
+def test_certified_slice_is_keyed_by_object_not_name(monkeypatch):
+    """A later call that maps L3's tag to a perturbed polynomial certifies
+    that object afresh, and rejects what the full expansion rejects; L3's
+    remembered slice would have accepted it."""
+    syz, gens, perturbed = _perturbed_ue3k4()
+    seen = _spied_killed(monkeypatch)
+    assert all(c.ok for c in verify_syzygies(syz, gens, "f1"))
+    before = len(seen)
+    got = [(c.ok, c.max_terms, c.detail) for c in verify_syzygies(syz, perturbed, "f1")]
+    assert [id(p) for p in seen[before:]] == [id(perturbed["L3"])]
+    assert got == reference_verify(syz, perturbed, "f1")
+    assert syz and not any(ok for ok, _, _ in got)
+
+
+def test_uncertified_generator_is_remembered(monkeypatch):
+    """A generator `killed` rejects is remembered as such: a second call asks
+    `killed` nothing and still expands in full, with the same checks."""
+    import jetcalc.invgen as invgen
+
+    syz, _, perturbed = _perturbed_ue3k4()
+    seen = _spied_killed(monkeypatch)
+    expand, full = invgen._expand_sum, []
+
+    def spy(sub, *polys):
+        full.append(all(g is perturbed[v.name[2:]] for v, g in sub.items()))
+        return expand(sub, *polys)
+
+    monkeypatch.setattr(invgen, "_expand_sum", spy)
+    first = verify_syzygies(syz, perturbed, "f1")
+    assert perturbed["L3"] in seen and full and all(full)
+    asked, expanded = len(seen), len(full)
+    assert verify_syzygies(syz, perturbed, "f1") == first
+    assert len(seen) == asked and full[expanded:] == full[:expanded]
 
 
 def test_run_generation_hands_membership_the_deadline(monkeypatch):

@@ -344,6 +344,7 @@ def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, sliced, fu
     [check] = verify_syzygies([s], gens, "f1")
     assert check.ok
     assert (pairs["products"], pairs["squares"]) == sliced
+    monkeypatch.setattr(invgen, "_slices", {})  # so the stub, not a memo, decides
     monkeypatch.setattr(invgen, "killed", lambda p, operators: False)
     pairs.update(products=0, squares=0)
     assert verify_syzygies([s], gens, "f1") == [check]

@@ -80,7 +80,6 @@ OPTIONAL_ALLOWED = {
     "faa_di_bruno.normalized": "the tests compare the phi' = 1 matrix with the full one",
     "h0_minorant_e43.families": "paper-facing API: the minorant of any family list",
     "invariant_space_dimension.bi": "the bi-invariant dimension oracle of the tests",
-    "normal_form.budget": "reference check (see ALLOWED), run unbounded",
     "subalgebra_membership.budget": "the tests bound a one-off membership call by steps or time",
 }
 
