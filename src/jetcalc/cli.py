@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=_positive(int), default=1,
                         help="accepted for compatibility; changes nothing "
                              "(every command runs on one core)")
     common.add_argument("--budget-steps", type=_positive(int), default=10_000_000)

@@ -363,7 +363,8 @@ def invariant_space_dimension(ctx: JetContext, m: int, bi: bool = False) -> int:
 @dataclass
 class SyzygyCheck:
     """`ok` when S(gens) + f_1'^nu R(gens) is zero; `max_terms` is the larger
-    term count of S(gens) and f_1'^nu R(gens), so that of R(gens) when ok."""
+    term count of S(gens) and f_1'^nu R(gens), so that of R(gens) when ok
+    (worked out once per R, up to a scalar, and generator objects)."""
 
     syzygy_id: str
     ok: bool
@@ -397,6 +398,24 @@ def _certified_slice(g: Polynomial) -> Optional[Polynomial]:
     return entry[1]
 
 
+# R's terms over generator objects, scaled so the first has coefficient 1
+# -> (the objects, the term count of R(gens)); holding the objects keeps
+# their ids from being reused, as in _slices
+_remainder_counts: Dict[tuple, Tuple[tuple, int]] = {}
+
+
+def _remainder_count(sub: Dict[Variable, Polynomial], r: Polynomial) -> int:
+    """The term count of r(sub), worked out once per r up to a nonzero scalar
+    and per generator objects."""
+    terms = sorted((tuple(sorted((id(sub[v]), e) for v, e in m)), c) for m, c in r.terms.items())
+    key = tuple((m, c / terms[0][1]) for m, c in terms)
+    entry = _remainder_counts.get(key)
+    if entry is None:
+        count = len(packed_images(sub, [r])[1][0][1])
+        entry = _remainder_counts[key] = (tuple(sub[v] for v in r.variables()), count)
+    return entry[1]
+
+
 def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial],
                     f1_name: str = "f1'") -> List[SyzygyCheck]:
     """Decide S(gens) + f_1'^nu R(gens) == 0, imaging S and t^nu R, t a
@@ -409,10 +428,11 @@ def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial
     sum, which is so invariant under t + a_2 t^2 + ... + a_kappa t^kappa;
     that map moves any jet with f_1' != 0 onto the slice (solve for the a_j
     one order at a time), so the sum is zero if it vanishes there, and only
-    R(gens) is expanded in full, for `max_terms`.  A variable of S or R that
-    is not a generator's tag, a generator with a variable that is not a jet
-    or not killed, or a slice residual that is not zero expands the sum in
-    full.
+    R(gens) is expanded in full, for `max_terms`, once per process for each
+    R up to a nonzero scalar and generator objects it images.  A variable of
+    S or R that is not a generator's tag, a generator with a variable that
+    is not a jet or not killed, or a slice residual that is not zero expands
+    the sum in full.
     """
     f1 = Polynomial.variable(tag(f1_name, 1, -1))  # every other tag indexes from 0
     results = []
@@ -427,7 +447,7 @@ def verify_syzygies(syzygies: Sequence[Syzygy], generators: Dict[str, Polynomial
         if certified and residual:  # the slice cannot decide
             residual, peak = _expand_sum(sub, s.relation, tagged)
         elif certified:  # S(gens) + f_1'^nu R(gens) == 0 has as many terms as R(gens)
-            peak = len(packed_images(sub, [s.remainder])[1][0][1]) if s.nu is not None else 0
+            peak = _remainder_count(sub, s.remainder) if s.nu is not None else 0
         results.append(SyzygyCheck(s.id, not residual, peak,
                                    f"residual has {residual} terms" if residual else ""))
     return results

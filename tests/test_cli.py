@@ -46,6 +46,8 @@ def test_usage_errors(capsys):
     ("derive", "--n", "2", "--kappa", "3", "--budget-seconds", "-1"),
     ("derive", "--n", "2", "--kappa", "3", "--budget-seconds", "0"),
     ("derive", "--n", "2", "--kappa", "3", "--budget-seconds", "nan"),
+    ("chi", "--target", "E44", "--jobs", "-3"),
+    ("chi", "--target", "E44", "--jobs", "0"),
     ("chi", "--target", "schur", "--ell", "5,x"),
     ("chi", "--target", "schur", "--ell", "5,,3"),
     ("chi", "--target", "schur", "--ell", "3,5"),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import counted_pairs
 from jetcalc.catalog import load_catalog
 from jetcalc.invgen import (
     Syzygy,
@@ -291,7 +292,8 @@ def test_verify_syzygies_matches_the_polynomial_reference():
         assert not any(c.ok for c in verify_syzygies(higher + doubled + no_s, gens, f1_name))
 
 
-def test_verify_syzygies_expands_in_full_what_the_slice_cannot_decide(monkeypatch):
+def test_verify_syzygies_expands_in_full_what_the_slice_cannot_decide(monkeypatch,
+                                                                       empty_tables):
     """f_1'' vanishes on the slice f_1'' = 0 but is no invariant (D_2 f_1'' =
     2 f_1'), and phi'' f_1' has a variable that is not a jet, whose terms the
     slice would drop.  A raw jet in S or R, such as f_2'' beside the tag of
@@ -325,12 +327,12 @@ def test_verify_syzygies_expands_in_full_what_the_slice_cannot_decide(monkeypatc
         (False, 1, "residual has 1 terms"), (False, 2, "residual has 1 terms"),
         (False, 1, "residual has 1 terms"), (True, 0, ""),
         (False, 1, "residual has 1 terms"), (False, 2, "residual has 1 terms")]
-    monkeypatch.setattr(invgen, "_slices", {})  # so the stub, not a memo, decides
+    empty_tables()  # so the stub, not a remembered slice, decides
     monkeypatch.setattr(invgen, "killed", lambda p, operators: True)
     assert [c.ok for c in verify_syzygies(cases[:2], gens, "f1")] == [True, True]
 
 
-def test_slice_decisions_match_full_expansions(monkeypatch):
+def test_slice_decisions_match_full_expansions(monkeypatch, empty_tables):
     """Every syzygy of the four catalogs that `verify` is benchmarked on gets
     the same (ok, max_terms, detail) decided on the slice as expanded in full
     (`killed` made to certify nothing).  Copies with nu one higher, the
@@ -351,7 +353,7 @@ def test_slice_decisions_match_full_expansions(monkeypatch):
             syz = data.syzygy_sets[key]
             fast = verify_syzygies(syz, gens, f1_name)
             with monkeypatch.context() as m:
-                m.setattr(invgen, "_slices", {})
+                empty_tables(m)
                 m.setattr(invgen, "killed", lambda p, operators: False)
                 assert verify_syzygies(syz, gens, f1_name) == fast
             assert all(c.ok for c in fast)
@@ -367,12 +369,10 @@ def test_slice_decisions_match_full_expansions(monkeypatch):
 
 
 def _spied_killed(monkeypatch):
-    """A fresh slice memo, and the list of polynomials `killed` is asked
-    about from now on."""
+    """The list of polynomials `killed` is asked about from now on."""
     import jetcalc.invgen as invgen
 
     seen, certify = [], invgen.killed
-    monkeypatch.setattr(invgen, "_slices", {})
     monkeypatch.setattr(invgen, "killed",
                         lambda p, operators: seen.append(p) or certify(p, operators))
     return seen
@@ -386,7 +386,7 @@ def _imaged(syzygies, generators, f1_name):
     return {id(generators[n]) for n in names}
 
 
-def test_generators_are_certified_once_per_object(monkeypatch):
+def test_generators_are_certified_once_per_object(monkeypatch, empty_tables):
     """`killed` runs once per generator object: not again when the same map
     is checked twice, nor for UE4k4 after UE3k4, whose entries are the same
     objects (all but W10, which no syzygy images)."""
@@ -416,7 +416,7 @@ def _perturbed_ue3k4():
     return syz, gens, perturbed
 
 
-def test_certified_slice_is_keyed_by_object_not_name(monkeypatch):
+def test_certified_slice_is_keyed_by_object_not_name(monkeypatch, empty_tables):
     """A later call that maps L3's tag to a perturbed polynomial certifies
     that object afresh, and rejects what the full expansion rejects; L3's
     remembered slice would have accepted it."""
@@ -430,7 +430,7 @@ def test_certified_slice_is_keyed_by_object_not_name(monkeypatch):
     assert syz and not any(ok for ok, _, _ in got)
 
 
-def test_uncertified_generator_is_remembered(monkeypatch):
+def test_uncertified_generator_is_remembered(monkeypatch, empty_tables):
     """A generator `killed` rejects is remembered as such: a second call asks
     `killed` nothing and still expands in full, with the same checks."""
     import jetcalc.invgen as invgen
@@ -449,6 +449,82 @@ def test_uncertified_generator_is_remembered(monkeypatch):
     asked, expanded = len(seen), len(full)
     assert verify_syzygies(syz, perturbed, "f1") == first
     assert len(seen) == asked and full[expanded:] == full[:expanded]
+
+
+def _v19_squared(cid):
+    """Syzygy .35 of UE3k4 or UE4k4, whose remainder is -V19^2, and the map."""
+    data = load_catalog(cid)
+    [s] = [s for s in data.syzygy_sets["lex41"] if s.id == f"{cid}.35"]
+    return s, data.generator_map()
+
+
+def test_remainder_count_is_shared_across_catalogs(monkeypatch, empty_tables):
+    """UE3k4 and UE4k4 share one generator build, so UE4k4.35 finds the
+    count of V19^2 that UE3k4.35 made: it expands only S and t R on the
+    slice."""
+    checks = []
+    for cid, made in (("UE3k4", (10480, 47022)), ("UE4k4", (212, 51))):
+        s, gens = _v19_squared(cid)
+        pairs = counted_pairs(monkeypatch)
+        checks += verify_syzygies([s], gens, "f1")
+        assert (pairs["products"], pairs["squares"]) == made
+    assert [(c.ok, c.max_terms) for c in checks] == [(True, 10268)] * 2
+
+
+def test_remainder_count_is_keyed_by_object_not_name(empty_tables):
+    """S = -f_1' R with R = -V19^2 holds whatever V19 maps to: mapped to
+    V19 + f_1'^19, a certified object with a larger square, it is counted
+    afresh, as the reference counts it."""
+    s, gens = _v19_squared("UE3k4")
+    f1 = Polynomial.variable(tags_for(load_catalog("UE3k4"))["f1"])
+    made = Syzygy("V19^2", -f1 * s.remainder, s.weight, 1, s.remainder)
+    rebound = dict(gens, V19=gens["V19"] + gens["f1"] ** 19)
+    for generators in (gens, rebound):
+        got = [(c.ok, c.max_terms, c.detail) for c in verify_syzygies([made], generators, "f1")]
+        assert got == reference_verify([made], generators, "f1")
+    assert got[0][:2] == (True, 10268 + len(gens["V19"]) + 1)
+
+
+def test_scaled_syzygy_reuses_the_remainder_count(monkeypatch, empty_tables):
+    """A copy of UE3k4.35 with S and R times 3 gets the same check, and its
+    R(gens) is not expanded again."""
+    import dataclasses
+
+    s, gens = _v19_squared("UE3k4")
+    [check] = verify_syzygies([s], gens, "f1")
+    pairs = counted_pairs(monkeypatch)
+    tripled = dataclasses.replace(s, relation=3 * s.relation, remainder=3 * s.remainder)
+    assert verify_syzygies([tripled], gens, "f1") == [dataclasses.replace(check, syzygy_id=s.id)]
+    assert (pairs["products"], pairs["squares"]) == (212, 51)
+
+
+def test_two_term_remainders_match_the_reference(monkeypatch, empty_tables):
+    """Every syzygy of the four catalogs whose R has two terms (UE2k5.3.14,
+    .3.20, .4.28, .4.39) gets the reference's check.  R(gens) is expanded
+    once per R up to a scalar: .4.39's R is minus .3.20's, and .4.28's has
+    .3.14's monomials with another ratio."""
+    import jetcalc.invgen as invgen
+
+    images, expanded = invgen.packed_images, []
+
+    def spy(sub, polys):
+        expanded.extend(p for p in polys if len(polys) == 1)
+        return images(sub, polys)
+
+    monkeypatch.setattr(invgen, "packed_images", spy)
+    two = []
+    for cid in ("E2k4", "UE2k5", "UE3k4", "UE4k4"):
+        data = load_catalog(cid)
+        gens = data.generator_map()
+        f1_name = "f1" if "f1" in gens else "f1'"
+        syz = [s for key in sorted(data.syzygy_sets) for s in data.syzygy_sets[key]
+               if s.nu is not None and len(s.remainder) == 2]
+        got = [(c.ok, c.max_terms, c.detail) for c in verify_syzygies(syz, gens, f1_name)]
+        assert got == reference_verify(syz, gens, f1_name)
+        two += syz
+    assert [s.id for s in two] == ["UE2k5.3.14", "UE2k5.3.20", "UE2k5.4.28", "UE2k5.4.39"]
+    assert two[3].remainder == -two[1].remainder
+    assert [id(r) for r in expanded] == [id(two[k].remainder) for k in (0, 1, 2)]
 
 
 def test_run_generation_hands_membership_the_deadline(monkeypatch):

@@ -8,6 +8,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from conftest import counted_pairs
 from jetcalc import polyring
 from jetcalc.catalog import load_catalog
 from jetcalc.invgen import verify_syzygies
@@ -304,30 +305,12 @@ def test_packed_images_leave_nothing_for_the_collector():
         gc.enable()
 
 
-def _counted_pairs(monkeypatch):
-    """Count the term pairs of packed products: len(a) * len(b) for a
-    product, n (n + 1) / 2 for the square of n terms."""
-    pairs = {"products": 0, "squares": 0}
-    add, square = polyring._add_packed_product, polyring._packed_square
-
-    def counted_add(acc, a, b):
-        pairs["products"] += len(a) * len(b)
-        return add(acc, a, b)
-
-    def counted_square(a):
-        pairs["squares"] += len(a) * (len(a) + 1) // 2
-        return square(a)
-
-    monkeypatch.setattr(polyring, "_add_packed_product", counted_add)
-    monkeypatch.setattr(polyring, "_packed_square", counted_square)
-    return pairs
-
-
 @pytest.mark.parametrize("catalog, syzygy, sliced, full", [
     ("UE3k4", "UE3k4.35", (10480, 47022), (246343, 47961)),
     ("UE2k5", "UE2k5.4.1", (63, 0), (155498, 0)),
 ], ids=["UE3k4.35", "UE2k5.4.1"])
-def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, sliced, full):
+def test_syzygy_check_term_pairs_pinned(monkeypatch, empty_tables, catalog, syzygy, sliced,
+                                        full):
     """The term pairs (products, squares) one syzygy check makes.  Decided on
     the slice f_1'' = ... = 0, it expands S and t^nu R there and R(gens)
     alone in full (UE2k5.4.1 has nu = None, so no R).  Expanded in full, as
@@ -340,11 +323,11 @@ def test_syzygy_check_term_pairs_pinned(monkeypatch, catalog, syzygy, sliced, fu
     data = load_catalog(catalog)
     [s] = [s for s in data.syzygies() if s.id == syzygy]
     gens = data.generator_map()
-    pairs = _counted_pairs(monkeypatch)
+    pairs = counted_pairs(monkeypatch)
     [check] = verify_syzygies([s], gens, "f1")
     assert check.ok
     assert (pairs["products"], pairs["squares"]) == sliced
-    monkeypatch.setattr(invgen, "_slices", {})  # so the stub, not a memo, decides
+    empty_tables()  # so the stub, not a remembered slice, decides
     monkeypatch.setattr(invgen, "killed", lambda p, operators: False)
     pairs.update(products=0, squares=0)
     assert verify_syzygies([s], gens, "f1") == [check]
@@ -357,7 +340,7 @@ def test_reparam_substitution_term_pairs_pinned(monkeypatch):
     the 327,345 product pairs that expanding term by term made."""
     [x25] = [e for e in load_catalog("UE2k5").entries if e.name == "X25"]
     sigma = reparam_images(x25.poly.variables())  # the matrix is built outside the count
-    pairs = _counted_pairs(monkeypatch)
+    pairs = counted_pairs(monkeypatch)
     assert x25.poly.substitute(sigma) == x25.poly
     assert pairs == {"products": 40512, "squares": 106}
     assert pairs["products"] <= 327345 // 5
